@@ -36,6 +36,8 @@ class Experiment:
     name: str
     schema: dict[str, tuple[type, Any]]
     runner: Callable[[dict, int, Path], list[str]]
+    # range checks on the typed parameters, run before any output exists
+    check: Callable[[dict], None] | None = None
 
 
 def _fmt(x: float) -> str:
@@ -127,6 +129,21 @@ def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
         artifacts.append("cavity_state.json")
     _write_json(out / "results.json", {"config_sha256": p["_hash"], "seed": seed, **summary})
     return artifacts
+
+
+def _check_trajectory(p: dict) -> None:
+    from .measurement import FRINGE_BRANCHES
+
+    lower = {"n": 0, "steps": 0, "stop_after_detections": 0, "profile_points": 1, "fringe_points": 1}
+    for key, low in lower.items():
+        if p[key] < low:
+            raise ConfigError(f"parameter {key} must be >= {low}, got {p[key]}")
+    if not 0.0 < p["eps_step"] < 1.0:
+        raise ConfigError(f"parameter eps_step must lie in (0, 1), got {p['eps_step']}")
+    if p["fringe_branch"] not in FRINGE_BRANCHES:
+        raise ConfigError(
+            f"parameter fringe_branch must be one of {list(FRINGE_BRANCHES)}, got {p['fringe_branch']!r}"
+        )
 
 
 def _run_laser_equivalence(p: dict, seed: int, out: Path) -> list[str]:
@@ -283,6 +300,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "export_state": (bool, False),
         },
         _run_trajectory,
+        _check_trajectory,
     ),
     "laser-equivalence": Experiment(
         "laser-equivalence",
@@ -373,6 +391,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
             raise ConfigError(f"missing required parameter {key} for {name}")
         else:
             params[key] = default
+    if exp.check is not None:
+        exp.check(params)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")

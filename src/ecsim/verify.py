@@ -25,7 +25,7 @@ from .fock import (
     to_density,
     twirl,
 )
-from .measurement import exact_trajectory_branch
+from .measurement import exact_trajectory_branch, trajectory_branches
 from .sources import LaserSpec, decomposition_equivalence_check, laser_density
 from .squeezing import approximation_quality
 
@@ -147,73 +147,15 @@ def check_phase_shift_covariance() -> CheckResult:
 
 
 def check_trajectory_brute_force(n_max: int, steps: int) -> CheckResult:
-    from .measurement import _enumerate_step
-
     worst = 0.0
     for n in range(1, n_max + 1):
         eps = 0.4
-        branches = _all_branches(n, eps, steps, floor=1e-6)
-        for seq in branches:
+        for seq, p_phase, traj in trajectory_branches(n, eps, steps, floor=1e-6):
             fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
-            phase_state, p_phase = _phase_branch(n, eps, seq)
             worst = max(worst, abs(p_fock - p_phase))
             if p_fock > 1e-8:
-                worst = max(worst, 1.0 - fidelity(fock_state, phase_state))
+                worst = max(worst, 1.0 - fidelity(fock_state, traj.cavity_state()))
     return CheckResult(f"trajectory-brute-force-n{n_max}", worst, 1e-8)
-
-
-def _phase_branch(n, eps, outcomes):
-    from .measurement import TrajectoryState, _enumerate_step
-
-    wf = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    wf[0, 0] = 1.0
-    r2 = float(n)
-    detected = 0
-    prob = 1.0
-    for (a, b) in outcomes:
-        options, _ = _enumerate_step(wf, n, r2, eps, 2 * n - detected)
-        table = None
-        for (oa, ob, p, t) in options:
-            if (oa, ob) == (a, b):
-                prob *= p
-                table = t
-                break
-        if table is None:
-            return None, 0.0
-        scale = np.abs(table).max()
-        wf = table / scale if scale > 0 else table
-        detected += a + b
-        r2 *= 1.0 - eps
-    traj = TrajectoryState(n, eps, wf, r2, (0, 0), len(outcomes))
-    return traj.cavity_state(), prob
-
-
-def _all_branches(n, eps, depth, floor):
-    from .measurement import _enumerate_step
-
-    out = []
-
-    def recurse(wf, r2, detected, seq, p):
-        if len(seq) == depth:
-            out.append(list(seq))
-            return
-        options, _ = _enumerate_step(wf, n, r2, eps, 2 * n - detected)
-        for (a, b, pstep, table) in options:
-            if p * pstep < floor:
-                continue
-            scale = np.abs(table).max()
-            recurse(
-                table / scale if scale > 0 else table,
-                r2 * (1 - eps),
-                detected + a + b,
-                seq + [(a, b)],
-                p * pstep,
-            )
-
-    wf0 = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    wf0[0, 0] = 1.0
-    recurse(wf0, float(n), 0, [], 1.0)
-    return out
 
 
 def check_squeezing_monotone() -> CheckResult:

@@ -28,6 +28,7 @@ from ecsim.measurement import (
     exact_trajectory_branch,
     fringe_scan,
     run_interference_trajectory,
+    trajectory_branches,
 )
 from ecsim.sources import (
     LaserSpec,
@@ -42,7 +43,6 @@ from ecsim.squeezing import (
     pump_entangled_squeezed,
     reduced_ab_density,
 )
-from ecsim.verify import _all_branches, _phase_branch
 
 
 def report(number: int, text: str) -> None:
@@ -181,9 +181,9 @@ def test_criterion_7_trajectory_brute_force():
     branches_checked = 0
     for n, eps, floor in [(1, 0.5, 1e-10), (2, 0.4, 1e-9), (3, 0.4, 1e-8), (4, 0.35, 1e-7)]:
         total_p = 0.0
-        for seq in _all_branches(n, eps, 3, floor):
+        for seq, p_phase, traj in trajectory_branches(n, eps, 3, floor):
             fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
-            phase_state, p_phase = _phase_branch(n, eps, seq)
+            phase_state = traj.cavity_state()
             worst_dp = max(worst_dp, abs(p_fock - p_phase))
             total_p += p_fock
             branches_checked += 1

@@ -51,6 +51,28 @@ class TestConfigValidation:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"profile_points": 0}, "profile_points"),
+            ({"fringe": True, "fringe_points": 0}, "fringe_points"),
+            ({"stop_after_detections": -1}, "stop_after_detections"),
+            ({"fringe": True, "fringe_branch": "negative"}, "fringe_branch"),
+            ({"n": -1}, "n"),
+            ({"steps": -1}, "steps"),
+            ({"eps_step": 1.0}, "eps_step"),
+        ],
+    )
+    def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
+        params = {"n": 4, "eps_step": 0.2, "steps": 3, **override}
+        cfg = write_config(tmp_path, {"experiment": "trajectory", "parameters": params})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"parameter {key} " in err[0]
+        assert not out.exists()
+
+
 class TestRunArtifacts:
     def test_interfere_outputs(self, tmp_path):
         cfg = write_config(

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from ecsim.circle import peak_locations, profile_magnitude, width_fit
 from ecsim.coupler import CouplerParams, apply_coupler
-from ecsim.errors import ValidationError
+from ecsim.errors import SizingError, ValidationError
 from ecsim.fock import (
     FockVector,
     ModeShape,
@@ -24,6 +25,7 @@ from ecsim.measurement import (
     run_interference_trajectory,
     sample_counts,
     total_number_distribution,
+    trajectory_branches,
 )
 
 
@@ -221,70 +223,49 @@ class TestTrajectory:
             assert sigmas[big] <= sigmas[small] * 1.05
 
 
+    def test_steps_done_counts_executed_steps(self):
+        # a run ended early by stop_after_detections reports the steps it ran
+        record, traj = run_interference_trajectory(
+            64, 0.03, 400, seed=1, stop_after_detections=100
+        )
+        assert len(record.steps) < 400
+        assert traj.steps_done == len(record.steps)
+
+    def test_large_n_runs_on_the_anti_diagonal(self):
+        start = time.perf_counter()
+        record, traj = run_interference_trajectory(2000, 0.01, 5, seed=0)
+        assert time.perf_counter() - start < 10.0
+        a, b = record.totals
+        assert traj.remaining == 4000 - a - b
+        assert traj.overflow_bound < 1e-10
+        deltas, mag = traj.delta_profile(2048)
+        expect = profile_magnitude(a, b, deltas)
+        assert np.abs(mag - expect / expect.max()).max() <= 1e-8
+
+    def test_shell_footprint_cap(self):
+        # the cap is checked before the first step: at eps = 0.01 the deepest
+        # shell of n = 5000 fits (189 x 10001 cells), that of n = 6000 does not
+        _, traj = run_interference_trajectory(5000, 0.01, 0, seed=0)
+        assert traj.weight.shape == (10001,)
+        for n, eps in [(6000, 0.01), (10**6, 0.5)]:
+            with pytest.raises(SizingError):
+                run_interference_trajectory(n, eps, 1, seed=0)
+
+
 class TestBruteForceEquivalence:
     @pytest.mark.parametrize("n,eps", [(1, 0.5), (2, 0.4), (3, 0.35)])
     def test_phase_matches_fock_over_branches(self, n, eps):
         # compare conditional states and probabilities over all two-step
         # branches with nonnegligible probability
-        from ecsim.measurement import _enumerate_step
-
         checked = 0
-        for seq in _enumerate_branches(n, eps, depth=2, floor=1e-8):
+        for seq, p_phase, traj in trajectory_branches(n, eps, 2, floor=1e-8):
             fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
-            phase_state, p_phase = _phase_branch(n, eps, seq)
+            phase_state = traj.cavity_state()
             assert p_phase == pytest.approx(p_fock, abs=1e-12)
             if p_fock > 1e-10:
                 assert fidelity(fock_state, phase_state) >= 1.0 - 1e-8
                 checked += 1
         assert checked >= 5
-
-
-def _phase_branch(n, eps, outcomes):
-    """Drive the trajectory weight along a fixed outcome branch."""
-    from ecsim.measurement import _enumerate_step
-
-    wf = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    wf[0, 0] = 1.0
-    r2 = float(n)
-    detected = 0
-    prob = 1.0
-    for (a, b) in outcomes:
-        options, _ = _enumerate_step(wf, n, r2, eps, 2 * n - detected)
-        table = None
-        for (oa, ob, p, t) in options:
-            if (oa, ob) == (a, b):
-                prob *= p
-                table = t
-                break
-        if table is None:
-            return None, 0.0
-        scale = np.abs(table).max()
-        wf = table / scale if scale > 0 else table
-        detected += a + b
-        r2 *= 1.0 - eps
-    traj = TrajectoryState(n, eps, wf, r2, (0, 0), len(outcomes))
-    return traj.cavity_state(), prob
-
-
-def _enumerate_branches(n, eps, depth, floor):
-    """All outcome sequences of the given depth with probability above floor."""
-    from ecsim.measurement import _enumerate_step
-
-    def recurse(wf, r2, detected, seq, p_so_far):
-        if len(seq) == depth:
-            yield list(seq)
-            return
-        options, _ = _enumerate_step(wf, n, r2, eps, 2 * n - detected)
-        for (a, b, p, table) in options:
-            if p_so_far * p < floor:
-                continue
-            scale = np.abs(table).max()
-            nxt = table / scale if scale > 0 else table
-            yield from recurse(nxt, r2 * (1 - eps), detected + a + b, seq + [(a, b)], p_so_far * p)
-
-    wf0 = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
-    wf0[0, 0] = 1.0
-    yield from recurse(wf0, float(n), 0, [], 1.0)
 
 
 class TestFringeScan:
@@ -299,12 +280,12 @@ class TestFringeScan:
         # sector (remaining photons = n), like a fully collapsed branch
         n = 12
         dbar = 0.3
-        wf = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.complex128)
+        weight = np.zeros(2 * n + 1, dtype=np.complex128)
         half = n // 2
         for d in range(-half, half + 1):
-            f1, f2 = -half - d, -half + d
-            wf[f1 + n, f2 + n] = np.exp(-0.02 * d * d) * np.exp(2j * d * dbar)
-        traj = TrajectoryState(n, 0.1, wf, float(n), (0, 0), 0)
+            f1 = -half - d  # f2 = -half + d, so f1 + f2 = -n
+            weight[f1 + n] = np.exp(-0.02 * d * d) * np.exp(2j * d * dbar)
+        traj = TrajectoryState(n, 0.1, weight, n, float(n), (0, 0), 0)
         scan = fringe_scan(traj, np.linspace(0, 2 * math.pi, 64))
         assert scan.visibility >= 1.0 - 2.0 / n
 
@@ -326,3 +307,41 @@ class TestFringeScan:
         )
         scan = fringe_scan(traj, np.linspace(0, 2 * math.pi, 64), branch="positive")
         assert scan.visibility >= 0.9
+
+    @pytest.mark.parametrize("n,eps,steps,seed", [(8, 0.2, 10, 21), (12, 0.05, 15, 4), (12, 0.1, 12, 4), (6, 0.3, 0, 2)])
+    def test_positive_branch_matches_grid_reference(self, n, eps, steps, seed):
+        _, traj = run_interference_trajectory(n, eps, steps, seed=seed)
+        gammas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+        scan = fringe_scan(traj, gammas, branch="positive")
+        expect = _positive_fringe_on_grid(traj, gammas)
+        assert np.abs(scan.intensity - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def _positive_fringe_on_grid(traj, gammas):
+    """Positive-branch fringe from the M x M phase-pair grid: synthesize
+    w(phi, phi') by direct summation, zero it outside Delta in (0, pi/2),
+    take its 2-D Fourier coefficients and form the kernel sums of
+    docs/trajectory_notes.md over the full coefficient table."""
+    n, D = traj.n, traj.remaining
+    M = max(256, 8 * n + 8)
+    phis = 2.0 * math.pi * np.arange(M) / M
+    f1 = np.arange(-n, n + 1)
+    f2 = -D - f1
+    table = np.einsum("f,if,jf->ij", traj.weight, np.exp(1j * np.outer(phis, f1)),
+                      np.exp(1j * np.outer(phis, f2)))
+    lag = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
+    table = np.where((lag > 0) & (lag < M // 2), table, 0.0)
+    coeffs = np.fft.fft2(table) / (M * M)
+    F = M // 2 - 1
+    j = np.arange(F + 1)
+    W = coeffs[np.ix_(-j % M, -j % M)]  # W[j, j'] = w_hat(-j, -j')
+    rho2 = traj.radius2
+    lam = np.exp(-rho2 + j * math.log(rho2) - np.array([math.lgamma(k + 1.0) for k in j]))
+    Wa = np.zeros_like(W)  # w_hat(-1-j, -j')
+    Wa[:F] = W[1:]
+    Wb = np.zeros_like(W)  # w_hat(-j, -1-j')
+    Wb[:, :F] = W[:, 1:]
+    norm = lam @ np.abs(W) ** 2 @ lam
+    t_dc = lam @ np.abs(Wa) ** 2 @ lam + lam @ np.abs(Wb) ** 2 @ lam
+    s1 = lam @ (Wb * np.conj(Wa)) @ lam
+    return (rho2 / 2.0) * (t_dc + 2.0 * np.real(np.exp(1j * gammas) * s1)) / norm
