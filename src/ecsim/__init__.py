@@ -5,6 +5,13 @@ states, so linear couplers act pointwise on phases while an exact truncated
 Fock pipeline cross-checks every result.
 """
 
+import os as _os
+
+# BLAS reads its thread count once, when numpy is first imported below
+if _os.environ.get("ECSIM_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["ECSIM_THREADS"])
+
 from .circle import (
     ConditionalWeight,
     ECSState,

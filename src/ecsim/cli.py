@@ -16,13 +16,20 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
+from .circle import conditional_weight, delta_profile, peak_locations, width_fit
 from .errors import ConfigError, NumericsError, SizingError, ValidationError
+from .fock import _fmt, to_json_dict
+from .homodyne import HomodyneConfig, PhaseShiftProcess, process_tomography_scan
+from .measurement import FRINGE_BRANCHES, fringe_scan, run_interference_trajectory
+from .sources import PhaseWalkSpec, decomposition_equivalence_check, phase_walk_correlation
+from .squeezing import approximation_quality, pair_ladder_coefficients, required_pair_cutoff
 
 EXIT_CONFIG = 2
 EXIT_SIZING = 3
@@ -38,10 +45,6 @@ class Experiment:
     runner: Callable[[dict, int, Path], list[str]]
     # range checks on the typed parameters, run before any output exists
     check: Callable[[dict], None] | None = None
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_csv(path: Path, header: list[str], rows, meta: dict) -> None:
@@ -63,15 +66,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners (imports kept local so ECSIM_THREADS applies first)
+# Experiment runners and their range checks
 # ---------------------------------------------------------------------------
 
 
+def _check_interfere(p: dict) -> None:
+    _at_least(p, {"A": 0, "B": 0, "n": 0, "grid": 1, "profile_points": 1})
+    if not 0.0 < p["eps"] < 1.0:
+        raise ConfigError(f"parameter eps must lie in (0, 1), got {p['eps']}")
+
+
 def _run_interfere(p: dict, seed: int, out: Path) -> list[str]:
-    import numpy as np
-
-    from .circle import conditional_weight, delta_profile, peak_locations, width_fit
-
     weight = conditional_weight(p["A"], p["B"], p["eps"], p["n"], grid=p["grid"])
     deltas, mag = delta_profile(weight, points=p["profile_points"])
     meta = {"config_sha256": p["_hash"], "seed": seed}
@@ -91,12 +96,6 @@ def _run_interfere(p: dict, seed: int, out: Path) -> list[str]:
 
 
 def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
-    import numpy as np
-
-    from . import fock
-    from .circle import peak_locations, width_fit
-    from .measurement import fringe_scan, run_interference_trajectory
-
     record, traj = run_interference_trajectory(
         p["n"], p["eps_step"], p["steps"], seed, p["stop_after_detections"] or None
     )
@@ -123,7 +122,7 @@ def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
         summary["visibility"] = scan.visibility
         artifacts.append("fringe.csv")
     if p["export_state"]:
-        envelope = fock.to_json_dict(traj.cavity_state())
+        envelope = to_json_dict(traj.cavity_state())
         envelope.update(config_sha256=p["_hash"], seed=seed)
         _write_json(out / "cavity_state.json", envelope)
         artifacts.append("cavity_state.json")
@@ -131,13 +130,23 @@ def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
     return artifacts
 
 
-def _check_trajectory(p: dict) -> None:
-    from .measurement import FRINGE_BRANCHES
-
-    lower = {"n": 0, "steps": 0, "stop_after_detections": 0, "profile_points": 1, "fringe_points": 1}
+def _at_least(p: dict, lower: dict[str, float]) -> None:
     for key, low in lower.items():
         if p[key] < low:
             raise ConfigError(f"parameter {key} must be >= {low}, got {p[key]}")
+
+
+def _numbers_within(p: dict, key: str, low: float, high: float, integer: bool = False) -> None:
+    """Check every element of the list parameter `key` (JSON numbers only)."""
+    kinds = int if integer else (int, float)
+    for value in p[key]:
+        if isinstance(value, bool) or not isinstance(value, kinds) or not low <= value <= high:
+            what = "integers" if integer else "numbers"
+            raise ConfigError(f"parameter {key} must hold {what} in [{low:g}, {high:g}], got {value!r}")
+
+
+def _check_trajectory(p: dict) -> None:
+    _at_least(p, {"n": 0, "steps": 0, "stop_after_detections": 0, "profile_points": 1, "fringe_points": 1})
     if not 0.0 < p["eps_step"] < 1.0:
         raise ConfigError(f"parameter eps_step must lie in (0, 1), got {p['eps_step']}")
     if p["fringe_branch"] not in FRINGE_BRANCHES:
@@ -147,8 +156,6 @@ def _check_trajectory(p: dict) -> None:
 
 
 def _run_laser_equivalence(p: dict, seed: int, out: Path) -> list[str]:
-    from .sources import decomposition_equivalence_check
-
     rep = decomposition_equivalence_check(p["nbar"], p["modes"], p["cutoff"])
     tolerance = 1e-8 + rep.tail_bound
     if rep.trace_distance > tolerance:
@@ -169,9 +176,16 @@ def _run_laser_equivalence(p: dict, seed: int, out: Path) -> list[str]:
     return ["results.json"]
 
 
-def _run_phase_walk(p: dict, seed: int, out: Path) -> list[str]:
-    from .sources import PhaseWalkSpec, phase_walk_correlation
+def _check_laser_equivalence(p: dict) -> None:
+    _at_least(p, {"nbar": 0.0, "modes": 1, "cutoff": 0})
 
+
+def _check_phase_walk(p: dict) -> None:
+    _at_least(p, {"step_variance": 0.0, "modes": 1, "photons": 0, "realizations": 1})
+    _numbers_within(p, "lags", 0, p["modes"] - 1, integer=True)
+
+
+def _run_phase_walk(p: dict, seed: int, out: Path) -> list[str]:
     spec = PhaseWalkSpec(p["step_variance"], p["modes"], p["photons"], seed)
     pairs = None
     if p["lags"]:
@@ -192,11 +206,13 @@ def _run_phase_walk(p: dict, seed: int, out: Path) -> list[str]:
     return ["results.csv", "results.json"]
 
 
+def _check_homodyne(p: dict) -> None:
+    _at_least(p, {"n": 0, "points": 1})
+    if p["theta"] is not None and not 0.0 <= p["theta"] <= math.pi / 2:
+        raise ConfigError(f"parameter theta must lie in [0, pi/2], got {p['theta']}")
+
+
 def _run_homodyne(p: dict, seed: int, out: Path) -> list[str]:
-    import numpy as np
-
-    from .homodyne import HomodyneConfig, PhaseShiftProcess, process_tomography_scan
-
     theta = p["theta"] if p["theta"] is not None else math.acos(0.95)
     config = HomodyneConfig(p["n"], PhaseShiftProcess(p["offset"]), theta)
     gammas = 2.0 * math.pi * np.arange(p["points"]) / p["points"]
@@ -221,9 +237,12 @@ def _run_homodyne(p: dict, seed: int, out: Path) -> list[str]:
     return ["results.csv", "results.json"]
 
 
-def _run_squeeze(p: dict, seed: int, out: Path) -> list[str]:
-    from .squeezing import approximation_quality, pair_ladder_coefficients, required_pair_cutoff
+def _check_squeeze(p: dict) -> None:
+    _at_least(p, {"pair_cutoff": 0})
+    _numbers_within(p, "pumps", 1, math.inf, integer=True)
 
+
+def _run_squeeze(p: dict, seed: int, out: Path) -> list[str]:
     points = approximation_quality(p["pumps"], p["scale"], p["pair_cutoff"] or None)
     meta = {"config_sha256": p["_hash"], "seed": seed}
     _write_csv(
@@ -246,29 +265,23 @@ def _run_squeeze(p: dict, seed: int, out: Path) -> list[str]:
     return ["results.csv", "results.json"]
 
 
-def _run_ecs_verify(p: dict, seed: int, out: Path) -> list[str]:
-    from .circle import ecs_apply_coupler, ecs_to_fock, two_mode_circle
-    from .coupler import CouplerParams, apply_coupler
-    from .fock import fidelity
+def _check_ecs_verify(p: dict) -> None:
+    _at_least(p, {"n_max": 0})
+    _numbers_within(p, "thetas", 0.0, math.pi / 2)
+    _numbers_within(p, "phis", -math.inf, math.inf)
 
-    worst = 0.0
-    cases = 0
-    for theta in p["thetas"]:
-        for phi in p["phis"]:
-            params = CouplerParams(theta, phi)
-            for n in range(p["n_max"] + 1):
-                for nprime in {0, n}:
-                    cut = max(n + nprime, 1)
-                    ecs = two_mode_circle(n, nprime, cutoffs=(cut, cut))
-                    via_ecs = ecs_to_fock(ecs_apply_coupler(ecs, (0, 1), params))
-                    via_fock = apply_coupler(ecs_to_fock(ecs), (0, 1), params)
-                    worst = max(worst, 1.0 - fidelity(via_ecs, via_fock))
-                    cases += 1
-    if worst > 1e-10:
-        raise NumericsError(f"commuting diagram violated: deficit {worst:.3e}")
+
+def _run_ecs_verify(p: dict, seed: int, out: Path) -> list[str]:
+    from .verify import check_commuting_diagram  # loaded on demand, as in cmd_verify
+
+    result = check_commuting_diagram(p["n_max"], p["thetas"], p["phis"])
+    if not result.passed:
+        raise NumericsError(f"commuting diagram violated: deficit {result.measured:.3e}")
+    # each (theta, phi) pair sweeps (0, 0) and (n, 0), (n, n) for n = 1..n_max
+    cases = len(p["thetas"]) * len(p["phis"]) * (2 * p["n_max"] + 1)
     _write_json(
         out / "results.json",
-        {"config_sha256": p["_hash"], "seed": seed, "cases": cases, "worst_infidelity": worst},
+        {"config_sha256": p["_hash"], "seed": seed, "cases": cases, "worst_infidelity": result.measured},
     )
     return ["results.json"]
 
@@ -285,6 +298,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "profile_points": (int, 1024),
         },
         _run_interfere,
+        _check_interfere,
     ),
     "trajectory": Experiment(
         "trajectory",
@@ -306,6 +320,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "laser-equivalence",
         {"nbar": (float, _REQUIRED), "modes": (int, _REQUIRED), "cutoff": (int, _REQUIRED)},
         _run_laser_equivalence,
+        _check_laser_equivalence,
     ),
     "phase-walk": Experiment(
         "phase-walk",
@@ -317,6 +332,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "lags": (list, []),
         },
         _run_phase_walk,
+        _check_phase_walk,
     ),
     "homodyne": Experiment(
         "homodyne",
@@ -327,6 +343,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "points": (int, 24),
         },
         _run_homodyne,
+        _check_homodyne,
     ),
     "squeeze": Experiment(
         "squeeze",
@@ -336,6 +353,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "pair_cutoff": (int, 0),
         },
         _run_squeeze,
+        _check_squeeze,
     ),
     "ecs-verify": Experiment(
         "ecs-verify",
@@ -345,13 +363,21 @@ EXPERIMENTS: dict[str, Experiment] = {
             "phis": (list, [0.0, math.pi / 2]),
         },
         _run_ecs_verify,
+        _check_ecs_verify,
     ),
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path: Path, seed_override: int | None, out_override: str | None) -> tuple[Experiment, dict, int, Path]:
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -394,8 +420,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     if exp.check is not None:
         exp.check(params)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     outdir = Path(out_override or raw.get("output_dir", "."))
     return exp, params, seed, outdir
 
@@ -465,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("ECSIM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

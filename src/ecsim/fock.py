@@ -252,16 +252,6 @@ class DensityMatrix:
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.entries - self.entries.conj().T).max())
 
-    def validate(self, herm_tol: float = 1e-12, eig_tol: float = -1e-10) -> None:
-        """Check hermiticity, positivity and trace at the documented tolerances."""
-        if self.hermiticity_defect() > herm_tol:
-            raise ValidationError(f"not Hermitian: defect {self.hermiticity_defect():.3e}")
-        eigs = np.linalg.eigvalsh(self.entries)
-        if eigs.min() < eig_tol:
-            raise ValidationError(f"negative eigenvalue {eigs.min():.3e}")
-        if self.trace > 1.0 + 1e-12:
-            raise ValidationError(f"trace {self.trace} exceeds 1")
-
 
 def to_density(state: FockVector) -> DensityMatrix:
     vec = state.amplitudes.ravel()

@@ -125,19 +125,26 @@ class DifferenceStats:
     variance: float
 
 
-def homodyne_difference_stats(config: HomodyneConfig) -> DifferenceStats:
-    """Exact pushforward distribution of A - B for the full circuit."""
+def homodyne_difference_stats(config: HomodyneConfig, split: FockVector | None = None) -> DifferenceStats:
+    """Exact pushforward distribution of A - B for the full circuit.
+
+    `split` is the circuit's first stage, `split_common_source` of the
+    config's source, splitter angle and cutoff; a scan over processes passes
+    it in so the split is built once.
+    """
     cut = config.resolved_cutoff
-    state = split_common_source(config.source_photons, config.splitter_theta, cut)
-    state = apply_process(state, 1, config.process)
+    if split is None:
+        split = split_common_source(config.source_photons, config.splitter_theta, cut)
+    state = apply_process(split, 1, config.process)
     state = apply_coupler(state, (0, 1), CouplerParams(math.pi / 4, SPLITTER_PHASE))
     dist = joint_count_distribution(state.normalize())
     values = np.arange(-cut, cut + 1)
-    probs = np.zeros(values.size)
-    counts_a = np.arange(cut + 1)
-    for a in counts_a:
-        for b in counts_a:
-            probs[a - b + cut] += dist.probabilities[a, b]
+    counts = np.arange(cut + 1)
+    probs = np.bincount(
+        (counts[:, None] - counts[None, :] + cut).ravel(),
+        weights=dist.probabilities.ravel(),
+        minlength=values.size,
+    )
     mean = float((values * probs).sum())
     var = float((values**2 * probs).sum()) - mean**2
     return DifferenceStats(values, probs, mean, var)
@@ -167,6 +174,7 @@ def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> T
     gammas = np.asarray(gamma_grid, dtype=float)
     means = np.zeros(gammas.size)
     variances = np.zeros(gammas.size)
+    split = split_common_source(config.source_photons, config.splitter_theta, config.resolved_cutoff)
     for i, g in enumerate(gammas):
         stats = homodyne_difference_stats(
             HomodyneConfig(
@@ -174,7 +182,8 @@ def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> T
                 PhaseShiftProcess(gamma0 + g),
                 config.splitter_theta,
                 config.cutoff,
-            )
+            ),
+            split,
         )
         means[i] = stats.mean
         variances[i] = stats.variance

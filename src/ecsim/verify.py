@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,10 +98,16 @@ def check_hong_ou_mandel() -> CheckResult:
     return CheckResult("hong-ou-mandel-null", float(abs(U[1, 1])), 1e-12)
 
 
-def check_commuting_diagram(n_max: int) -> CheckResult:
+def check_commuting_diagram(
+    n_max: int,
+    thetas: Sequence[float] = (math.pi / 8, math.pi / 4, math.pi / 3),
+    phis: Sequence[float] = (0.0, math.pi / 2),
+) -> CheckResult:
+    """Synthesize-then-couple against couple-then-synthesize on the circle
+    states |n, 0> and |n, n>, n <= n_max, for every (theta, phi)."""
     worst = 0.0
-    for theta in (math.pi / 8, math.pi / 4, math.pi / 3):
-        for phi in (0.0, math.pi / 2):
+    for theta in thetas:
+        for phi in phis:
             params = CouplerParams(theta, phi)
             for n in range(n_max + 1):
                 for nprime in {0, n}:

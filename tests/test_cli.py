@@ -1,11 +1,28 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecsim.cli import main
+
+
+# a minimal valid parameter set per experiment, for the malformed-config table
+VALID_PARAMETERS = {
+    "interfere": {"A": 1, "B": 1, "eps": 0.2, "n": 4},
+    "trajectory": {"n": 4, "eps_step": 0.2, "steps": 3},
+    "phase-walk": {"step_variance": 0.2, "modes": 4, "photons": 1, "realizations": 2},
+    "laser-equivalence": {"nbar": 1.0, "modes": 2, "cutoff": 6},
+    "homodyne": {"n": 4},
+    "squeeze": {},
+    "ecs-verify": {"n_max": 1},
+}
+
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def write_config(tmp_path: Path, payload: dict) -> Path:
@@ -61,16 +78,44 @@ class TestConfigValidation:
             ({"n": -1}, "n"),
             ({"steps": -1}, "steps"),
             ({"eps_step": 1.0}, "eps_step"),
+            ({"experiment": "phase-walk", "lags": ["a"]}, "lags"),
+            ({"experiment": "phase-walk", "lags": [4]}, "lags"),
+            ({"experiment": "phase-walk", "step_variance": math.nan}, "NaN"),
+            ({"experiment": "laser-equivalence", "nbar": math.inf}, "Infinity"),
+            ({"experiment": "homodyne", "points": 0}, "points"),
+            ({"experiment": "homodyne", "theta": 2.0}, "theta"),
+            ({"experiment": "squeeze", "pumps": [0]}, "pumps"),
+            ({"experiment": "ecs-verify", "thetas": [2.0]}, "thetas"),
+            ({"experiment": "interfere", "profile_points": 0}, "profile_points"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
-        params = {"n": 4, "eps_step": 0.2, "steps": 3, **override}
-        cfg = write_config(tmp_path, {"experiment": "trajectory", "parameters": params})
+        """One table of malformed configs over all experiments (trajectory
+        unless the row names another): each exits 2 with one stderr line that
+        names the offending key or number, and leaves no output directory."""
+        params = dict(override)
+        name = params.pop("experiment", "trajectory")
+        seed = params.pop("seed", 0)
+        cfg = write_config(
+            tmp_path, {"experiment": name, "parameters": {**VALID_PARAMETERS[name], **params}, "seed": seed}
+        )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"parameter {key} " in err[0]
+        assert len(err) == 1 and key in err[0].replace(",", " ").split()
         assert not out.exists()
+
+
+class TestEnvironment:
+    def test_threads_setting_applies_at_import(self):
+        # BLAS reads its thread count when numpy loads, which `import ecsim` does
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+        env["ECSIM_THREADS"] = "1"
+        code = "import os, ecsim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
 
 class TestRunArtifacts:
@@ -214,17 +259,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_corrupted_coupler_detected(self, monkeypatch, capsys):
-        # mutation canary: flip the sign structure of the mode-mixing matrix
+    @pytest.mark.parametrize("target", ["heisenberg_matrix", "_coupler_block_cached"])
+    def test_corrupted_coupler_detected(self, monkeypatch, capsys, target):
+        # mutation canaries: flip the sign structure of the mode-mixing matrix,
+        # or make every sector block the inverse rotation (still unitary)
         import ecsim.coupler as coupler_mod
 
-        good = coupler_mod.heisenberg_matrix
+        good = getattr(coupler_mod, target)
 
-        def corrupted(params):
+        def corrupted_mixing(params):
             m = np.array(good(params))
             m[0, 1] = -m[0, 1]
             return m
 
-        monkeypatch.setattr(coupler_mod, "heisenberg_matrix", corrupted)
+        def corrupted_block(theta, phi, N):
+            return good(-theta, phi, N)
+
+        corrupted = {"heisenberg_matrix": corrupted_mixing, "_coupler_block_cached": corrupted_block}
+        monkeypatch.setattr(coupler_mod, target, corrupted[target])
         assert main(["verify", "--suite", "fast"]) == 1
         assert "FAIL" in capsys.readouterr().out

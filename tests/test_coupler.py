@@ -72,8 +72,8 @@ class TestBlocks:
         assert U[0, 1] == pytest.approx(-1.0, abs=1e-12)
         assert abs(U[1, 1]) <= 1e-12
 
-    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 4, math.pi / 3, 1.4])
-    @pytest.mark.parametrize("N", [1, 2, 7, 25, 60])
+    @pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 4, math.pi / 3, 1.4, math.pi / 2])
+    @pytest.mark.parametrize("N", [1, 2, 7, 25, 60, 240])
     def test_block_matches_oracle(self, theta, N):
         p = CouplerParams(theta, 0.7)
         diff = np.abs(coupler_block(p, N).matrix - oracle_block(p, N).matrix).max()

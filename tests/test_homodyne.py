@@ -120,10 +120,14 @@ class TestDifferenceStats:
         state = apply_process(state, 1, config.process)
         state = apply_coupler(state, (0, 1), CouplerParams(math.pi / 4, SPLITTER_PHASE))
         dist = joint_count_distribution(state.normalize())
+        pushforward = np.zeros(2 * n + 1)
         for a in range(n + 1):
             for b in range(n + 1):
                 if a + b != n:
                     assert dist.probabilities[a, b] <= 1e-24
+                pushforward[a - b + n] += dist.probabilities[a, b]
+        # one nonzero term per difference bin, so any summation order agrees exactly
+        assert np.array_equal(homodyne_difference_stats(config).probabilities, pushforward)
 
     def test_identity_process_is_extremal(self):
         n = 6
@@ -175,8 +179,12 @@ class TestTomographyScan:
     @pytest.mark.parametrize("offset", [0.0, 0.3])
     def test_offset_recovery(self, offset):
         config = HomodyneConfig(5, PhaseShiftProcess(offset))
-        scan = process_tomography_scan(config, np.linspace(0, 2 * math.pi, 16, endpoint=False))
+        grid = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+        scan = process_tomography_scan(config, grid)
         assert _wrapped_distance(scan.recovered_offset, offset) <= 0.02
+        # the scan shares one split across its points; each point stands alone too
+        alone = [homodyne_difference_stats(HomodyneConfig(5, PhaseShiftProcess(offset + g))).mean for g in grid]
+        assert np.array_equal(scan.means, alone)
 
     def test_source_independence(self):
         offset = 0.45
