@@ -6,6 +6,7 @@ Fock pipeline cross-checks every result.
 """
 
 import os as _os
+from types import ModuleType as _ModuleType
 
 # BLAS reads its thread count once, when numpy is first imported below
 if _os.environ.get("ECSIM_THREADS"):
@@ -19,6 +20,7 @@ from .circle import (
     conditional_weight,
     delta_profile,
     ecs_apply_coupler,
+    ecs_sector_amplitudes,
     ecs_to_fock,
     number_state_on_circle,
     peak_locations,
@@ -52,6 +54,7 @@ from .fock import (
     phase_shift,
     poisson_pmf,
     reduced_density,
+    sector_occupations,
     tensor,
     to_density,
     twirl,
@@ -92,4 +95,5 @@ from .squeezing import (
     two_mode_squeezed_vac,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public names only: the submodules imported above are attributes too
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -23,6 +23,9 @@ from .errors import ValidationError
 from .fock import FockVector, ModeShape, coherent_log_amplitudes, poisson_pmf
 
 DEFAULT_GRID_FACTOR = 4  # default M = 4*cutoff + 4, above the 2*cutoff+1 bound
+# complex cells (16 MiB) per block of the grid tables and sector products, so
+# their temporaries stay small beside the (P, modes, cutoff + 1) tables
+BLOCK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -189,13 +192,11 @@ def _pair_block(chis: np.ndarray, ci: int, cj: int) -> np.ndarray:
     return out
 
 
-def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
-    """Synthesize the truncated Fock vector by discrete quadrature.
-
-    Exact (to rounding) for all content within the cutoffs provided every grid
-    satisfies M >= 2*cutoff + 1; smaller grids alias and are rejected.
-    """
-    shape = ecs.shape if shape is None else shape
+def _quadrature_inputs(ecs: ECSState, shape: ModeShape) -> tuple[np.ndarray, np.ndarray]:
+    """Grid weights (measure included) and the Fock expansions of every
+    coherent amplitude, shape (P, coherent modes, largest cutoff + 1), after
+    rejecting grids that alias at `shape`. Column c of mode `pos` is the same
+    number whatever the other modes' cutoffs, so each mode slices its own."""
     max_cut = max(shape.cutoffs)
     required = 2 * max_cut + 1
     for g in ecs.grids:
@@ -205,14 +206,31 @@ def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
                 f"need M >= {required}"
             )
     P = int(np.prod(ecs.grid_shape))
-    measure = 1.0 / P
-    weight_flat = ecs.weight.ravel() * measure
+    weight_flat = ecs.weight.ravel() * (1.0 / P)
+    modes = len(ecs.coherent_modes)
+    cut = max((shape.cutoffs[mode] for mode in ecs.coherent_modes), default=0)
+    alphas = ecs.amplitudes.reshape(P * modes)
+    tables = np.empty((P * modes, cut + 1), dtype=np.complex128)
+    step = max(1, BLOCK_CELLS // (cut + 1))
+    for start in range(0, len(alphas), step):
+        tables[start : start + step] = coherent_log_amplitudes(alphas[start : start + step], cut)
+    return weight_flat, tables.reshape(P, modes, cut + 1)
+
+
+def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
+    """Synthesize the truncated Fock vector by discrete quadrature.
+
+    Exact (to rounding) for all content within the cutoffs provided every grid
+    satisfies M >= 2*cutoff + 1; smaller grids alias and are rejected.
+    """
+    shape = ecs.shape if shape is None else shape
+    weight_flat, coherent = _quadrature_inputs(ecs, shape)
+    P = weight_flat.size
 
     # one operand per factor: (mode tuple, table of shape (P, dims...))
-    operands: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for pos, mode in enumerate(ecs.coherent_modes):
-        alphas = ecs.amplitudes[..., pos].ravel()
-        operands.append(((mode,), coherent_log_amplitudes(alphas, shape.cutoffs[mode])))
+    operands: list[tuple[tuple[int, ...], np.ndarray]] = [
+        ((mode,), coherent[:, pos, : shape.dims[mode]]) for pos, mode in enumerate(ecs.coherent_modes)
+    ]
     for pf in ecs.pair_factors:
         i, j = pf.modes
         operands.append(((i, j), _pair_block(pf.chi, shape.cutoffs[i], shape.cutoffs[j])))
@@ -233,13 +251,13 @@ def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
     def fold(parts: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
         acc = seed
         for t in parts:
-            acc = np.einsum("pa,pb->pab", acc, t).reshape(P, -1)
+            acc = (acc[:, :, None] * t[:, None, :]).reshape(P, -1)
         return acc
 
     left = fold(tables[:split], weight_flat[:, None])
     if split < len(tables):
         right = fold(tables[split:], np.ones((P, 1), dtype=np.complex128))
-        flat = np.einsum("pa,pb->ab", left, right).reshape(-1)
+        flat = (left.T @ right).reshape(-1)
     else:
         flat = left.sum(axis=0)
     dims_in_order = tuple(shape.dims[m] for m in mode_order)
@@ -247,6 +265,33 @@ def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
     # axis i currently holds mode mode_order[i]; send it to position mode_order[i]
     tensorized = np.moveaxis(tensorized, range(len(mode_order)), mode_order)
     return FockVector(shape, tensorized)
+
+
+def ecs_sector_amplitudes(ecs: ECSState, occupations: np.ndarray) -> np.ndarray:
+    """The amplitudes of `ecs_to_fock(ecs)` at the given occupation tuples only.
+
+    `occupations` has one row per tuple and one column per mode, such as the
+    rows of `fock.sector_occupations`. The quadrature is the same as in
+    `ecs_to_fock`, so a state confined to one total photon number (a circle
+    weight e^{-i m phi}) is fully given by its C(m + N - 1, m) sector
+    amplitudes instead of (m + 1)^N. Coherent modes only.
+    """
+    if ecs.pair_factors:
+        raise ValidationError("sector synthesis supports coherent modes only, not pair factors")
+    occ = np.asarray(occupations)
+    if occ.ndim != 2 or occ.shape[1] != ecs.shape.mode_count:
+        raise ValidationError(f"occupations need shape (tuples, {ecs.shape.mode_count}), got {occ.shape}")
+    if occ.size and (occ.min() < 0 or np.any(occ.max(axis=0) > np.array(ecs.shape.cutoffs))):
+        raise ValidationError(f"occupations outside cutoffs {ecs.shape.cutoffs}")
+    weight_flat, tables = _quadrature_inputs(ecs, ecs.shape)
+    columns = occ[:, list(ecs.coherent_modes)]  # (tuples, modes) in table order
+    modes = np.arange(columns.shape[1])
+    step = max(1, BLOCK_CELLS // (weight_flat.size * max(1, len(modes))))  # tuples per block
+    out = np.empty(len(columns), dtype=np.complex128)
+    for start in range(0, len(columns), step):
+        factors = tables[:, modes, columns[start : start + step]]
+        out[start : start + step] = weight_flat @ factors.prod(axis=2)
+    return out
 
 
 # ---------------------------------------------------------------------------

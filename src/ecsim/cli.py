@@ -16,7 +16,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -74,6 +77,15 @@ def _check_interfere(p: dict) -> None:
     _at_least(p, {"A": 0, "B": 0, "n": 0, "grid": 1, "profile_points": 1})
     if not 0.0 < p["eps"] < 1.0:
         raise ConfigError(f"parameter eps must lie in (0, 1), got {p['eps']}")
+    # counts on a field that vanishes at every grid point leave log|C| = -inf
+    # everywhere: alpha_a = 0 where phi - phi' = pi, alpha_b = 0 where phi = phi'
+    A, B = p["A"], p["B"]
+    if A + B > 0 and p["n"] == 0:
+        raise ConfigError(f"parameter n must be >= 1 when counts are recorded (A + B = {A + B}), got 0")
+    if B > 0 and p["grid"] < 2:
+        raise ConfigError(f"parameter grid must be >= 2 when B > 0, got {p['grid']}")
+    if A > 0 and B > 0 and p["grid"] < 3:
+        raise ConfigError(f"parameter grid must be >= 3 when A > 0 and B > 0, got {p['grid']}")
 
 
 def _run_interfere(p: dict, seed: int, out: Path) -> list[str]:
@@ -423,6 +435,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     outdir = Path(out_override or raw.get("output_dir", "."))
+    if outdir.exists() and not outdir.is_dir():
+        raise ConfigError(f"output path {outdir} exists and is not a directory")
     return exp, params, seed, outdir
 
 
@@ -433,31 +447,58 @@ def config_hash(exp: Experiment, params: dict, seed: int) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _staging_dir(outdir: Path) -> Path:
+    """Empty hidden directory inside `outdir` when it exists, else in the
+    nearest existing ancestor, with the mode a plain mkdir would give."""
+    base = next(p for p in (outdir, *outdir.parents) if p.is_dir())
+    staging = Path(tempfile.mkdtemp(prefix=".ecsim-", suffix=".partial", dir=base))
+    umask = os.umask(0)
+    os.umask(umask)
+    staging.chmod(0o777 & ~umask)
+    return staging
+
+
+def _publish(staging: Path, outdir: Path, names: list[str]) -> None:
+    """Move finished artifacts into `outdir`: one atomic replace per file when
+    it exists, else the whole staging directory renamed into place."""
+    if outdir.is_dir():
+        for name in names:
+            os.replace(staging / name, outdir / name)
+    else:
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        staging.rename(outdir)
+
+
 def cmd_run(args) -> int:
     exp, params, seed, outdir = load_config(Path(args.config), args.seed, args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(exp, params, seed)
     run_params = dict(params)
     run_params["_hash"] = digest
-    artifacts = exp.runner(run_params, seed, outdir)
     from importlib.metadata import version
 
     try:
         pkg_version = version("ecsim")
     except Exception:
         pkg_version = "unknown"
-    _write_json(
-        outdir / "manifest.json",
-        {
-            "experiment": exp.name,
-            "parameters": params,
-            "seed": seed,
-            "config_sha256": digest,
-            "rng": "numpy-pcg64",
-            "package_version": pkg_version,
-            "artifacts": sorted(artifacts),
-        },
-    )
+    # a run that fails leaves neither a new output directory nor partial files
+    staging = _staging_dir(outdir)
+    try:
+        artifacts = exp.runner(run_params, seed, staging)
+        _write_json(
+            staging / "manifest.json",
+            {
+                "experiment": exp.name,
+                "parameters": params,
+                "seed": seed,
+                "config_sha256": digest,
+                "rng": "numpy-pcg64",
+                "package_version": pkg_version,
+                "artifacts": sorted(artifacts),
+            },
+        )
+        _publish(staging, outdir, artifacts + ["manifest.json"])
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     print(f"{exp.name}: wrote {', '.join(sorted(artifacts) + ['manifest.json'])} to {outdir}")
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,6 +79,24 @@ class ModeShape:
         modes = range(self.mode_count) if modes is None else modes
         grids = np.indices(self.dims).reshape(self.mode_count, -1)
         return grids[list(modes)].sum(axis=0)
+
+
+def sector_occupations(mode_count: int, total: int) -> np.ndarray:
+    """Occupation tuples of `mode_count` modes holding `total` photons in all.
+
+    Shape (C(total + mode_count - 1, total), mode_count), rows in row-major
+    (lexicographic) order. Each row is a placement of mode_count - 1 bars
+    among total + mode_count - 1 slots; the gaps between bars are the counts.
+    """
+    if mode_count < 1:
+        raise ValidationError("mode_count must be >= 1")
+    if total < 0:
+        raise ValidationError("photon number must be nonnegative")
+    slots = total + mode_count - 1
+    placements = list(combinations(range(slots), mode_count - 1))
+    bars = np.array(placements, dtype=np.int64).reshape(len(placements), mode_count - 1)
+    ends = np.ones((len(bars), 1), dtype=np.int64)
+    return np.diff(np.hstack([-ends, bars, slots * ends]), axis=1) - 1
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:

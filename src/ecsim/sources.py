@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import ECSState, PhaseGrid, ecs_to_fock
+from .circle import ECSState, PhaseGrid, ecs_sector_amplitudes
 from .coupler import equal_multimode_split
 from .errors import SizingError, ValidationError
 from .fock import (
@@ -26,6 +26,7 @@ from .fock import (
     coherent_log_amplitudes,
     poisson_pmf,
     poisson_tail,
+    sector_occupations,
 )
 
 
@@ -183,18 +184,30 @@ class PhaseWalkResult:
         return rows
 
 
+def _lowering_maps(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b_k from the sector listed by `upper` to the sector one photon below
+    it, listed by `lower`, as a gather: (b_k psi)[j] = scale[k, j] psi[rows[k, j]],
+    where rows[k, j] indexes lower[j] + e_k in `upper`. Both have shape
+    (modes, len(lower)); each b_k has one nonzero per row, so the dense
+    (modes, len(lower), len(upper)) matrices would be almost all zeros."""
+    index = {row: i for i, row in enumerate(map(tuple, upper.tolist()))}
+    unit = np.eye(upper.shape[1], dtype=np.int64)
+    rows = np.array([[index[row] for row in map(tuple, (lower + e).tolist())] for e in unit], dtype=np.int64)
+    return rows, np.sqrt(lower.T + 1.0)
+
+
 def phase_walk_correlation(
     spec: PhaseWalkSpec, realizations: int, pairs: list[tuple[int, int]] | None = None
 ) -> PhaseWalkResult:
     """First-order coherence <b_k^dag b_l> / sqrt(<n_k><n_l>) of the walk,
     averaged over realizations of the phase path.
 
-    Each realization synthesizes the truncated multimode state exactly (the
-    per-mode cutoff equals the photon number, so nothing is lost) and takes
-    matrix elements on it; nothing is inferred from the weight algebra. |g1|
-    decays like exp(-step_variance |k - l| / 2) in the realization average.
-    `pairs` restricts which (k, l) entries are computed (the full matrix costs
-    mode_count^2 contractions per realization).
+    Each realization synthesizes the multimode state exactly in its m-photon
+    sector, the C(m + N - 1, m) amplitudes the circle weight e^{-i m phi}
+    leaves nonzero, and takes matrix elements on it; nothing is inferred from
+    the weight algebra. |g1| decays like exp(-step_variance |k - l| / 2) in
+    the realization average. `pairs` restricts which (k, l) entries are
+    reported. No photons (m = 0) gives g1 = 0.
     """
     if realizations < 1:
         raise ValidationError("need at least one realization")
@@ -202,34 +215,28 @@ def phase_walk_correlation(
     rng = np.random.default_rng(spec.seed)
     if pairs is None:
         pairs = [(k, l) for k in range(N) for l in range(N)]
-    needed_modes = sorted({k for p in pairs for k in p})
+    ks, ls = np.array(pairs, dtype=int).reshape(-1, 2).T
     grid = PhaseGrid(2 * N * m + 3)
     phis = grid.points
     weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m)) if m > 0 else np.ones(grid.size)
     shape = ModeShape.uniform(N, m)
     base_amp = math.sqrt(m / N) if N > 0 else 0.0
-    samples = {p: np.zeros(realizations, dtype=np.complex128) for p in pairs}
+    sector = sector_occupations(N, m)
+    below = sector_occupations(N, m - 1) if m > 0 else np.zeros((0, N), dtype=np.int64)
+    rows, scale = _lowering_maps(sector, below)
+    samples = np.zeros((realizations, len(pairs)), dtype=np.complex128)
     for r in range(realizations):
         walk = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), N - 1))])
         amps = base_amp * np.exp(1j * (phis[:, None] + walk[None, :]))
         ecs = ECSState((grid,), weight, tuple(range(N)), amps, shape)
-        psi = ecs_to_fock(ecs).normalize()
-        lowered = {}
-        for k in needed_modes:
-            idx = [slice(None)] * N
-            idx[k] = slice(1, None)
-            src = psi.amplitudes[tuple(idx)]
-            scaled = src * np.sqrt(np.arange(1, m + 1)).reshape([-1 if a == k else 1 for a in range(N)])
-            pad = [(0, 1) if a == k else (0, 0) for a in range(N)]
-            lowered[k] = np.pad(scaled, pad)
-        occupancy = {k: float(np.vdot(lowered[k], lowered[k]).real) for k in needed_modes}
-        for (k, l) in pairs:
-            corr = complex(np.vdot(lowered[k], lowered[l]))
-            denom = math.sqrt(occupancy[k] * occupancy[l])
-            samples[(k, l)][r] = corr / denom if denom > 0 else 0.0
+        lowered = scale * ecs_sector_amplitudes(ecs, sector)[rows]
+        corr = lowered.conj() @ lowered.T
+        occupancy = corr.diagonal().real
+        denom = np.sqrt(occupancy[ks] * occupancy[ls])
+        np.divide(corr[ks, ls], denom, out=samples[r], where=denom > 0)
     g1 = np.zeros((N, N), dtype=np.complex128)
     stderr = np.zeros((N, N))
-    for (k, l), vals in samples.items():
+    for (k, l), vals in zip(pairs, samples.T):
         mean = vals.mean()
         g1[k, l] = mean
         if realizations > 1:

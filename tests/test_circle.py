@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from ecsim import circle
 from ecsim.circle import (
+    ECSState,
     PhaseGrid,
     conditional_weight,
     delta_profile,
     ecs_apply_coupler,
+    ecs_sector_amplitudes,
     ecs_to_fock,
     number_state_on_circle,
     peak_locations,
@@ -17,7 +20,8 @@ from ecsim.circle import (
 )
 from ecsim.coupler import CouplerParams, apply_coupler
 from ecsim.errors import ValidationError
-from ecsim.fock import ModeShape, basis_state, fidelity
+from ecsim.fock import ModeShape, basis_state, fidelity, poisson_pmf, sector_occupations
+from ecsim.squeezing import pump_entangled_squeezed
 
 
 def schmidt_coefficients(state):
@@ -130,6 +134,50 @@ class TestCommutingDiagram:
                     # off-sector amplitudes cancel in the quadrature; only
                     # float rounding (~1e-18 in amplitude) survives
                     assert probs[k, l] <= 1e-30
+
+
+def walked_sector_state(modes: int, photons: int, seed: int) -> ECSState:
+    """m photons split over the modes with random per-mode phases: circle
+    weight e^{-i m phi} on a 2 N m + 3 point grid, as in the phase walk."""
+    grid = PhaseGrid(2 * modes * photons + 3)
+    phis = grid.points
+    walk = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, modes)
+    weight = np.exp(-1j * photons * phis) / math.sqrt(poisson_pmf(float(photons), photons))
+    amps = math.sqrt(photons / modes) * np.exp(1j * (phis[:, None] + walk[None, :]))
+    return ECSState((grid,), weight, tuple(range(modes)), amps, ModeShape.uniform(modes, photons))
+
+
+class TestSectorSynthesis:
+    @pytest.mark.parametrize("modes,photons", [(1, 0), (1, 3), (3, 2), (4, 3), (11, 2)])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_matches_dense_synthesis(self, modes, photons, seed):
+        ecs = walked_sector_state(modes, photons, seed)
+        dense = np.array(ecs_to_fock(ecs).amplitudes)
+        occ = sector_occupations(modes, photons)
+        sector = ecs_sector_amplitudes(ecs, occ)
+        assert np.abs(sector - dense[tuple(occ.T)]).max() <= 1e-14
+        dense[tuple(occ.T)] = 0.0
+        assert np.sum(np.abs(dense) ** 2) <= 1e-24
+
+    def test_blocked_evaluation_matches(self, monkeypatch):
+        # tiny blocks: one sector tuple and 16 grid-table rows per block
+        ecs = walked_sector_state(4, 3, 5)
+        occ = sector_occupations(4, 3)
+        whole = ecs_sector_amplitudes(ecs, occ)
+        dense = ecs_to_fock(ecs).amplitudes
+        monkeypatch.setattr(circle, "BLOCK_CELLS", 64)
+        assert np.abs(ecs_sector_amplitudes(ecs, occ) - whole).max() <= 1e-15
+        assert np.abs(ecs_to_fock(ecs).amplitudes - dense).max() <= 1e-15
+
+    def test_pair_factors_rejected(self):
+        ecs = pump_entangled_squeezed(2, 0.1, pair_cutoff=2)
+        with pytest.raises(ValidationError):
+            ecs_sector_amplitudes(ecs, np.zeros((1, 3), dtype=int))
+
+    @pytest.mark.parametrize("occ", [[[3, 0, 0]], [[-1, 2, 0]], [[1, 1]]])
+    def test_occupations_outside_shape_rejected(self, occ):
+        with pytest.raises(ValidationError):
+            ecs_sector_amplitudes(walked_sector_state(3, 2, 1), np.array(occ))
 
 
 class TestConditionalWeight:

@@ -67,6 +67,21 @@ class TestConfigValidation:
         )
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_run_time_failure_leaves_no_output(self, tmp_path, capsys):
+        # the shell-size cap is only hit while the trajectory runs
+        cfg = write_config(
+            tmp_path, {"experiment": "trajectory", "parameters": {"n": 6000, "eps_step": 0.01, "steps": 1}}
+        )
+        out = tmp_path / "nested" / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_output_path_that_is_a_file_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"experiment": "interfere", "parameters": VALID_PARAMETERS["interfere"]})
+        assert main(["run", "--config", str(cfg), "--out", str(cfg)]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
         "override, key",
@@ -88,6 +103,9 @@ class TestConfigValidation:
             ({"experiment": "ecs-verify", "thetas": [2.0]}, "thetas"),
             ({"experiment": "interfere", "profile_points": 0}, "profile_points"),
             ({"seed": -1}, "seed"),
+            ({"experiment": "interfere", "n": 0, "A": 3, "B": 0}, "n"),
+            ({"experiment": "interfere", "grid": 1, "A": 0, "B": 2}, "grid"),
+            ({"experiment": "interfere", "grid": 2, "A": 1, "B": 1}, "grid"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
@@ -108,6 +126,14 @@ class TestConfigValidation:
 
 
 class TestEnvironment:
+    def test_package_exports_no_modules(self):
+        import types
+
+        import ecsim
+
+        assert "ecs_to_fock" in ecsim.__all__
+        assert not [name for name in ecsim.__all__ if isinstance(getattr(ecsim, name), types.ModuleType)]
+
     def test_threads_setting_applies_at_import(self):
         # BLAS reads its thread count when numpy loads, which `import ecsim` does
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
@@ -156,6 +182,11 @@ class TestRunArtifacts:
         assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
+        # a rerun into an existing directory replaces its files with the same bytes
+        (out1 / "notes.txt").write_text("kept")
+        first = {p.name: p.read_bytes() for p in out1.iterdir()}
+        assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
+        assert {p.name: p.read_bytes() for p in out1.iterdir()} == first
 
     def test_seed_override_changes_record(self, tmp_path):
         cfg = write_config(

@@ -22,6 +22,7 @@ from ecsim.fock import (
     phase_shift,
     poisson_pmf,
     reduced_density,
+    sector_occupations,
     tensor,
     to_density,
     twirl,
@@ -58,6 +59,21 @@ class TestModeShape:
     def test_size_cap_enforced(self):
         with pytest.raises(SizingError):
             ModeShape.uniform(9, 7)  # 8^9 > 2^24
+
+    @pytest.mark.parametrize("modes,total", [(1, 0), (1, 3), (3, 0), (3, 2), (4, 3), (11, 2)])
+    def test_sector_occupations_list_the_sector(self, modes, total):
+        # reference: the dense basis tuples of that total, in row-major order
+        shape = ModeShape.uniform(modes, total)
+        dense = np.argwhere(shape.total_occupation().reshape(shape.dims) == total)
+        occ = sector_occupations(modes, total)
+        assert occ.shape == (math.comb(total + modes - 1, total), modes)
+        assert np.array_equal(occ, dense)
+
+    def test_sector_occupations_reject_bad_arguments(self):
+        with pytest.raises(ValidationError):
+            sector_occupations(0, 2)
+        with pytest.raises(ValidationError):
+            sector_occupations(3, -1)
 
 
 class TestPoisson:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ecsim.circle import ecs_to_fock
 from ecsim.coupler import equal_multimode_split
 from ecsim.errors import ValidationError
 from ecsim.fock import (
@@ -11,10 +10,12 @@ from ecsim.fock import (
     basis_state,
     coherent_amplitudes,
     fidelity,
+    lowering_matrix,
     poisson_pmf,
     to_density,
     twirl,
 )
+from ecsim.circle import ECSState, PhaseGrid, ecs_to_fock
 from ecsim.measurement import total_number_distribution
 from ecsim.sources import (
     LaserSpec,
@@ -25,6 +26,33 @@ from ecsim.sources import (
     multimode_output_number,
     phase_walk_correlation,
 )
+
+
+def dense_phase_walk(spec, realizations, pairs):
+    """Reference walk on the full (m+1)^N tensor: the same seeded phase path,
+    dense synthesis and b_k applied along each mode axis."""
+    N, m = spec.mode_count, spec.photon_number
+    rng = np.random.default_rng(spec.seed)
+    grid = PhaseGrid(2 * N * m + 3)
+    phis = grid.points
+    weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m)) if m > 0 else np.ones(grid.size)
+    samples = np.zeros((realizations, len(pairs)), dtype=complex)
+    for r in range(realizations):
+        walk = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), N - 1))])
+        amps = math.sqrt(m / N) * np.exp(1j * (phis[:, None] + walk[None, :]))
+        psi = ecs_to_fock(ECSState((grid,), weight, tuple(range(N)), amps, ModeShape.uniform(N, m))).amplitudes
+        low = [np.moveaxis(np.tensordot(lowering_matrix(m), psi, axes=([1], [k])), 0, k) for k in range(N)]
+        for i, (k, l) in enumerate(pairs):
+            denom = math.sqrt(np.vdot(low[k], low[k]).real * np.vdot(low[l], low[l]).real)
+            samples[r, i] = np.vdot(low[k], low[l]) / denom if denom > 0 else 0.0
+    g1 = np.zeros((N, N), dtype=complex)
+    stderr = np.zeros((N, N))
+    for (k, l), vals in zip(pairs, samples.T):
+        g1[k, l] = vals.mean()
+        if realizations > 1:
+            direction = g1[k, l] / abs(g1[k, l]) if abs(g1[k, l]) > 0 else 1.0
+            stderr[k, l] = np.real(vals / direction).std(ddof=1) / math.sqrt(realizations)
+    return g1, stderr
 
 
 class TestLaserDensity:
@@ -141,6 +169,27 @@ class TestPhaseWalk:
         spec = PhaseWalkSpec(0.5, 3, 2, seed=2)
         res = phase_walk_correlation(spec, realizations=1)
         assert np.abs(np.abs(res.g1) - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "variance,modes,photons,realizations,pairs",
+        [
+            (0.3, 3, 2, 6, None),
+            (0.2, 4, 3, 4, [(0, 3), (1, 2), (0, 0)]),
+            (0.5, 2, 0, 3, None),
+            (0.1, 1, 2, 2, None),
+            (0.4, 5, 1, 5, [(4, 0), (2, 2)]),
+        ],
+    )
+    def test_matches_dense_reference(self, variance, modes, photons, realizations, pairs):
+        spec = PhaseWalkSpec(variance, modes, photons, seed=11)
+        if pairs is None:
+            pairs = [(k, l) for k in range(modes) for l in range(modes)]
+        res = phase_walk_correlation(spec, realizations, pairs=pairs)
+        g1, stderr = dense_phase_walk(spec, realizations, pairs)
+        assert np.abs(res.g1 - g1).max() <= 1e-12
+        assert np.abs(res.stderr - stderr).max() <= 1e-12
+        if photons == 0:
+            assert not res.g1.any()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValidationError):
