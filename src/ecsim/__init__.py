@@ -42,15 +42,12 @@ from .fock import (
     FockVector,
     ModeShape,
     NumberDiagonalDensity,
-    RadialP,
     basis_state,
     coherent_amplitudes,
     default_cutoff,
     embed,
     fidelity,
     inner,
-    p_n_from_radial_P,
-    partial_trace,
     phase_shift,
     poisson_pmf,
     reduced_density,
@@ -76,7 +73,6 @@ from .measurement import (
     joint_count_distribution,
     project_counts,
     run_interference_trajectory,
-    sample_counts,
     total_number_distribution,
 )
 from .sources import (
@@ -85,7 +81,6 @@ from .sources import (
     decomposition_equivalence_check,
     laser_density,
     multimode_output_coherent,
-    multimode_output_number,
     phase_walk_correlation,
 )
 from .squeezing import (

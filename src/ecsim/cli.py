@@ -21,6 +21,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
+from importlib.metadata import version
 from pathlib import Path
 from typing import Any, Callable
 
@@ -474,8 +475,6 @@ def cmd_run(args) -> int:
     digest = config_hash(exp, params, seed)
     run_params = dict(params)
     run_params["_hash"] = digest
-    from importlib.metadata import version
-
     try:
         pkg_version = version("ecsim")
     except Exception:

@@ -17,13 +17,15 @@ code. `coupler_block` uses G = -i theta D T D^dag, where
 D = diag(e^{-i phi k} i^k) and T is the real symmetric tridiagonal matrix with
 zero diagonal and off-diagonal sqrt((k+1)(N-k)). T = -S^dag (2 J_y) S with
 S = diag(i^k) and J_y the Schwinger generator, so its spectrum is exactly the
-integers -N, -N+2, ..., N. The route diagonalises T, rounds the eigenvalues
-to those integers and forms U = D W diag(e^{-i theta m}) W^T D^dag (Feng,
-Wang, Yang & Jin, PRE 92, 043307 (2015)). `oracle_block` builds G in its own
-loop and exponentiates it with `expm`; it is the test reference. Both routes
-start from the same sector Hamiltonian, so the sign and phase convention is
-pinned separately by checks that go through `heisenberg_matrix`: coherent
-covariance and the commuting diagram with the phase-circle route.
+integers -N, -N+2, ..., N. The route diagonalises T with numpy's symmetric
+eigensolver (`np.linalg.eigh`), rounds the eigenvalues to those integers and
+forms U = D W diag(e^{-i theta m}) W^T D^dag (Feng, Wang, Yang & Jin, PRE 92,
+043307 (2015)). `oracle_block` builds G in its own loop and exponentiates it
+with scipy's `expm`, imported only when the oracle runs; it is the test
+reference. Both routes start from the same sector Hamiltonian, so the sign
+and phase convention is pinned separately by checks that go through
+`heisenberg_matrix`: coherent covariance and the commuting diagram with the
+phase-circle route.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
 from .errors import SizingError, ValidationError
 from .fock import BASIS_SIZE_CAP, FockVector, ModeShape, tensor, vacuum
@@ -94,7 +95,8 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 @lru_cache(maxsize=4096)
 def _coupler_block_cached(theta: float, phi: float, N: int) -> BlockUnitary:
     k = np.arange(N + 1)
-    m, W = eigh_tridiagonal(np.zeros(N + 1), np.sqrt(k[1:] * (N + 1.0 - k[1:])))
+    off = np.sqrt(k[1:] * (N + 1.0 - k[1:]))
+    m, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     rotation = (W * np.exp(-1j * theta * np.rint(m))) @ W.T
     d = np.exp(-1j * phi * k) * _I_POWERS[k % 4]
     return BlockUnitary(N, d[:, None] * rotation * d.conj()[None, :])
@@ -111,6 +113,8 @@ def coupler_block(params: CouplerParams, N: int) -> BlockUnitary:
 
 def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
     """Sector unitary by exponentiating the sector Hamiltonian (test oracle)."""
+    from scipy.linalg import expm  # only the oracle needs scipy
+
     if N < 0:
         raise ValidationError("photon number must be nonnegative")
     if N > BLOCK_PHOTON_CAP:
@@ -187,18 +191,6 @@ def split_cascade(n_out: int) -> list[tuple[int, int, float]]:
         (k, 0, math.acos(math.sqrt((n_out - k) / (n_out - k + 1.0))))
         for k in range(1, n_out)
     ]
-
-
-def cascade_matrix(cascade: list[tuple[int, int, float]], n_modes: int) -> np.ndarray:
-    """Composite Heisenberg matrix of a coupler schedule (later couplers on the left)."""
-    M = np.eye(n_modes, dtype=np.complex128)
-    for a, b, theta in cascade:
-        step = np.eye(n_modes, dtype=np.complex128)
-        two = heisenberg_matrix(CouplerParams(theta, 0.0))
-        step[a, a], step[a, b] = two[0, 0], two[0, 1]
-        step[b, a], step[b, b] = two[1, 0], two[1, 1]
-        M = step @ M
-    return M
 
 
 def equal_multimode_split(state: FockVector, n_out: int) -> FockVector:

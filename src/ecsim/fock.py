@@ -12,19 +12,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
 
-from .errors import NumericsError, SizingError, ValidationError
+from .errors import SizingError, ValidationError
 
 # Hard cap on the number of stored amplitudes of any state vector; density
 # matrices are capped so their entry count stays under the same bound.
 BASIS_SIZE_CAP = 2**24
 DENSITY_DIM_CAP = 2**12
+# largest log-factorial table kept in memory (8 MiB)
+LOG_FACTORIAL_TABLE_CAP = 2**20
 
 
 def default_cutoff(nbar: float) -> int:
@@ -152,22 +153,37 @@ def basis_state(shape: ModeShape, occupation: Sequence[int]) -> FockVector:
     return FockVector(shape, amps)
 
 
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.fromiter((math.lgamma(k + 1.0) for k in range(size)), np.float64, size)
+    table.setflags(write=False)
+    return table
+
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """log n! for an array of nonnegative integers, read from a cached table
+    whose size is the next power of two above max(n); numbers beyond the
+    table cap get the same math.lgamma values one by one."""
+    top = int(n.max(initial=0))
+    if top < LOG_FACTORIAL_TABLE_CAP:
+        return _log_factorial_table(1 << top.bit_length())[n]
+    return np.vectorize(lambda k: math.lgamma(k + 1.0), otypes=[np.float64])(n)
+
+
 def poisson_pmf(nbar: float, n) -> float | np.ndarray:
     """Poisson weight e^{-nbar} nbar^n / n!, computed in log space.
 
     `n` may be a scalar or an integer array. nbar = 0 gives the vacuum
     distribution (with 0^0 = 1).
     """
-    if nbar < 0:
-        raise ValidationError(f"nbar must be nonnegative, got {nbar}")
     n_arr = np.asarray(n)
-    if np.any(n_arr < 0):
-        raise ValidationError("photon number must be nonnegative")
+    if nbar < 0 or n_arr.min(initial=0) < 0:
+        raise ValidationError(f"nbar and photon numbers must be nonnegative, got nbar = {nbar}")
     if nbar == 0.0:
-        out = np.where(n_arr == 0, 1.0, 0.0)
-        return float(out) if np.isscalar(n) else out
-    out = np.exp(-nbar + n_arr * math.log(nbar) - gammaln(n_arr + 1))
-    return float(out) if np.isscalar(n) else out
+        out = (n_arr == 0).astype(np.float64)
+    else:
+        out = np.exp(n_arr * math.log(nbar) - nbar - _log_factorial(n_arr))
+    return out if out.ndim else float(out)
 
 
 def poisson_tail(nbar: float, cutoff: int) -> float:
@@ -189,7 +205,7 @@ def coherent_log_amplitudes(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     out[zero, 0] = 1.0
     if np.any(~zero):
         m = mags[~zero, None]
-        logmag = -0.5 * m**2 + n[None, :] * np.log(m) - 0.5 * gammaln(n + 1)[None, :]
+        logmag = -0.5 * m**2 + n[None, :] * np.log(m) - 0.5 * _log_factorial(n)[None, :]
         phases = np.angle(alphas[~zero])[:, None] * n[None, :]
         out[~zero] = np.exp(logmag + 1j * phases)
     return out
@@ -295,29 +311,6 @@ def reduced_density(state: FockVector, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(ModeShape(tuple(state.shape.cutoffs[m] for m in keep)), rho)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace over the complement of `keep`. Trace preserving."""
-    keep = tuple(keep)
-    K = rho.shape.mode_count
-    if any(m < 0 or m >= K for m in keep) or len(set(keep)) != len(keep):
-        raise ValidationError(f"invalid mode subset {keep}")
-    dims = rho.shape.dims
-    tensor_form = rho.entries.reshape(dims + dims)
-    drop = [m for m in range(K) if m not in keep]
-    for count, m in enumerate(sorted(drop)):
-        axis = m - count  # axes shrink as we trace
-        tensor_form = np.trace(tensor_form, axis1=axis, axis2=axis + (K - count))
-    kdims = tuple(dims[m] for m in keep)
-    # remaining axes are ordered by original mode index; reorder to `keep`
-    remaining = tuple(sorted(keep))
-    perm = [remaining.index(m) for m in keep]
-    nk = len(keep)
-    tensor_form = np.transpose(tensor_form, axes=perm + [nk + p for p in perm])
-    size = int(np.prod(kdims))
-    out = tensor_form.reshape(size, size)
-    return DensityMatrix(ModeShape(tuple(rho.shape.cutoffs[m] for m in keep)), out)
-
-
 def twirl(rho: DensityMatrix, modes: Sequence[int] | None = None) -> DensityMatrix:
     """Phase average of rho over a uniform U(1) shift of the given modes.
 
@@ -370,38 +363,6 @@ class NumberDiagonalDensity:
         if np.abs(off).max() > atol:
             raise ValidationError("density has off-diagonal entries; not number diagonal")
         return cls(rho.shape, np.real(np.diag(rho.entries)).reshape(rho.shape.dims))
-
-
-@dataclass(frozen=True)
-class RadialP:
-    """Radial quasi-probability weight of a phase-symmetric source.
-
-    `func` maps the mean photon number nbar to the weight on the circle of
-    radius sqrt(nbar). A properly normalized source satisfies
-    2 * integral(func) = 1 so that the induced number-state weights sum to one.
-    """
-
-    func: Callable[[float], float]
-    upper: float
-
-    def __post_init__(self):
-        if self.upper <= 0:
-            raise ValidationError("integration upper bound must be positive")
-        probe = np.linspace(0.0, self.upper, 101)
-        vals = np.array([self.func(float(x)) for x in probe])
-        if vals.min() < -1e-12:
-            raise ValidationError("radial weight must be nonnegative on its domain")
-
-
-def p_n_from_radial_P(p: RadialP, n: int) -> float:
-    """Number-state weight 2 * integral dnbar Poisson_n(nbar) P(sqrt(nbar))."""
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
-    integrand = lambda nbar: poisson_pmf(nbar, n) * p.func(nbar)
-    value, abserr = quad(integrand, 0.0, p.upper, limit=400, epsabs=1e-12, epsrel=1e-10)
-    if abserr > 1e-7 + 1e-6 * abs(value):
-        raise NumericsError(f"quadrature residual {abserr:.3e} too large for p_{n}")
-    return 2.0 * value
 
 
 def lowering_matrix(cutoff: int) -> np.ndarray:

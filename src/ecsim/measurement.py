@@ -1,6 +1,6 @@
-"""Photon counting: exact count distributions, projective collapse, seeded
-sampling, and the repeated-detection trajectory that phase-locks two
-independent number-state cavities.
+"""Photon counting: exact count distributions, projective collapse, and the
+seeded repeated-detection trajectory that phase-locks two independent
+number-state cavities.
 
 Trajectory internals
 --------------------
@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, ifft
+from numpy.random import default_rng
 
 from .coupler import CouplerParams, apply_coupler
 from .errors import NumericsError, SizingError, ValidationError
@@ -138,18 +140,6 @@ def project_counts(
     keep = tuple(m for m in range(K) if m not in modes)
     shape = ModeShape(tuple(state.shape.cutoffs[m] for m in keep))
     return FockVector(shape, sub / math.sqrt(prob)), prob
-
-
-def sample_counts(
-    state: FockVector, modes: tuple[int, ...], seed_or_rng
-) -> tuple[tuple[int, ...], float]:
-    """Draw one count tuple from the joint distribution. Reproducible by seed."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    dist = joint_count_distribution(state, modes)
-    flat = dist.probabilities.ravel()
-    idx = int(rng.choice(flat.size, p=flat / flat.sum()))
-    counts = tuple(int(x) for x in np.unravel_index(idx, dist.probabilities.shape))
-    return counts, float(flat[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +289,7 @@ def _psi_samples(weight: np.ndarray, n: int, M: int) -> np.ndarray:
     """h(psi_l) = sum_f1 weight[f1 + n] e^{i f1 psi_l} at psi_l = 2 pi l / M;
     w(phi, phi') = e^{-i D phi'} h(phi - phi'). Needs M >= 2n + 1."""
     l = np.arange(M)
-    return np.fft.ifft(weight, M) * M * np.exp(-2j * math.pi * ((n * l) % M) / M)
+    return ifft(weight, M) * M * np.exp(-2j * math.pi * ((n * l) % M) / M)
 
 
 @dataclass(frozen=True)
@@ -359,7 +349,7 @@ class TrajectoryState:
         m = np.arange(self.weight.size)
         g = self.weight * (1 - 2 * (m & 1)) * np.exp(1j * math.pi * (m % (2 * points)) / points)
         g = np.concatenate([g, np.zeros(-g.size % points)]).reshape(-1, points).sum(axis=0)
-        mag = np.abs(np.fft.ifft(g))
+        mag = np.abs(ifft(g))
         peak = mag.max()
         return deltas, mag / peak if peak > 0 else mag
 
@@ -398,7 +388,7 @@ def run_interference_trajectory(
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
     v = _start(n, eps_step)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     remaining = 2 * n
     r2 = float(n)
     records: list[StepRecord] = []
@@ -500,7 +490,7 @@ def fringe_scan(
         h = _psi_samples(traj.weight, n, M)
         h[0] = 0.0
         h[M // 2 :] = 0.0
-        u = (np.fft.fft(h) / M)[-np.arange(D + 1) % M]
+        u = (fft(h) / M)[-np.arange(D + 1) % M]
     lam = poisson_pmf(traj.radius2, np.arange(D + 1))
     mod2 = u.real**2 + u.imag**2
     norm = float(lam @ (mod2 * lam[::-1]))

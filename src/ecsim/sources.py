@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .circle import ECSState, PhaseGrid, ecs_sector_amplitudes
 from .coupler import equal_multimode_split
@@ -76,30 +77,6 @@ def laser_density(spec: LaserSpec) -> NumberDiagonalDensity:
     coherent-state projector with the same mean photon number."""
     weights = poisson_pmf(spec.nbar, np.arange(spec.cutoff + 1))
     return NumberDiagonalDensity(ModeShape((spec.cutoff,)), weights)
-
-
-def multimode_output_number(m: int, n_modes: int, cutoff: int | None = None) -> ECSState:
-    """Circle representation of m photons split equally over n_modes.
-
-    Each grid point carries the same amplitude sqrt(m / n_modes) e^{i phi} in
-    every mode; the phase weight e^{-i m phi} selects the m-photon sector, so
-    the synthesized state equals the coupler-cascade split of |m>.
-    """
-    if m < 0:
-        raise ValidationError("photon number must be nonnegative")
-    if n_modes < 1:
-        raise ValidationError("need at least one output mode")
-    cut = m if cutoff is None else int(cutoff)
-    if cut < m:
-        raise ValidationError("cutoff below the photon number")
-    if (cut + 1) ** n_modes > BASIS_SIZE_CAP:
-        raise SizingError("multimode synthesis exceeds the basis cap")
-    grid = PhaseGrid.for_cutoff(cut)
-    phis = grid.points
-    weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m))
-    amp = math.sqrt(m / n_modes) * np.exp(1j * phis)
-    amps = np.repeat(amp[:, None], n_modes, axis=1)
-    return ECSState((grid,), weight, tuple(range(n_modes)), amps, ModeShape.uniform(n_modes, cut))
 
 
 def multimode_output_coherent(nbar: float, phi: float, n_modes: int, cutoff: int) -> FockVector:
@@ -212,7 +189,7 @@ def phase_walk_correlation(
     if realizations < 1:
         raise ValidationError("need at least one realization")
     N, m = spec.mode_count, spec.photon_number
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
     if pairs is None:
         pairs = [(k, l) for k in range(N) for l in range(N)]
     ks, ls = np.array(pairs, dtype=int).reshape(-1, 2).T

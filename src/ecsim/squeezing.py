@@ -9,11 +9,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .circle import ECSState, PairFactor, PhaseGrid, ecs_to_fock
 from .errors import SizingError, ValidationError
 from .fock import (
+    BASIS_SIZE_CAP,
     DensityMatrix,
     FockVector,
     ModeShape,
@@ -32,6 +32,8 @@ def required_pair_cutoff(chi_mag: float, tail: float = 1e-8) -> int:
     t2 = math.tanh(chi_mag) ** 2
     if t2 == 0.0:
         return 0
+    if t2 == 1.0:
+        raise SizingError(f"tanh^2 of squeezing {chi_mag} rounds to 1: no finite pair cutoff exists")
     k = math.log(tail * (1.0 - t2)) / math.log(t2) - 1.0
     return max(0, int(math.ceil(k)))
 
@@ -59,10 +61,14 @@ def two_mode_squeezed_vac(chi: complex, cutoff: int) -> FockVector:
 
 def pair_ladder_coefficients(chi: complex, cutoff: int) -> np.ndarray:
     """Coefficients on |k, k> from the matrix exponential of the pair generator."""
+    from scipy.linalg import expm  # loaded by the squeeze experiment and verify only
+
     if chi == 0:
         out = np.zeros(cutoff + 1, dtype=np.complex128)
         out[0] = 1.0
         return out
+    if (cutoff + 1) ** 2 > BASIS_SIZE_CAP:
+        raise SizingError(f"pair ladder generator at cutoff {cutoff} exceeds the basis cap")
     G = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     for k in range(cutoff):
         G[k + 1, k] = -chi * (k + 1)
@@ -80,6 +86,8 @@ def exact_three_mode_evolution(pump_n: int, zeta_t: complex, cutoff: int | None 
     sector generator is exponentiated exactly. Serves as the ground truth for
     the classical-pump replacement.
     """
+    from scipy.linalg import expm
+
     if pump_n < 0:
         raise ValidationError("pump photon number must be nonnegative")
     if pump_n > PUMP_ORACLE_CAP:

@@ -25,10 +25,20 @@ VALID_PARAMETERS = {
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def write_config(tmp_path: Path, payload: dict) -> Path:
-    path = tmp_path / "config.json"
+def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
+    path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def run_python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that finds this checkout's ecsim."""
+    import ecsim
+
+    env = dict(os.environ if env is None else env)
+    src = str(Path(ecsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestConfigValidation:
@@ -106,20 +116,24 @@ class TestConfigValidation:
             ({"experiment": "interfere", "n": 0, "A": 3, "B": 0}, "n"),
             ({"experiment": "interfere", "grid": 1, "A": 0, "B": 2}, "grid"),
             ({"experiment": "interfere", "grid": 2, "A": 1, "B": 1}, "grid"),
+            ({"experiment": "squeeze", "pumps": [2], "scale": 20, "exit": 3}, "cutoff"),
+            ({"experiment": "squeeze", "pumps": [], "scale": 5, "exit": 3}, "cap"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
         """One table of malformed configs over all experiments (trajectory
-        unless the row names another): each exits 2 with one stderr line that
-        names the offending key or number, and leaves no output directory."""
+        unless the row names another): each exits 2 (or the code the row
+        names) with one stderr line that names the offending key or number,
+        and leaves no output directory."""
         params = dict(override)
         name = params.pop("experiment", "trajectory")
         seed = params.pop("seed", 0)
+        code = params.pop("exit", 2)
         cfg = write_config(
             tmp_path, {"experiment": name, "parameters": {**VALID_PARAMETERS[name], **params}, "seed": seed}
         )
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0].replace(",", " ").split()
         assert not out.exists()
@@ -139,9 +153,33 @@ class TestEnvironment:
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
         env["ECSIM_THREADS"] = "1"
         code = "import os, ecsim; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        done = run_python(code, env=env)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+    def test_run_paths_leave_scipy_unloaded(self, tmp_path):
+        # scipy serves `ecsim verify`, the squeeze experiment and test oracles;
+        # start-up and every other experiment must not pay for its import
+        code = (
+            "import json, sys\n"
+            "from ecsim.cli import main\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps(scipy_modules()))\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert main(['run', '--config', path, '--out', path + '.out']) == 0, path\n"
+            "print(json.dumps(scipy_modules()))\n"
+        )
+        names = ["interfere", "trajectory", "phase-walk", "homodyne", "laser-equivalence", "ecs-verify"]
+        configs = [
+            str(write_config(tmp_path, {"experiment": name, "parameters": VALID_PARAMETERS[name]}, f"{name}.json"))
+            for name in names
+        ]
+        done = run_python(code, *configs)
+        assert done.returncode == 0, done.stderr
+        after_import, after_runs = (json.loads(line) for line in done.stdout.splitlines() if line.startswith("["))
+        assert after_import == [] and after_runs == []
+        assert all(Path(path + ".out", "manifest.json").is_file() for path in configs)
 
 
 class TestRunArtifacts:

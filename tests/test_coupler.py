@@ -7,7 +7,6 @@ from ecsim.coupler import (
     BlockUnitary,
     CouplerParams,
     apply_coupler,
-    cascade_matrix,
     coupler_block,
     equal_multimode_split,
     heisenberg_matrix,
@@ -25,6 +24,19 @@ from ecsim.fock import (
     tensor,
     vacuum,
 )
+
+
+def cascade_matrix(cascade: list[tuple[int, int, float]], n_modes: int) -> np.ndarray:
+    """Composite Heisenberg matrix of a coupler schedule (later couplers on the
+    left): the contract `split_cascade` is checked against."""
+    M = np.eye(n_modes, dtype=np.complex128)
+    for a, b, theta in cascade:
+        step = np.eye(n_modes, dtype=np.complex128)
+        two = heisenberg_matrix(CouplerParams(theta, 0.0))
+        step[a, a], step[a, b] = two[0, 0], two[0, 1]
+        step[b, a], step[b, b] = two[1, 0], two[1, 1]
+        M = step @ M
+    return M
 
 
 def coherent_pair(alpha, beta, cutoff):

@@ -23,7 +23,6 @@ from ecsim.measurement import (
     joint_count_distribution,
     project_counts,
     run_interference_trajectory,
-    sample_counts,
     total_number_distribution,
     trajectory_branches,
 )
@@ -118,30 +117,6 @@ class TestProjectCounts:
         assert p > 0
         tot = total_number_distribution(branch)
         assert tot[6] == pytest.approx(1.0, abs=1e-10)
-
-
-class TestSampling:
-    def test_deterministic_state(self):
-        st = basis_state(ModeShape((2, 2)), (1, 0))
-        counts, p = sample_counts(st, (0, 1), 123)
-        assert counts == (1, 0) and p == 1.0
-
-    def test_reproducible_given_seed(self):
-        st = apply_coupler(
-            basis_state(ModeShape((3, 3)), (2, 1)), (0, 1), CouplerParams(0.7, 0.2)
-        )
-        draws_a = [sample_counts(st, (0, 1), seed)[0] for seed in range(20)]
-        draws_b = [sample_counts(st, (0, 1), seed)[0] for seed in range(20)]
-        assert draws_a == draws_b
-
-    def test_empirical_frequency(self):
-        st = apply_coupler(
-            basis_state(ModeShape((2, 2)), (1, 1)), (0, 1), CouplerParams(math.pi / 4, 0.0)
-        )
-        rng = np.random.default_rng(99)
-        hits = sum(sample_counts(st, (0, 1), rng)[0] == (2, 0) for _ in range(10_000))
-        # binomial 3-sigma band around p = 0.5
-        assert abs(hits / 10_000 - 0.5) <= 0.015
 
 
 class TestTrajectory:

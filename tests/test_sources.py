@@ -23,9 +23,20 @@ from ecsim.sources import (
     decomposition_equivalence_check,
     laser_density,
     multimode_output_coherent,
-    multimode_output_number,
     phase_walk_correlation,
 )
+
+
+def multimode_output_number(m: int, n_modes: int) -> ECSState:
+    """Circle representation of m photons split equally over n_modes: every
+    grid point carries sqrt(m / n_modes) e^{i phi} in each mode, and the
+    weight e^{-i m phi} selects the m-photon sector. The cascade split of |m>
+    is the independent route it is checked against."""
+    grid = PhaseGrid.for_cutoff(m)
+    phis = grid.points
+    weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m))
+    amps = np.repeat(math.sqrt(m / n_modes) * np.exp(1j * phis)[:, None], n_modes, axis=1)
+    return ECSState((grid,), weight, tuple(range(n_modes)), amps, ModeShape.uniform(n_modes, m))
 
 
 def dense_phase_walk(spec, realizations, pairs):

@@ -174,3 +174,9 @@ class TestCutoffSizing:
         cut = required_pair_cutoff(chi)
         lad = np.abs(pair_ladder_coefficients(chi, cut + 30)) ** 2
         assert lad[cut + 1 :].sum() <= 1e-8
+
+    @pytest.mark.parametrize("chi", [19.1, 20.0, -25.0])
+    def test_no_finite_cutoff_is_a_sizing_error(self, chi):
+        # tanh^2 rounds to 1 for |chi| above about 19.06: the Schmidt tail never shrinks
+        with pytest.raises(SizingError):
+            required_pair_cutoff(chi)
