@@ -8,6 +8,8 @@ Fock pipeline cross-checks every result.
 import os as _os
 from types import ModuleType as _ModuleType
 
+__version__ = "0.1.0"
+
 # BLAS reads its thread count once, when numpy is first imported below
 if _os.environ.get("ECSIM_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

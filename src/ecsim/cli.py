@@ -21,12 +21,12 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
-from importlib.metadata import version
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
+from . import __version__
 from .circle import conditional_weight, delta_profile, peak_locations, width_fit
 from .errors import ConfigError, NumericsError, SizingError, ValidationError
 from .fock import _fmt, to_json_dict
@@ -475,10 +475,6 @@ def cmd_run(args) -> int:
     digest = config_hash(exp, params, seed)
     run_params = dict(params)
     run_params["_hash"] = digest
-    try:
-        pkg_version = version("ecsim")
-    except Exception:
-        pkg_version = "unknown"
     # a run that fails leaves neither a new output directory nor partial files
     staging = _staging_dir(outdir)
     try:
@@ -491,7 +487,7 @@ def cmd_run(args) -> int:
                 "seed": seed,
                 "config_sha256": digest,
                 "rng": "numpy-pcg64",
-                "package_version": pkg_version,
+                "package_version": __version__,
                 "artifacts": sorted(artifacts),
             },
         )

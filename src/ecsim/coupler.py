@@ -131,6 +131,19 @@ def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
     return BlockUnitary(N, expm(G))
 
 
+@lru_cache(maxsize=64)
+def _sector_order(ci: int, cj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (k, l) of a (ci + 1) x (cj + 1) pair grid, row-major index, sorted
+    stably by total k + l (so by k within a sector), and the offset of each
+    sector N = 0 .. ci + cj in that order, with the cell count appended."""
+    totals = np.add.outer(np.arange(ci + 1), np.arange(cj + 1)).ravel()
+    order = np.argsort(totals, kind="stable")
+    starts = np.searchsorted(totals[order], np.arange(ci + cj + 2))
+    order.setflags(write=False)
+    starts.setflags(write=False)
+    return order, starts
+
+
 def apply_coupler(
     state: FockVector,
     mode_pair: tuple[int, int],
@@ -149,19 +162,18 @@ def apply_coupler(
         raise ValidationError(f"invalid mode pair {mode_pair}")
     psi = np.ascontiguousarray(np.moveaxis(state.amplitudes, (i, j), (0, 1)))
     ci, cj = psi.shape[0] - 1, psi.shape[1] - 1
-    out = np.zeros(psi.shape, dtype=np.complex128)
-    flat = psi.reshape(psi.shape[0], psi.shape[1], -1)
-    flat_out = out.reshape(out.shape[0], out.shape[1], -1)
-    for N in range(ci + cj + 1):
-        ks = np.arange(max(0, N - cj), min(N, ci) + 1)
-        if ks.size == 0:
-            continue
-        sector = flat[ks, N - ks]
-        if not np.any(sector):
-            continue
+    order, starts = _sector_order(ci, cj)
+    gathered = psi.reshape(order.size, -1)[order]
+    live = np.logical_or.reduceat(np.any(gathered, axis=1), starts[:-1])
+    coupled = np.zeros_like(gathered)
+    for N in np.flatnonzero(live).tolist():
+        # sector N holds k = k0 .. k0 + size - 1 photons in mode i
+        k0, lo, hi = max(0, N - cj), starts[N], starts[N + 1]
         U = coupler_block(params, N).matrix
-        flat_out[ks, N - ks] = U[np.ix_(ks, ks)] @ sector
-    return FockVector(state.shape, np.moveaxis(out, (0, 1), (i, j)))
+        coupled[lo:hi] = U[k0 : k0 + hi - lo, k0 : k0 + hi - lo] @ gathered[lo:hi]
+    out = np.empty_like(gathered)
+    out[order] = coupled
+    return FockVector(state.shape, np.moveaxis(out.reshape(psi.shape), (0, 1), (i, j)))
 
 
 def split_cascade(n_out: int) -> list[tuple[int, int, float]]:

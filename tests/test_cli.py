@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ecsim
 from ecsim.cli import main
 
 
@@ -148,6 +149,13 @@ class TestEnvironment:
         assert "ecs_to_fock" in ecsim.__all__
         assert not [name for name in ecsim.__all__ if isinstance(getattr(ecsim, name), types.ModuleType)]
 
+    def test_version_has_one_source(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "ecsim.__version__"}
+        assert ecsim.__version__.count(".") == 2
+
     def test_threads_setting_applies_at_import(self):
         # BLAS reads its thread count when numpy loads, which `import ecsim` does
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
@@ -159,12 +167,14 @@ class TestEnvironment:
 
     def test_run_paths_leave_scipy_unloaded(self, tmp_path):
         # scipy serves `ecsim verify`, the squeeze experiment and test oracles;
-        # start-up and every other experiment must not pay for its import
+        # start-up and every other experiment must not pay for its import, nor
+        # for a package-metadata scan to stamp the manifest's version
         code = (
             "import json, sys\n"
             "from ecsim.cli import main\n"
             "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m in ('scipy', 'importlib.metadata') or m.startswith('scipy.'))\n"
             "print(json.dumps(scipy_modules()))\n"
             "for path in sys.argv[1:]:\n"
             "    assert main(['run', '--config', path, '--out', path + '.out']) == 0, path\n"
@@ -196,6 +206,7 @@ class TestRunArtifacts:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiment"] == "interfere"
+        assert manifest["package_version"] == ecsim.__version__
         assert set(manifest["artifacts"]) == {"results.csv", "results.json"}
         body = (out / "results.csv").read_text().splitlines()
         assert any(line.startswith("# config_sha256=") for line in body[:3])

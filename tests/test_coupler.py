@@ -177,6 +177,74 @@ class TestApplyCoupler:
             apply_coupler(vacuum(ModeShape((1, 1))), (0, 0), CouplerParams(0.1))
 
 
+def dense_pair_unitary(params, ci, cj):
+    """Two-mode unitary on the (ci + 1)(cj + 1) Kronecker basis, index
+    k (cj + 1) + l, from the expm oracle blocks; sectors that do not fit
+    both cutoffs are cut to the rows and columns that do."""
+    U = np.zeros(((ci + 1) * (cj + 1),) * 2, dtype=complex)
+    for N in range(ci + cj + 1):
+        block = oracle_block(params, N).matrix
+        ks = [k for k in range(N + 1) if k <= ci and N - k <= cj]
+        for k in ks:
+            for kk in ks:
+                U[k * (cj + 1) + N - k, kk * (cj + 1) + N - kk] = block[k, kk]
+    return U
+
+
+def dense_apply(state, pair, params):
+    i, j = pair
+    psi = np.moveaxis(state.amplitudes, (i, j), (0, 1))
+    ci, cj = psi.shape[0] - 1, psi.shape[1] - 1
+    out = dense_pair_unitary(params, ci, cj) @ psi.reshape((ci + 1) * (cj + 1), -1)
+    return np.moveaxis(out.reshape(psi.shape), (0, 1), (i, j))
+
+
+def random_amplitudes(cutoffs, seed):
+    rng = np.random.default_rng(seed)
+    dims = [c + 1 for c in cutoffs]
+    return rng.normal(size=dims) + 1j * rng.normal(size=dims)
+
+
+class TestApplyCouplerDenseReference:
+    PARAMS = CouplerParams(0.83, 2.4)
+
+    def check(self, amps, cutoffs, pair):
+        st = FockVector(ModeShape(cutoffs), amps)
+        out = apply_coupler(st, pair, self.PARAMS)
+        assert np.abs(out.amplitudes - dense_apply(st, pair, self.PARAMS)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "cutoffs,pair",
+        [((4, 2), (0, 1)), ((4, 0), (0, 1)), ((0, 3), (1, 0)), ((2, 5, 0), (2, 1)), ((3, 1, 2), (0, 2))],
+    )
+    def test_mixed_cutoffs(self, cutoffs, pair):
+        self.check(random_amplitudes(cutoffs, 1), cutoffs, pair)
+
+    @pytest.mark.parametrize("pair", [(3, 1), (1, 3), (0, 3), (2, 0)])
+    def test_reversed_and_non_adjacent_pairs(self, pair):
+        cutoffs = (2, 3, 1, 4)
+        self.check(random_amplitudes(cutoffs, 2), cutoffs, pair)
+
+    def test_single_sector_state(self):
+        # the homodyne shape: both modes at cutoff n, support on k + l = n only
+        n = 12
+        amps = np.zeros((n + 1, n + 1), dtype=complex)
+        k = np.arange(n + 1)
+        amps[k, n - k] = random_amplitudes((n,), 3)
+        self.check(amps, (n, n), (0, 1))
+
+    def test_zero_sector_between_live_ones(self):
+        cutoffs = (3, 4, 1)
+        amps = random_amplitudes(cutoffs, 4)
+        totals = np.add.outer(np.arange(4), np.arange(5))
+        amps[totals == 3] = 0.0
+        st = FockVector(ModeShape(cutoffs), amps)
+        out = apply_coupler(st, (0, 1), self.PARAMS)
+        assert np.all(out.amplitudes[totals == 3] == 0.0)
+        assert np.any(out.amplitudes[totals == 2]) and np.any(out.amplitudes[totals == 4])
+        self.check(amps, cutoffs, (0, 1))
+
+
 class TestEqualSplit:
     @pytest.mark.parametrize("n_out", [1, 2, 3, 4, 5, 7, 8])
     def test_cascade_column_is_uniform(self, n_out):

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ecsim import coupler, measurement
 from ecsim.circle import peak_locations, profile_magnitude, width_fit
 from ecsim.coupler import CouplerParams, apply_coupler
 from ecsim.errors import SizingError, ValidationError
@@ -15,6 +16,7 @@ from ecsim.fock import (
     coherent_amplitudes,
     fidelity,
     tensor,
+    vacuum,
 )
 from ecsim.measurement import (
     TrajectoryState,
@@ -26,6 +28,7 @@ from ecsim.measurement import (
     total_number_distribution,
     trajectory_branches,
 )
+from ecsim.verify import check_trajectory_brute_force
 
 
 class TestCountDistribution:
@@ -241,6 +244,133 @@ class TestBruteForceEquivalence:
                 assert fidelity(fock_state, phase_state) >= 1.0 - 1e-8
                 checked += 1
         assert checked >= 5
+
+
+class TestDeeperBruteForce:
+    def test_four_steps_match_fock(self):
+        # criterion 7's bounds, one step deeper than criterion 7 and verify go
+        worst_fid = worst_dp = 0.0
+        coverage = []
+        for n, eps, floor in [(1, 0.5, 1e-10), (2, 0.4, 1e-9), (3, 0.4, 1e-8)]:
+            total = 0.0
+            for seq, p_phase, traj in trajectory_branches(n, eps, 4, floor):
+                fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
+                worst_dp = max(worst_dp, abs(p_fock - p_phase))
+                total += p_fock
+                if p_fock > 1e-9:
+                    worst_fid = max(worst_fid, 1.0 - fidelity(fock_state, traj.cavity_state()))
+            coverage.append(total)
+        assert worst_fid <= 1e-8
+        assert worst_dp <= 1e-12
+        assert min(coverage) >= 1.0 - 1e-6
+
+
+class TestBruteForceMutations:
+    """The brute-force check must fail when either route it compares is
+    corrupted: the phase-route kernel or the coupler under the Fock oracle."""
+
+    def test_swapped_collapse_counts_detected(self, monkeypatch):
+        good = measurement._collapse
+        monkeypatch.setattr(
+            measurement, "_collapse", lambda v, r2, eps, a, b, p: good(v, r2, eps, b, a, p)
+        )
+        assert not check_trajectory_brute_force(2, 2).passed
+
+    def test_flipped_detector_sign_detected(self, monkeypatch):
+        good = measurement._times
+        monkeypatch.setattr(measurement, "_times", lambda u, sign: good(u, -sign))
+        assert not check_trajectory_brute_force(2, 2).passed
+
+    def test_corrupted_coupler_detected_behind_path_cache(self, monkeypatch):
+        # warm the oracle's path cache with the true coupler first; the cache is
+        # a throwaway one, so no corrupted state outlives the test
+        monkeypatch.setattr(measurement, "_branch_path", measurement._BranchPath())
+        assert check_trajectory_brute_force(2, 2).passed
+        good = coupler._coupler_block_cached
+        monkeypatch.setattr(
+            coupler, "_coupler_block_cached", lambda theta, phi, N: good(-theta, phi, N)
+        )
+        assert not check_trajectory_brute_force(2, 2).passed
+
+
+def _oracle_uncached(n, eps, outcomes):
+    """exact_trajectory_branch without a path cache: the whole dense prefix
+    is rebuilt for the one branch."""
+    theta = math.acos(math.sqrt(1.0 - eps))
+    cav = tensor(basis_state(ModeShape((n,)), (n,)), basis_state(ModeShape((n,)), (n,)))
+    prob, remaining = 1.0, 2 * n
+    for a, b in outcomes:
+        if a > remaining or b > remaining:
+            return None, 0.0
+        out = vacuum(ModeShape((remaining,)))
+        psi = tensor(tensor(cav, out), out)
+        psi = apply_coupler(psi, (0, 2), CouplerParams(theta, 0.0))
+        psi = apply_coupler(psi, (1, 3), CouplerParams(theta, 0.0))
+        psi = apply_coupler(psi, (2, 3), CouplerParams(math.pi / 4, 0.0))
+        cav, p = project_counts(psi, (2, 3), (a, b))
+        if cav is None:
+            return None, 0.0
+        prob, remaining = prob * p, remaining - a - b
+    return cav, prob
+
+
+def _same(got, expect):
+    (state, p), (state_ref, p_ref) = got, expect
+    assert p == p_ref
+    assert state.shape == state_ref.shape
+    assert np.array_equal(state.amplitudes, state_ref.amplitudes)
+
+
+class TestOraclePathCache:
+    N, EPS = 3, 0.4
+
+    @pytest.fixture(scope="class")
+    def branches(self):
+        return [seq for seq, _, _ in trajectory_branches(self.N, self.EPS, 3, floor=1e-6)]
+
+    def test_depth_first_and_reverse_orders_agree_with_cold_calls(self, branches):
+        cold = [_oracle_uncached(self.N, self.EPS, seq) for seq in branches]
+        exact_trajectory_branch(self.N + 1, self.EPS, [])  # start from a cold path
+        for seq, expect in zip(branches, cold):
+            _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
+            assert len(measurement._branch_path.levels) <= len(seq) + 1
+        for seq, expect in zip(branches[::-1], cold[::-1]):
+            _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
+            assert len(measurement._branch_path.levels) <= len(seq) + 1
+
+    def test_after_siblings_other_key_and_longer_branch(self, branches):
+        seq = branches[len(branches) // 2]
+        expect = _oracle_uncached(self.N, self.EPS, seq)
+        siblings = [b for b in branches if b[:-1] == seq[:-1]]
+        assert len(siblings) > 1
+        for sibling in siblings:
+            exact_trajectory_branch(self.N, self.EPS, sibling)
+        _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
+        # a different (n, eps_step) replaces the path
+        exact_trajectory_branch(self.N - 1, self.EPS, [(0, 0), (1, 0)])
+        _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
+        exact_trajectory_branch(self.N, 0.3, seq)
+        _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
+        # a prefix of the branch asked for last
+        prefix = seq[:2]
+        _same(exact_trajectory_branch(self.N, self.EPS, prefix), _oracle_uncached(self.N, self.EPS, prefix))
+        exact_trajectory_branch(self.N, self.EPS, seq)
+        _same(exact_trajectory_branch(self.N, self.EPS, prefix), _oracle_uncached(self.N, self.EPS, prefix))
+        assert len(measurement._branch_path.levels) == len(prefix) + 1
+        state, p = exact_trajectory_branch(self.N, self.EPS, [])
+        assert p == 1.0 and len(measurement._branch_path.levels) == 1
+
+    def test_impossible_outcomes_return_none(self):
+        n = 2
+        # more counts than photons left in the cavities
+        exact_trajectory_branch(n, self.EPS, [(2, 1)])
+        assert exact_trajectory_branch(n, self.EPS, [(2, 1), (0, 2)]) == (None, 0.0)
+        assert exact_trajectory_branch(n, self.EPS, [(5, 0)]) == (None, 0.0)
+        # a zero-probability outcome: one photon left, one count at each detector
+        assert exact_trajectory_branch(n, self.EPS, [(2, 1), (1, 1)]) == (None, 0.0)
+        assert len(measurement._branch_path.levels) <= 3
+        # the cache still serves the live prefix afterwards
+        _same(exact_trajectory_branch(n, self.EPS, [(2, 1)]), _oracle_uncached(n, self.EPS, [(2, 1)]))
 
 
 class TestFringeScan:
