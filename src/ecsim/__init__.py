@@ -62,11 +62,9 @@ from .fock import (
 from .homodyne import (
     HomodyneConfig,
     PhaseShiftProcess,
-    UnitaryProcess,
     homodyne_difference_stats,
     process_tomography_scan,
     quadrature_matrix,
-    split_common_source,
 )
 from .measurement import (
     DetectionRecord,

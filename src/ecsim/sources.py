@@ -193,7 +193,10 @@ def phase_walk_correlation(
     if pairs is None:
         pairs = [(k, l) for k in range(N) for l in range(N)]
     ks, ls = np.array(pairs, dtype=int).reshape(-1, 2).T
-    grid = PhaseGrid(2 * N * m + 3)
+    # at the sector tuples the weight e^{-i m phi} cancels the phase of every
+    # term, so the integrand is constant in phi and the smallest grid the
+    # alias check accepts is exact
+    grid = PhaseGrid(2 * m + 1)
     phis = grid.points
     weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m)) if m > 0 else np.ones(grid.size)
     shape = ModeShape.uniform(N, m)

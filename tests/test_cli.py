@@ -119,6 +119,7 @@ class TestConfigValidation:
             ({"experiment": "interfere", "grid": 2, "A": 1, "B": 1}, "grid"),
             ({"experiment": "squeeze", "pumps": [2], "scale": 20, "exit": 3}, "cutoff"),
             ({"experiment": "squeeze", "pumps": [], "scale": 5, "exit": 3}, "cap"),
+            ({"experiment": "homodyne", "n": 5000, "exit": 3}, "cap"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
