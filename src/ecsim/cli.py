@@ -1,7 +1,7 @@
 """Seeded experiment runner.
 
     ecsim run --config experiment.json [--seed N] [--out DIR]
-    ecsim verify --suite fast|full
+    ecsim verify --suite fast|full [--json]
 
 A config file is a JSON object with keys `experiment`, `parameters`, and
 optionally `seed` and `output_dir` (command-line flags win). Unknown keys are
@@ -220,9 +220,16 @@ def _run_phase_walk(p: dict, seed: int, out: Path) -> list[str]:
 
 
 def _check_homodyne(p: dict) -> None:
-    _at_least(p, {"n": 0, "points": 1})
+    # the offset is read off the first Fourier component of a fringe of
+    # amplitude n sin 2 theta: it takes 3 grid points, a photon and two lit
+    # branches, or it is read from aliasing or rounding noise
+    _at_least(p, {"n": 1, "points": 3})
     if p["theta"] is not None and not 0.0 <= p["theta"] <= math.pi / 2:
         raise ConfigError(f"parameter theta must lie in [0, pi/2], got {p['theta']}")
+    if p["theta"] is not None and math.sin(2.0 * p["theta"]) <= 1e-12:
+        raise ConfigError(
+            f"parameter theta must leave sin(2 theta) > 1e-12 so that both branches are lit, got {p['theta']}"
+        )
 
 
 def _run_homodyne(p: dict, seed: int, out: Path) -> list[str]:
@@ -502,13 +509,27 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     results = run_suite(args.suite)
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  measured={r.measured:.3e}  tolerance={r.tolerance:.3e}")
-        failures += 0 if r.passed else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    failures = sum(not r.passed for r in results)
+    if args.json:
+        checks = [
+            {
+                "name": r.name,
+                # a NaN measurement fails its check and is written as null
+                "measured": r.measured if math.isfinite(r.measured) else None,
+                "tolerance": r.tolerance,
+                "passed": r.passed,
+                "seconds": r.seconds,
+            }
+            for r in results
+        ]
+        summary = {"suite": args.suite, "passed": len(results) - failures, "total": len(results)}
+        print(json.dumps({**summary, "checks": checks}, indent=2))
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{status}  {r.name:<{width}}  measured={r.measured:.3e}  tolerance={r.tolerance:.3e}")
+        print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -522,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
     ver = sub.add_parser("verify", help="run the cross-module invariant suite")
     ver.add_argument("--suite", choices=("fast", "full"), default="fast")
+    ver.add_argument("--json", action="store_true", help="print one JSON document instead of the table")
     ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -13,19 +13,22 @@ On the N-photon sector, indexed by k = photons in mode a, the coupler is
 exp(G) with G = theta (e^{-i phi} L - e^{i phi} L^T) and L = a^dag b, whose
 only entries are L[k+1, k] = sqrt((k+1)(N-k)). Total photon number is
 conserved, so that block is all there is. Two routes compute it and share no
-code. `coupler_block` uses G = -i theta D T D^dag, where
+code. The spectral route uses G = -i theta D T D^dag, where
 D = diag(e^{-i phi k} i^k) and T is the real symmetric tridiagonal matrix with
 zero diagonal and off-diagonal sqrt((k+1)(N-k)). T = -S^dag (2 J_y) S with
 S = diag(i^k) and J_y the Schwinger generator, so its spectrum is exactly the
-integers -N, -N+2, ..., N. The route diagonalises T with numpy's symmetric
-eigensolver (`np.linalg.eigh`), rounds the eigenvalues to those integers and
-forms U = D W diag(e^{-i theta m}) W^T D^dag (Feng, Wang, Yang & Jin, PRE 92,
-043307 (2015)). `oracle_block` builds G in its own loop and exponentiates it
-with scipy's `expm`, imported only when the oracle runs; it is the test
-reference. Both routes start from the same sector Hamiltonian, so the sign
-and phase convention is pinned separately by checks that go through
-`heisenberg_matrix`: coherent covariance and the commuting diagram with the
-phase-circle route.
+integers -N, -N+2, ..., N. Neither T nor its eigenvectors depend on (theta,
+phi), so each sector is diagonalised once with numpy's symmetric eigensolver
+(`np.linalg.eigh`): `sector_spectrum` holds the eigenvalues rounded to those
+integers and the real orthogonal W, and every (theta, phi) reads it.
+`coupler_block` forms U = D W diag(e^{-i theta m}) W^T D^dag (Feng, Wang,
+Yang & Jin, PRE 92, 043307 (2015)); `apply_sector` applies the same product
+to one sector vector right to left without forming U. `oracle_block` builds
+G in its own loop and exponentiates it with scipy's `expm`, imported only
+when the oracle runs; it is the test reference. Both routes start from the
+same sector Hamiltonian, so the sign and phase convention is pinned
+separately by checks that go through `heisenberg_matrix`: coherent
+covariance and the commuting diagram with the phase-circle route.
 """
 
 from __future__ import annotations
@@ -92,23 +95,89 @@ def heisenberg_matrix(params: CouplerParams) -> np.ndarray:
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-@lru_cache(maxsize=4096)
-def _coupler_block_cached(theta: float, phi: float, N: int) -> BlockUnitary:
+@dataclass(frozen=True)
+class SectorSpectrum:
+    """T = W diag(m) W^T on the N-photon sector: eigenvalues m rounded to the
+    integers -N, -N+2, ..., N and real orthogonal eigenvectors W."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def __post_init__(self):
+        W = self.eigenvectors
+        defect = np.abs(W.T @ W - np.eye(W.shape[0])).max()
+        if defect > 1e-10:
+            raise ValidationError(f"eigenvectors not orthogonal: defect {defect:.3e}")
+        self.eigenvalues.setflags(write=False)
+        W.setflags(write=False)
+
+
+def _check_sector(N: int) -> None:
+    if N < 0:
+        raise ValidationError("photon number must be nonnegative")
+    if N > BLOCK_PHOTON_CAP:
+        raise SizingError(f"sector photon number {N} exceeds cap {BLOCK_PHOTON_CAP}")
+
+
+# one entry per sector photon number; the block cache serves the
+# repeated (theta, phi, N), so a few spectra are enough
+@lru_cache(maxsize=8)
+def _sector_spectrum_cached(N: int) -> SectorSpectrum:
     k = np.arange(N + 1)
     off = np.sqrt(k[1:] * (N + 1.0 - k[1:]))
     m, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    rotation = (W * np.exp(-1j * theta * np.rint(m))) @ W.T
-    d = np.exp(-1j * phi * k) * _I_POWERS[k % 4]
+    return SectorSpectrum(np.rint(m), W)
+
+
+def sector_spectrum(N: int) -> SectorSpectrum:
+    """The one factorisation of sector N that every (theta, phi) reads."""
+    _check_sector(N)
+    return _sector_spectrum_cached(int(N))
+
+
+def _sector_phases(phi: float, N: int) -> np.ndarray:
+    """Diagonal of D = diag(e^{-i phi k} i^k), k = 0..N."""
+    k = np.arange(N + 1)
+    return np.exp(-1j * phi * k) * _I_POWERS[k % 4]
+
+
+@lru_cache(maxsize=4096)
+def _coupler_block_cached(theta: float, phi: float, N: int) -> BlockUnitary:
+    spectrum = _sector_spectrum_cached(N)
+    W = spectrum.eigenvectors
+    rotation = (W * np.exp(-1j * theta * spectrum.eigenvalues)) @ W.T
+    d = _sector_phases(phi, N)
     return BlockUnitary(N, d[:, None] * rotation * d.conj()[None, :])
 
 
 def coupler_block(params: CouplerParams, N: int) -> BlockUnitary:
     """Sector unitary from the exact spectrum of the sector's J_y."""
-    if N < 0:
-        raise ValidationError("photon number must be nonnegative")
-    if N > BLOCK_PHOTON_CAP:
-        raise SizingError(f"sector photon number {N} exceeds cap {BLOCK_PHOTON_CAP}")
+    _check_sector(N)
     return _coupler_block_cached(float(params.theta), float(params.phi), int(N))
+
+
+def _real_matmul(W: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """W @ z for real W and complex z, on z's real and imaginary parts as the
+    two columns of a real matrix (a view, no copy), so W stays real."""
+    pairs = np.ascontiguousarray(z).view(np.float64).reshape(-1, 2)
+    return (W @ pairs).view(np.complex128).ravel()
+
+
+def apply_sector(params: CouplerParams, vector: np.ndarray) -> np.ndarray:
+    """U v on the N-photon sector, N = len(v) - 1, indexed like `coupler_block`.
+
+    Computes d * (W (e^{-i theta m} * (W^T (conj(d) * v)))) in O(N^2) from
+    the sector's spectrum; U itself is never formed.
+    """
+    v = np.asarray(vector, dtype=np.complex128)
+    if v.ndim != 1:
+        raise ValidationError("sector vector must be one-dimensional")
+    N = v.size - 1
+    spectrum = sector_spectrum(N)
+    W = spectrum.eigenvectors
+    d = _sector_phases(params.phi, N)
+    inner = _real_matmul(W.T, d.conj() * v) * np.exp(-1j * params.theta * spectrum.eigenvalues)
+    return d * _real_matmul(W, inner)
 
 
 def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:

@@ -10,8 +10,10 @@ reference lives entirely in the phase *difference* between the two branches.
 
 Every stage conserves the source's n photons, so the circuit is computed in
 the n-photon sector, one amplitude per |k, n - k> with k photons in the
-local-oscillator mode, by two coupler sector blocks. Only phase processes
-keep the state in that sector, and only they are supported.
+local-oscillator mode. Both couplers act on that (n + 1)-vector through
+`coupler.apply_sector`, which reads the sector's one J_y factorisation and
+never forms a coupler block. Only phase processes keep the state in that
+sector, and only they are supported.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupler import CouplerParams, coupler_block
+from .coupler import CouplerParams, apply_sector
 from .errors import ValidationError
 from .fock import lowering_matrix
 
@@ -81,9 +83,11 @@ def homodyne_difference_stats(config: HomodyneConfig) -> DifferenceStats:
     """
     n = config.source_photons
     k = np.arange(n + 1)
-    split = coupler_block(CouplerParams(config.splitter_theta, SPLITTER_PHASE), n).matrix[:, n]
+    source = np.zeros(n + 1, dtype=np.complex128)
+    source[n] = 1.0
+    split = apply_sector(CouplerParams(config.splitter_theta, SPLITTER_PHASE), source)
     signal = split * np.exp(1j * config.process.gamma * (n - k))
-    mixed = coupler_block(CouplerParams(math.pi / 4, SPLITTER_PHASE), n).matrix @ signal
+    mixed = apply_sector(CouplerParams(math.pi / 4, SPLITTER_PHASE), signal)
     weights = np.abs(mixed) ** 2
     values = np.arange(-n, n + 1)
     probs = np.zeros(values.size)

@@ -7,7 +7,9 @@ suite adds the large oracle sweeps and the brute-force trajectory comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +37,7 @@ class CheckResult:
     name: str
     measured: float
     tolerance: float
+    seconds: float = 0.0  # wall time, filled in by run_suite
 
     @property
     def passed(self) -> bool:
@@ -120,8 +123,6 @@ def check_commuting_diagram(
 
 
 def check_quadrature_exactness() -> CheckResult:
-    import dataclasses
-
     base = _circle.number_state_on_circle(4, cutoff=4)
     small = ecs_to_fock(base)
     grid = _circle.PhaseGrid(64)
@@ -203,4 +204,9 @@ def run_suite(name: str) -> list[CheckResult]:
         checks = full_suite()
     else:
         raise ValueError(f"unknown suite {name!r}")
-    return [check() for check in checks]
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        result = check()
+        results.append(dataclasses.replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -110,6 +110,11 @@ class TestConfigValidation:
             ({"experiment": "laser-equivalence", "nbar": math.inf}, "Infinity"),
             ({"experiment": "homodyne", "points": 0}, "points"),
             ({"experiment": "homodyne", "theta": 2.0}, "theta"),
+            ({"experiment": "homodyne", "points": 1}, "points"),
+            ({"experiment": "homodyne", "points": 2}, "points"),
+            ({"experiment": "homodyne", "n": 0}, "n"),
+            ({"experiment": "homodyne", "theta": 0.0}, "theta"),
+            ({"experiment": "homodyne", "theta": math.pi / 2}, "theta"),
             ({"experiment": "squeeze", "pumps": [0]}, "pumps"),
             ({"experiment": "ecs-verify", "thetas": [2.0]}, "thetas"),
             ({"experiment": "interfere", "profile_points": 0}, "profile_points"),
@@ -339,6 +344,28 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "fast"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_json_document(self, capsys):
+        assert main(["verify", "--suite", "fast"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--suite", "fast", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["suite"], doc["passed"], doc["total"]) == ("fast", len(table) - 1, len(table) - 1)
+        assert [c["name"] for c in doc["checks"]] == [line.split()[1] for line in table[:-1]]
+        for check in doc["checks"]:
+            assert sorted(check) == ["measured", "name", "passed", "seconds", "tolerance"]
+            assert check["passed"] and check["measured"] <= check["tolerance"] and check["seconds"] > 0.0
+
+    def test_json_document_reports_failure(self, monkeypatch, capsys):
+        import ecsim.coupler as coupler_mod
+
+        good = coupler_mod._coupler_block_cached
+        monkeypatch.setattr(coupler_mod, "_coupler_block_cached", lambda theta, phi, N: good(-theta, phi, N))
+        assert main(["verify", "--suite", "fast", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert failed and doc["passed"] == doc["total"] - len(failed)
+        assert all(c["measured"] > c["tolerance"] for c in doc["checks"] if c["name"] in failed)
 
     @pytest.mark.parametrize("target", ["heisenberg_matrix", "_coupler_block_cached"])
     def test_corrupted_coupler_detected(self, monkeypatch, capsys, target):

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import ecsim.coupler as coupler_mod
 from ecsim.coupler import (
+    BLOCK_PHOTON_CAP,
     BlockUnitary,
     CouplerParams,
     apply_coupler,
+    apply_sector,
     coupler_block,
     equal_multimode_split,
     heisenberg_matrix,
     oracle_block,
+    sector_spectrum,
     split_cascade,
 )
-from ecsim.errors import ValidationError
+from ecsim.errors import SizingError, ValidationError
 from ecsim.fock import (
     FockVector,
     ModeShape,
@@ -175,6 +179,56 @@ class TestApplyCoupler:
     def test_same_mode_pair_rejected(self):
         with pytest.raises(ValidationError):
             apply_coupler(vacuum(ModeShape((1, 1))), (0, 0), CouplerParams(0.1))
+
+
+class TestSectorSpectrum:
+    @pytest.mark.parametrize("N", [0, 1, 2, 5, 60, 200])
+    def test_apply_sector_matches_block(self, N):
+        rng = np.random.default_rng(N)
+        for theta in (0.3, math.pi / 4, math.pi / 2):
+            for phi in (0.0, 4.0):
+                params = CouplerParams(theta, phi)
+                v = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+                assert np.abs(apply_sector(params, v) - coupler_block(params, N).matrix @ v).max() <= 1e-13
+
+    @pytest.mark.parametrize("N", [0, 1, 6, 61])
+    def test_eigenvalues_are_the_j_y_integers(self, N):
+        assert np.array_equal(sector_spectrum(N).eigenvalues, np.arange(-N, N + 1, 2))
+
+    def test_non_orthogonal_eigenvectors_rejected(self, monkeypatch):
+        # mutation canary: one column of W scaled by 1 + 1e-8 puts 2e-8 on the
+        # diagonal of W^T W - I; the spectrum is refused before any block or
+        # sector vector reads it
+        good = np.linalg.eigh
+
+        def scaled(matrix):
+            m, W = good(matrix)
+            W[:, 1] *= 1.0 + 1e-8
+            return m, W
+
+        coupler_mod._sector_spectrum_cached.cache_clear()
+        monkeypatch.setattr(np.linalg, "eigh", scaled)
+        with pytest.raises(ValidationError, match="orthogonal"):
+            sector_spectrum(7)
+        with pytest.raises(ValidationError, match="orthogonal"):
+            apply_sector(CouplerParams(0.4), np.ones(8))
+
+    def test_sizing_checked_before_any_eigensolve(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("eigensolve ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(SizingError):
+            sector_spectrum(BLOCK_PHOTON_CAP + 1)
+        with pytest.raises(SizingError):
+            coupler_block(CouplerParams(0.4), BLOCK_PHOTON_CAP + 1)
+        with pytest.raises(SizingError):
+            apply_sector(CouplerParams(0.4), np.zeros(BLOCK_PHOTON_CAP + 2))
+
+    @pytest.mark.parametrize("vector", [np.zeros(0), np.zeros((2, 2))])
+    def test_malformed_sector_vector_rejected(self, vector):
+        with pytest.raises(ValidationError):
+            apply_sector(CouplerParams(0.4), vector)
 
 
 def dense_pair_unitary(params, ci, cj):

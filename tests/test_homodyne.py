@@ -135,9 +135,15 @@ class TestDifferenceStats:
         assert _binomial_deviation() <= 1e-12
 
     def test_binomial_check_catches_wrong_coupling_angle(self, monkeypatch):
-        # mutation canary: blocks built at 0.9 theta are still unitary
-        good = coupler_mod._coupler_block_cached
-        monkeypatch.setattr(coupler_mod, "_coupler_block_cached", lambda theta, phi, N: good(0.9 * theta, phi, N))
+        # mutation canary: the shared sector factorisation with its eigenvalues
+        # scaled by 0.9 turns every coupler angle into 0.9 theta, still unitary
+        good = coupler_mod._sector_spectrum_cached
+
+        def scaled(N):
+            spectrum = good(N)
+            return coupler_mod.SectorSpectrum(0.9 * spectrum.eigenvalues, spectrum.eigenvectors)
+
+        monkeypatch.setattr(coupler_mod, "_sector_spectrum_cached", scaled)
         assert _binomial_deviation() > 1e-3
 
     def test_identity_process_is_extremal(self):
@@ -187,6 +193,19 @@ class TestDifferenceStats:
 
 
 class TestTomographyScan:
+    GRID = np.linspace(0, 2 * math.pi, 24, endpoint=False)
+
+    def test_scan_does_one_eigensolve(self):
+        coupler_mod._sector_spectrum_cached.cache_clear()
+        process_tomography_scan(HomodyneConfig(37, PhaseShiftProcess(0.2)), self.GRID)
+        info = coupler_mod._sector_spectrum_cached.cache_info()
+        assert info.misses == 1 and info.hits == 2 * self.GRID.size - 1
+
+    def test_scan_materialises_no_block(self):
+        coupler_mod._coupler_block_cached.cache_clear()
+        process_tomography_scan(HomodyneConfig(37, PhaseShiftProcess(0.2)), self.GRID)
+        assert coupler_mod._coupler_block_cached.cache_info().currsize == 0
+
     @pytest.mark.parametrize("offset", [0.0, 0.3])
     def test_offset_recovery(self, offset):
         config = HomodyneConfig(5, PhaseShiftProcess(offset))
