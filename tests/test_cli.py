@@ -110,11 +110,6 @@ class TestConfigValidation:
             ({"experiment": "laser-equivalence", "nbar": math.inf}, "Infinity"),
             ({"experiment": "homodyne", "points": 0}, "points"),
             ({"experiment": "homodyne", "theta": 2.0}, "theta"),
-            ({"experiment": "homodyne", "points": 1}, "points"),
-            ({"experiment": "homodyne", "points": 2}, "points"),
-            ({"experiment": "homodyne", "n": 0}, "n"),
-            ({"experiment": "homodyne", "theta": 0.0}, "theta"),
-            ({"experiment": "homodyne", "theta": math.pi / 2}, "theta"),
             ({"experiment": "squeeze", "pumps": [0]}, "pumps"),
             ({"experiment": "ecs-verify", "thetas": [2.0]}, "thetas"),
             ({"experiment": "interfere", "profile_points": 0}, "profile_points"),
@@ -125,6 +120,11 @@ class TestConfigValidation:
             ({"experiment": "squeeze", "pumps": [2], "scale": 20, "exit": 3}, "cutoff"),
             ({"experiment": "squeeze", "pumps": [], "scale": 5, "exit": 3}, "cap"),
             ({"experiment": "homodyne", "n": 5000, "exit": 3}, "cap"),
+            ({"experiment": "homodyne", "points": 1}, "points"),
+            ({"experiment": "homodyne", "points": 2}, "points"),
+            ({"experiment": "homodyne", "n": 0}, "n"),
+            ({"experiment": "homodyne", "theta": 0.0}, "theta"),
+            ({"experiment": "homodyne", "theta": math.pi / 2}, "theta"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
