@@ -249,25 +249,12 @@ def split_cascade(n_out: int) -> list[tuple[int, int, float]]:
     """Coupler schedule (mode_a, mode_b, theta) that sends the source operator
     of mode 0 to the equal combination (1/sqrt(n_out)) sum_k b_k.
 
-    A balanced binary tree is used when n_out is a power of two, otherwise a
-    sequential fan-out whose k-th coupler peels off a 1/n_out share. Couplers
-    are ordered (target, source) so the composite source column is positive.
+    A sequential fan-out: the k-th coupler peels a 1/n_out share of the source
+    off into mode k. Couplers are ordered (target, source) so the composite
+    source column is positive.
     """
     if n_out < 1:
         raise ValidationError("n_out must be >= 1")
-    if n_out & (n_out - 1) == 0:
-        cascade: list[tuple[int, int, float]] = []
-
-        def tree(lo: int, hi: int):
-            if hi - lo <= 1:
-                return
-            mid = (lo + hi) // 2
-            cascade.append((mid, lo, math.pi / 4))
-            tree(lo, mid)
-            tree(mid, hi)
-
-        tree(0, n_out)
-        return cascade
     return [
         (k, 0, math.acos(math.sqrt((n_out - k) / (n_out - k + 1.0))))
         for k in range(1, n_out)

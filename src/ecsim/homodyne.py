@@ -112,10 +112,22 @@ def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> T
     The configured process's gamma acts as an unknown offset gamma0 so the
     scanned curve is mean(gamma) = -amp * cos(gamma + gamma0). The offset is
     read off the first Fourier component of the scanned curve, which is exact
-    for a uniform full-period grid and a noiseless forward model.
+    for a uniform full-period grid and a noiseless forward model. The fringe
+    amplitude is n sin 2 theta, so a grid of fewer than 3 points, a source
+    without photons or sin 2 theta <= 1e-12 raises ValidationError: the offset
+    would be read from aliasing or rounding noise.
     """
     gamma0 = config.process.gamma
     gammas = np.asarray(gamma_grid, dtype=float)
+    if gammas.size < 3:
+        raise ValidationError(f"tomography scan needs at least 3 grid points, got {gammas.size}")
+    if config.source_photons < 1:
+        raise ValidationError("tomography scan needs a source of at least one photon")
+    if math.sin(2.0 * config.splitter_theta) <= 1e-12:
+        raise ValidationError(
+            f"tomography scan needs sin(2 theta) > 1e-12 so that both branches are lit, "
+            f"got theta {config.splitter_theta}"
+        )
     means = np.zeros(gammas.size)
     variances = np.zeros(gammas.size)
     for i, g in enumerate(gammas):

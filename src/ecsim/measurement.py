@@ -32,7 +32,8 @@ complex cells, rather than by a (2n + 1)^2 table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.fft import fft, ifft
@@ -40,7 +41,7 @@ from numpy.random import default_rng
 
 from .coupler import CouplerParams, apply_coupler
 from .errors import NumericsError, SizingError, ValidationError
-from .fock import FockVector, ModeShape, poisson_pmf, tensor, vacuum
+from .fock import FockVector, ModeShape, basis_state, poisson_pmf, tensor, vacuum
 
 RNG_NAME = "numpy-pcg64"
 STEP_TAIL_TOLERANCE = 1e-10
@@ -509,76 +510,42 @@ def fringe_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _BranchLevel:
-    """The oracle's state after a prefix of outcomes: the conditional cavity
-    pair, the prefix probability and the photons left in the cavities, plus
-    the four-mode state after the step's three couplers, once computed."""
+def exact_trajectory_branches(
+    n: int, eps_step: float, branches: Iterable[Sequence[tuple[int, int]]]
+) -> dict[tuple[tuple[int, int], ...], tuple[FockVector | None, float]]:
+    """Exact-Fock evolution of the two-cavity experiment along fixed branches
+    of count outcomes. Small n only; used to validate the phase representation.
 
-    cavities: FockVector
-    probability: float
-    remaining: int
-    coupled: FockVector | None = None
-
-
-@dataclass
-class _BranchPath:
-    """The path of the branch the oracle was asked for last: `levels[d]` is
-    the state after `outcomes[:d]`, for the key (n, eps_step)."""
-
-    key: tuple[int, float] | None = None
-    outcomes: list[tuple[int, int]] = field(default_factory=list)
-    levels: list[_BranchLevel] = field(default_factory=list)
-
-
-_branch_path = _BranchPath()
-
-
-def exact_trajectory_branch(
-    n: int, eps_step: float, outcomes: list[tuple[int, int]]
-) -> tuple[FockVector | None, float]:
-    """Exact-Fock evolution of the two-cavity experiment along a fixed branch
-    of count outcomes. Returns the conditional cavity state and the branch
-    probability. Small n only; used to validate the phase representation.
-
-    Only the path of the branch asked for last is kept, one level per
-    outcome. A call restarts from the deepest ancestor it shares with that
-    path, so branches asked for depth first couple each parent state once.
+    Returns {outcomes: (conditional cavity state, branch probability)} for
+    every branch in `branches` and every prefix of one, keyed by the outcomes
+    as a tuple of (a, b) int pairs. The branches are merged into their prefix
+    tree and walked depth first, so each parent state is coupled to its
+    output modes once, whatever the order of the list. A branch that passes
+    through an impossible outcome (more counts than photons left, or a
+    zero-probability projection) maps to (None, 0.0).
     """
     theta = math.acos(math.sqrt(1.0 - eps_step))
-    steps = [(int(a), int(b)) for a, b in outcomes]
-    path = _branch_path
-    if path.key != (n, eps_step):
-        cav = tensor(
-            FockVector(ModeShape((n,)), _number_column(n)),
-            FockVector(ModeShape((n,)), _number_column(n)),
-        )
-        path.key, path.outcomes, path.levels = (n, eps_step), [], [_BranchLevel(cav, 1.0, 2 * n)]
-    shared = 0
-    for old, new in zip(path.outcomes, steps):
-        if old != new:
-            break
-        shared += 1
-    del path.outcomes[shared:], path.levels[shared + 1 :]
-    for (a, b) in steps[shared:]:
-        level = path.levels[-1]
-        out_cut = level.remaining
-        if a > out_cut or b > out_cut:
-            return None, 0.0
-        if level.coupled is None:
-            psi = tensor(tensor(level.cavities, vacuum(ModeShape((out_cut,)))), vacuum(ModeShape((out_cut,))))
+    tree: dict = {}
+    for outcomes in branches:
+        node = tree
+        for a, b in outcomes:
+            node = node.setdefault((int(a), int(b)), {})
+    results = {}
+
+    def walk(node, prefix, cavities, probability, remaining):
+        results[prefix] = (cavities, probability)
+        if cavities is not None and node:
+            out = vacuum(ModeShape((remaining,)))
+            psi = tensor(tensor(cavities, out), out)
             psi = apply_coupler(psi, (0, 2), CouplerParams(theta, 0.0))
             psi = apply_coupler(psi, (1, 3), CouplerParams(theta, 0.0))
-            level.coupled = apply_coupler(psi, (2, 3), CouplerParams(math.pi / 4, 0.0))
-        cav_new, p = project_counts(level.coupled, (2, 3), (a, b))
-        if cav_new is None:
-            return None, 0.0
-        path.outcomes.append((a, b))
-        path.levels.append(_BranchLevel(cav_new, level.probability * p, out_cut - a - b))
-    return path.levels[-1].cavities, path.levels[-1].probability
+            psi = apply_coupler(psi, (2, 3), CouplerParams(math.pi / 4, 0.0))
+        for (a, b), child in node.items():
+            state, p = None, 0.0
+            if cavities is not None and a <= remaining and b <= remaining:
+                state, p = project_counts(psi, (2, 3), (a, b))
+            walk(child, prefix + ((a, b),), state, probability * p, remaining - a - b)
 
-
-def _number_column(n: int) -> np.ndarray:
-    col = np.zeros(n + 1, dtype=np.complex128)
-    col[n] = 1.0
-    return col
+    start = basis_state(ModeShape((n,)), (n,))
+    walk(tree, (), tensor(start, start), 1.0, 2 * n)
+    return results

@@ -27,7 +27,7 @@ from .fock import (
     to_density,
     twirl,
 )
-from .measurement import exact_trajectory_branch, trajectory_branches
+from .measurement import exact_trajectory_branches, trajectory_branches
 from .sources import LaserSpec, decomposition_equivalence_check, laser_density
 from .squeezing import approximation_quality
 
@@ -157,8 +157,10 @@ def check_trajectory_brute_force(n_max: int, steps: int) -> CheckResult:
     worst = 0.0
     for n in range(1, n_max + 1):
         eps = 0.4
-        for seq, p_phase, traj in trajectory_branches(n, eps, steps, floor=1e-6):
-            fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
+        branches = list(trajectory_branches(n, eps, steps, floor=1e-6))
+        fock = exact_trajectory_branches(n, eps, [seq for seq, _, _ in branches])
+        for seq, p_phase, traj in branches:
+            fock_state, p_fock = fock[seq]
             worst = max(worst, abs(p_fock - p_phase))
             if p_fock > 1e-8:
                 worst = max(worst, 1.0 - fidelity(fock_state, traj.cavity_state()))

@@ -23,7 +23,7 @@ from ecsim.fock import (
     twirl,
 )
 from ecsim.measurement import (
-    exact_trajectory_branch,
+    exact_trajectory_branches,
     fringe_scan,
     run_interference_trajectory,
     trajectory_branches,
@@ -170,8 +170,10 @@ def test_criterion_7_trajectory_brute_force():
     branches_checked = 0
     for n, eps, floor in [(1, 0.5, 1e-10), (2, 0.4, 1e-9), (3, 0.4, 1e-8), (4, 0.35, 1e-7)]:
         total_p = 0.0
-        for seq, p_phase, traj in trajectory_branches(n, eps, 3, floor):
-            fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
+        branches = list(trajectory_branches(n, eps, 3, floor))
+        fock = exact_trajectory_branches(n, eps, [seq for seq, _, _ in branches])
+        for seq, p_phase, traj in branches:
+            fock_state, p_fock = fock[seq]
             phase_state = traj.cavity_state()
             worst_dp = max(worst_dp, abs(p_fock - p_phase))
             total_p += p_fock

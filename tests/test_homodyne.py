@@ -8,6 +8,7 @@ from scipy.stats import binom
 import ecsim.coupler as coupler_mod
 from ecsim.circle import ecs_apply_coupler, ecs_to_fock, two_mode_circle
 from ecsim.coupler import CouplerParams, apply_coupler
+from ecsim.errors import ValidationError
 from ecsim.fock import (
     FockVector,
     ModeShape,
@@ -215,6 +216,27 @@ class TestTomographyScan:
         # each scan point equals the stats of its config computed alone
         alone = [homodyne_difference_stats(HomodyneConfig(5, PhaseShiftProcess(offset + g))).mean for g in grid]
         assert np.array_equal(scan.means, alone)
+
+    @pytest.mark.parametrize(
+        "n,theta,points",
+        [
+            (5, 0.0, 24),  # signal branch dark: sin 2 theta = 0
+            (5, math.pi / 2, 24),  # oscillator branch dark: sin 2 theta = 1.2e-16
+            (0, math.acos(0.95), 24),  # no photon to make a fringe
+            (5, math.acos(0.95), 0),
+            (5, math.acos(0.95), 1),
+            (5, math.acos(0.95), 2),  # the first harmonic aliases onto the mean
+        ],
+    )
+    def test_degenerate_scan_rejected(self, n, theta, points):
+        grid = 2 * math.pi * np.arange(points) / points
+        with pytest.raises(ValidationError):
+            process_tomography_scan(HomodyneConfig(n, PhaseShiftProcess(1.0), theta), grid)
+
+    def test_smallest_scan_recovers_offset(self):
+        grid = 2 * math.pi * np.arange(3) / 3
+        scan = process_tomography_scan(HomodyneConfig(1, PhaseShiftProcess(1.0)), grid)
+        assert _wrapped_distance(scan.recovered_offset, 1.0) <= 1e-12
 
     def test_source_independence(self):
         offset = 0.45

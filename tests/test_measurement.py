@@ -1,5 +1,7 @@
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -20,7 +22,7 @@ from ecsim.fock import (
 )
 from ecsim.measurement import (
     TrajectoryState,
-    exact_trajectory_branch,
+    exact_trajectory_branches,
     fringe_scan,
     joint_count_distribution,
     project_counts,
@@ -116,7 +118,7 @@ class TestProjectCounts:
         # two cavities of 4 photons leak half their light; counting (1, 1) in
         # the outputs leaves exactly 6 photons split over cavities + nothing
         n, eps = 4, 0.5
-        branch, p = exact_trajectory_branch(n, eps, [(1, 1)])
+        branch, p = exact_trajectory_branches(n, eps, [[(1, 1)]])[((1, 1),)]
         assert p > 0
         tot = total_number_distribution(branch)
         assert tot[6] == pytest.approx(1.0, abs=1e-10)
@@ -164,10 +166,11 @@ class TestTrajectory:
     def test_branch_probabilities_form_distribution(self):
         # chain rule over the first two steps of a small instance
         n, eps = 2, 0.4
+        branches = [((a1, b1),) for a1, b1 in product(range(5), repeat=2)]
+        fock = exact_trajectory_branches(n, eps, branches)
         total = 0.0
-        for a1, b1 in product(range(5), repeat=2):
-            _, p = exact_trajectory_branch(n, eps, [(a1, b1)])
-            total += p
+        for seq in branches:
+            total += fock[seq][1]
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_mean_width_constant_over_seeds(self):
@@ -236,8 +239,10 @@ class TestBruteForceEquivalence:
         # compare conditional states and probabilities over all two-step
         # branches with nonnegligible probability
         checked = 0
-        for seq, p_phase, traj in trajectory_branches(n, eps, 2, floor=1e-8):
-            fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
+        branches = list(trajectory_branches(n, eps, 2, floor=1e-8))
+        fock = exact_trajectory_branches(n, eps, [seq for seq, _, _ in branches])
+        for seq, p_phase, traj in branches:
+            fock_state, p_fock = fock[seq]
             phase_state = traj.cavity_state()
             assert p_phase == pytest.approx(p_fock, abs=1e-12)
             if p_fock > 1e-10:
@@ -253,8 +258,10 @@ class TestDeeperBruteForce:
         coverage = []
         for n, eps, floor in [(1, 0.5, 1e-10), (2, 0.4, 1e-9), (3, 0.4, 1e-8)]:
             total = 0.0
-            for seq, p_phase, traj in trajectory_branches(n, eps, 4, floor):
-                fock_state, p_fock = exact_trajectory_branch(n, eps, seq)
+            branches = list(trajectory_branches(n, eps, 4, floor))
+            fock = exact_trajectory_branches(n, eps, [seq for seq, _, _ in branches])
+            for seq, p_phase, traj in branches:
+                fock_state, p_fock = fock[seq]
                 worst_dp = max(worst_dp, abs(p_fock - p_phase))
                 total += p_fock
                 if p_fock > 1e-9:
@@ -281,11 +288,7 @@ class TestBruteForceMutations:
         monkeypatch.setattr(measurement, "_times", lambda u, sign: good(u, -sign))
         assert not check_trajectory_brute_force(2, 2).passed
 
-    def test_corrupted_coupler_detected_behind_path_cache(self, monkeypatch):
-        # warm the oracle's path cache with the true coupler first; the cache is
-        # a throwaway one, so no corrupted state outlives the test
-        monkeypatch.setattr(measurement, "_branch_path", measurement._BranchPath())
-        assert check_trajectory_brute_force(2, 2).passed
+    def test_corrupted_coupler_detected(self, monkeypatch):
         good = coupler._coupler_block_cached
         monkeypatch.setattr(
             coupler, "_coupler_block_cached", lambda theta, phi, N: good(-theta, phi, N)
@@ -294,8 +297,8 @@ class TestBruteForceMutations:
 
 
 def _oracle_uncached(n, eps, outcomes):
-    """exact_trajectory_branch without a path cache: the whole dense prefix
-    is rebuilt for the one branch."""
+    """The Fock oracle for one branch, without a prefix tree: the whole dense
+    prefix is rebuilt for the one branch."""
     theta = math.acos(math.sqrt(1.0 - eps))
     cav = tensor(basis_state(ModeShape((n,)), (n,)), basis_state(ModeShape((n,)), (n,)))
     prob, remaining = 1.0, 2 * n
@@ -314,63 +317,74 @@ def _oracle_uncached(n, eps, outcomes):
     return cav, prob
 
 
-def _same(got, expect):
-    (state, p), (state_ref, p_ref) = got, expect
-    assert p == p_ref
-    assert state.shape == state_ref.shape
-    assert np.array_equal(state.amplitudes, state_ref.amplitudes)
-
-
-class TestOraclePathCache:
+class TestOracleTree:
     N, EPS = 3, 0.4
 
-    @pytest.fixture(scope="class")
-    def branches(self):
-        return [seq for seq, _, _ in trajectory_branches(self.N, self.EPS, 3, floor=1e-6)]
+    def test_any_order_matches_single_branch_oracle(self):
+        # bit for bit, whatever the order of the list, with duplicates and with
+        # a prefix asked for next to its extension
+        branches = [seq for seq, _, _ in trajectory_branches(self.N, self.EPS, 3, floor=1e-8)]
+        expect = {}
+        for seq in branches:
+            for depth in range(len(seq) + 1):
+                if seq[:depth] not in expect:
+                    expect[seq[:depth]] = _oracle_uncached(self.N, self.EPS, seq[:depth])
+        shuffled = list(branches)
+        np.random.default_rng(4).shuffle(shuffled)
+        with_prefixes = [part for seq in branches[::5] for part in (seq[:2], seq)]
+        orders = [branches, branches[::-1], shuffled, branches + branches[::7], with_prefixes]
+        for order in orders:
+            got = exact_trajectory_branches(self.N, self.EPS, order)
+            assert set(got) == {seq[:depth] for seq in order for depth in range(len(seq) + 1)}
+            for seq, (state, p) in got.items():
+                state_ref, p_ref = expect[seq]
+                assert p == p_ref
+                assert state.shape == state_ref.shape
+                assert np.array_equal(state.amplitudes, state_ref.amplitudes)
 
-    def test_depth_first_and_reverse_orders_agree_with_cold_calls(self, branches):
-        cold = [_oracle_uncached(self.N, self.EPS, seq) for seq in branches]
-        exact_trajectory_branch(self.N + 1, self.EPS, [])  # start from a cold path
-        for seq, expect in zip(branches, cold):
-            _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
-            assert len(measurement._branch_path.levels) <= len(seq) + 1
-        for seq, expect in zip(branches[::-1], cold[::-1]):
-            _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
-            assert len(measurement._branch_path.levels) <= len(seq) + 1
-
-    def test_after_siblings_other_key_and_longer_branch(self, branches):
-        seq = branches[len(branches) // 2]
-        expect = _oracle_uncached(self.N, self.EPS, seq)
-        siblings = [b for b in branches if b[:-1] == seq[:-1]]
-        assert len(siblings) > 1
-        for sibling in siblings:
-            exact_trajectory_branch(self.N, self.EPS, sibling)
-        _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
-        # a different (n, eps_step) replaces the path
-        exact_trajectory_branch(self.N - 1, self.EPS, [(0, 0), (1, 0)])
-        _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
-        exact_trajectory_branch(self.N, 0.3, seq)
-        _same(exact_trajectory_branch(self.N, self.EPS, seq), expect)
-        # a prefix of the branch asked for last
-        prefix = seq[:2]
-        _same(exact_trajectory_branch(self.N, self.EPS, prefix), _oracle_uncached(self.N, self.EPS, prefix))
-        exact_trajectory_branch(self.N, self.EPS, seq)
-        _same(exact_trajectory_branch(self.N, self.EPS, prefix), _oracle_uncached(self.N, self.EPS, prefix))
-        assert len(measurement._branch_path.levels) == len(prefix) + 1
-        state, p = exact_trajectory_branch(self.N, self.EPS, [])
-        assert p == 1.0 and len(measurement._branch_path.levels) == 1
-
-    def test_impossible_outcomes_return_none(self):
+    def test_impossible_outcomes_and_descendants_return_none(self):
         n = 2
-        # more counts than photons left in the cavities
-        exact_trajectory_branch(n, self.EPS, [(2, 1)])
-        assert exact_trajectory_branch(n, self.EPS, [(2, 1), (0, 2)]) == (None, 0.0)
-        assert exact_trajectory_branch(n, self.EPS, [(5, 0)]) == (None, 0.0)
-        # a zero-probability outcome: one photon left, one count at each detector
-        assert exact_trajectory_branch(n, self.EPS, [(2, 1), (1, 1)]) == (None, 0.0)
-        assert len(measurement._branch_path.levels) <= 3
-        # the cache still serves the live prefix afterwards
-        _same(exact_trajectory_branch(n, self.EPS, [(2, 1)]), _oracle_uncached(n, self.EPS, [(2, 1)]))
+        dead = [
+            ((2, 1), (0, 2)),  # more counts than the one photon left
+            ((2, 1), (0, 2), (0, 0)),
+            ((5, 0),),
+            ((5, 0), (0, 0)),
+            ((2, 1), (1, 1)),  # one photon left, one count at each detector
+            ((2, 1), (1, 1), (0, 0)),
+        ]
+        got = exact_trajectory_branches(n, self.EPS, dead)
+        for seq in dead:
+            assert got[seq] == (None, 0.0)
+        state, p = got[((2, 1),)]
+        state_ref, p_ref = _oracle_uncached(n, self.EPS, [(2, 1)])
+        assert p == p_ref > 0.0
+        assert np.array_equal(state.amplitudes, state_ref.amplitudes)
+
+    def test_concurrent_calls_match_serial(self):
+        # the oracle keeps no state between calls, so threads cannot corrupt
+        # each other's branches
+        def oracle(n, eps):
+            seqs = [seq for seq, _, _ in trajectory_branches(n, eps, 3, floor=1e-6)]
+            return {seq: (p, None if state is None else state.amplitudes.tobytes())
+                    for seq, (state, p) in exact_trajectory_branches(n, eps, seqs).items()}
+
+        jobs = [
+            (check_trajectory_brute_force, (3, 3)),
+            (check_trajectory_brute_force, (3, 3)),
+            (oracle, (3, 0.4)),
+            (oracle, (2, 0.3)),
+        ]
+        serial = [fn(*args) for fn, args in jobs]
+        assert serial[0].passed
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for first in (0, 2):
+                    futures = [pool.submit(fn, *args) for fn, args in jobs[first : first + 2]]
+                    assert [future.result(timeout=120) for future in futures] == serial[first : first + 2]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFringeScan:
