@@ -194,7 +194,8 @@ def _check_laser_equivalence(p: dict) -> None:
 
 
 def _check_phase_walk(p: dict) -> None:
-    _at_least(p, {"step_variance": 0.0, "modes": 1, "photons": 0, "realizations": 1})
+    # with no photons g1 is 0/0: the walk has no field to correlate
+    _at_least(p, {"step_variance": 0.0, "modes": 1, "photons": 1, "realizations": 1})
     _numbers_within(p, "lags", 0, p["modes"] - 1, integer=True)
 
 
@@ -287,6 +288,10 @@ def _run_squeeze(p: dict, seed: int, out: Path) -> list[str]:
 
 def _check_ecs_verify(p: dict) -> None:
     _at_least(p, {"n_max": 0})
+    for key in ("thetas", "phis"):
+        if not p[key]:
+            # an empty sweep compares nothing and would report a worst infidelity of 0
+            raise ConfigError(f"parameter {key} must hold at least one angle, got []")
     _numbers_within(p, "thetas", 0.0, math.pi / 2)
     _numbers_within(p, "phis", -math.inf, math.inf)
 

@@ -229,7 +229,8 @@ def apply_coupler(
     K = state.shape.mode_count
     if i == j or not (0 <= i < K and 0 <= j < K):
         raise ValidationError(f"invalid mode pair {mode_pair}")
-    psi = np.ascontiguousarray(np.moveaxis(state.amplitudes, (i, j), (0, 1)))
+    perm = (i, j, *(m for m in range(K) if m != i and m != j))
+    psi = np.ascontiguousarray(state.amplitudes.transpose(perm))
     ci, cj = psi.shape[0] - 1, psi.shape[1] - 1
     order, starts = _sector_order(ci, cj)
     gathered = psi.reshape(order.size, -1)[order]
@@ -242,7 +243,7 @@ def apply_coupler(
         coupled[lo:hi] = U[k0 : k0 + hi - lo, k0 : k0 + hi - lo] @ gathered[lo:hi]
     out = np.empty_like(gathered)
     out[order] = coupled
-    return FockVector(state.shape, np.moveaxis(out.reshape(psi.shape), (0, 1), (i, j)))
+    return FockVector(state.shape, out.reshape(psi.shape).transpose(np.argsort(perm)))
 
 
 def split_cascade(n_out: int) -> list[tuple[int, int, float]]:

@@ -365,7 +365,9 @@ class TrajectoryState:
         cut = n if cutoff is None else min(cutoff, n)
         k = np.arange(max(0, D - cut), min(D, cut) + 1)
         amps = np.zeros((cut + 1, cut + 1), dtype=np.complex128)
-        radial = np.sqrt(poisson_pmf(D / 2.0, k) * poisson_pmf(D / 2.0, D - k))
+        # k and D - k run over the same range, reversed
+        table = poisson_pmf(D / 2.0, k)
+        radial = np.sqrt(table * table[::-1])
         amps[k, D - k] = radial * self.weight[n - k]
         norm = np.linalg.norm(amps)
         if norm == 0.0:

@@ -125,6 +125,9 @@ class TestConfigValidation:
             ({"experiment": "homodyne", "n": 0}, "n"),
             ({"experiment": "homodyne", "theta": 0.0}, "theta"),
             ({"experiment": "homodyne", "theta": math.pi / 2}, "theta"),
+            ({"experiment": "ecs-verify", "thetas": []}, "thetas"),
+            ({"experiment": "ecs-verify", "phis": []}, "phis"),
+            ({"experiment": "phase-walk", "photons": 0}, "photons"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
@@ -355,6 +358,34 @@ class TestVerifyCommand:
         for check in doc["checks"]:
             assert sorted(check) == ["measured", "name", "passed", "seconds", "tolerance"]
             assert check["passed"] and check["measured"] <= check["tolerance"] and check["seconds"] > 0.0
+
+    def test_full_suite_passes(self, capsys):
+        # the full suite is what the verify-full benchmark counts: every check,
+        # in order, with its tolerance; the decomposition tolerances are
+        # 1e-8 plus the Poisson tail bound of their configuration
+        expected = [
+            ("twirl-idempotent", 1e-12),
+            ("twirl-invariance", 1e-12),
+            ("laser-dual-form", 1e-12),
+            ("phase-shift-covariance", 1e-12),
+            ("coupler-oracle-N20", 1e-10),
+            ("hong-ou-mandel-null", 1e-12),
+            ("commuting-diagram-n4", 1e-10),
+            ("quadrature-grid-invariance", 1e-12),
+            ("decomposition-nbar1.0-N2", 1.0063622551671472e-08),
+            ("squeezing-fidelity-monotone", 1e-12),
+            ("coupler-oracle-N60", 1e-10),
+            ("commuting-diagram-n8", 1e-10),
+            ("decomposition-nbar2.0-N3", 1.3871233444918687e-08),
+            ("trajectory-brute-force-n4", 1e-08),
+        ]
+        assert main(["verify", "--suite", "full", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["suite"], doc["passed"], doc["total"]) == ("full", 14, 14)
+        assert [c["name"] for c in doc["checks"]] == [name for name, _ in expected]
+        for check, (_, tolerance) in zip(doc["checks"], expected):
+            assert check["tolerance"] == pytest.approx(tolerance, rel=1e-12, abs=0.0)
+            assert check["passed"] and check["measured"] <= check["tolerance"]
 
     def test_json_document_reports_failure(self, monkeypatch, capsys):
         import ecsim.coupler as coupler_mod

@@ -29,7 +29,8 @@ from ecsim.fock import (
 
 RNG = np.random.default_rng(20231015)
 # relative gap of the Poisson and coherent weights to a gammaln reference, per
-# unit of the exponent's term sizes: measured at most 3.0e-16 for n <= 4096
+# unit of the exponent's term sizes: measured at most 3.0e-16 for n <= 4096,
+# and 3.1e-16 for complex coherent amplitudes against a cmath reference
 LOG_WEIGHT_RTOL = 6e-16
 
 
@@ -76,6 +77,23 @@ class TestModeShape:
         assert s.mode_count == 2
         assert s.dims == (4, 3)
         assert s.size == 12
+
+    def test_derived_fields_stay_out_of_identity(self):
+        # dims and size are stored at construction; equality, hashing, repr,
+        # replace and pickling still see the cutoffs alone
+        import dataclasses
+        import pickle
+
+        s = ModeShape((3, 2))
+        assert s == ModeShape([3, 2]) and s != ModeShape((2, 3))
+        assert hash(s) == hash(ModeShape([3, 2])) == hash(((3, 2),))
+        assert repr(s) == "ModeShape(cutoffs=(3, 2))"
+        grown = dataclasses.replace(s, cutoffs=(5, 2, 1))
+        assert (grown.dims, grown.size) == ((6, 3, 2), 36)
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and hash(copy) == hash(s) and (copy.dims, copy.size) == (s.dims, s.size)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.size = 1
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValidationError):
@@ -183,6 +201,35 @@ class TestCoherent:
         expected = poisson_pmf(2.0, np.arange(13)).sum()
         assert st.norm2 == pytest.approx(float(expected), abs=1e-14)
 
+    def test_complex_amplitudes_match_cmath(self):
+        # an independent reference for the phase as well as the magnitude:
+        # e^{k log alpha - |alpha|^2/2 - log(k!)/2} term by term, for amplitudes
+        # in all four quadrants with |alpha|^2 from 1e-3 to 4000 and exact
+        # zeros mixed into the same batch
+        import cmath
+
+        cutoff = 4096
+        radii = [math.sqrt(1e-3), 0.3, 1.0, math.sqrt(7.0), 10.0, 30.0, math.sqrt(4000.0)]
+        alphas = [0j]
+        for quadrant in range(4):
+            alphas += [cmath.rect(r, math.pi / 7 + quadrant * math.pi / 2 + 0.1 * r) for r in radii]
+            alphas.append(0j)
+        got = fock.coherent_log_amplitudes(np.array(alphas), cutoff)
+        k = np.arange(cutoff + 1)
+        log_fact = np.array([math.lgamma(j + 1.0) for j in k])
+        for row, alpha in zip(got, alphas):
+            if alpha == 0:
+                assert row[0] == 1.0 and not np.any(row[1:])
+                continue
+            log_alpha = cmath.log(alpha)
+            ref = np.array(
+                [cmath.exp(j * log_alpha - abs(alpha) ** 2 / 2 - log_fact[j] / 2) for j in k]
+            )
+            tol = LOG_WEIGHT_RTOL * (1.0 + k * abs(log_alpha) + abs(alpha) ** 2 / 2 + log_fact / 2)
+            normal = np.abs(ref) > 1e-290
+            assert np.all(np.abs(row - ref)[normal] <= tol[normal] * np.abs(ref)[normal])
+            assert np.all(np.abs(row[~normal]) <= 1e-289)
+
     def test_tensor_matches_product(self):
         a = coherent_amplitudes(0.7 + 0.2j, 6)
         b = coherent_amplitudes(-0.3 + 0.9j, 5)
@@ -222,6 +269,17 @@ class TestLinearAlgebra:
             for m in range(5):
                 ov = inner(basis_state(s, (n,)), basis_state(s, (m,)))
                 assert ov == pytest.approx(1.0 if n == m else 0.0, abs=1e-15)
+
+    def test_fidelity_ignores_scale(self):
+        rng = np.random.default_rng(5)
+        s = ModeShape((2, 3))
+        a = FockVector(s, rng.normal(size=s.dims) + 1j * rng.normal(size=s.dims))
+        b = FockVector(s, rng.normal(size=s.dims) + 1j * rng.normal(size=s.dims))
+        unit = abs(inner(a.normalize(), b.normalize())) ** 2
+        assert fidelity(a, b) == pytest.approx(unit, rel=1e-14)
+        assert fidelity(FockVector(s, 3j * a.amplitudes), a) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValidationError):
+            fidelity(a, FockVector(s, np.zeros(s.dims)))
 
     def test_partial_trace_bell_like(self):
         s = ModeShape((1, 1))
