@@ -70,10 +70,8 @@ from .measurement import (
     DetectionRecord,
     TrajectoryState,
     fringe_scan,
-    joint_count_distribution,
     project_counts,
     run_interference_trajectory,
-    total_number_distribution,
 )
 from .sources import (
     LaserSpec,
@@ -86,7 +84,6 @@ from .sources import (
 from .squeezing import (
     exact_three_mode_evolution,
     pump_entangled_squeezed,
-    reduced_ab_density,
     two_mode_squeezed_vac,
 )
 

@@ -20,20 +20,27 @@ against the coherent-overlap kernel
                    = sum_j  e^{-rho^2} rho^{2j} / j!  e^{i j (phi1 - phi2)},
 
 which is diagonal in frequency: Q = sum_j lam_j lam_{D-j} |weight[n - j]|^2.
-One step kernel enumerates each outcome shell a + b = s as a single
-(s + 1, 2n + 1) array (cut to the columns it can reach), with the detection
-constants c / sqrt(a + 1) and c / sqrt(b + 1) folded into the recursion so
-that every row's quadratic form is its Born probability. Sampling is therefore exact Born-rule sampling (see
-docs/trajectory_notes.md for the derivation and tests against the brute-force
-Fock pipeline). Memory is capped by the deepest shell array, SHELL_CELL_CAP
-complex cells, rather than by a (2n + 1)^2 table.
+One shell recursion, `_shells`, builds each outcome shell a + b = s as a
+single (s + 1, 2n + 1) array (cut to the columns it can reach), with the
+detection constants c / sqrt(a + 1) and c / sqrt(b + 1) folded in so that
+every row's quadratic form is its Born probability. The total count of a
+step is Binomial(D, eps) whatever the weight, so every shell built is checked
+against its binomial weight. The sampler draws one uniform number and reads
+shells only until their cumulative probability passes it, a few shells near
+s = eps D; a draw within DRAW_MARGIN of an outcome edge enumerates the step
+in full instead. Either way it picks the outcome `Generator.choice` picks
+from the full enumeration with the same draw, so sampling is exact Born-rule
+sampling and seeded records do not depend on how far a step reads (see
+docs/trajectory_notes.md for the derivation and tests against the
+brute-force Fock pipeline). Memory is capped by the deepest shell array,
+SHELL_CELL_CAP complex cells, rather than by a (2n + 1)^2 table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.fft import fft, ifft
@@ -45,6 +52,9 @@ from .fock import FockVector, ModeShape, basis_state, poisson_pmf, tensor, vacuu
 
 RNG_NAME = "numpy-pcg64"
 STEP_TAIL_TOLERANCE = 1e-10
+# distance a uniform draw must keep from the cumulative edges of its outcome
+# for the shells read so far to decide it, 1e4 times STEP_TAIL_TOLERANCE
+DRAW_MARGIN = 1e-6
 FRINGE_BRANCHES = ("full", "positive")
 # complex cells of the deepest outcome shell, (s + 1) x (2n + 1): 32 MiB
 SHELL_CELL_CAP = 2**21
@@ -54,62 +64,6 @@ SHELL_CELL_CAP = 2**21
 # ---------------------------------------------------------------------------
 # Exact Born-rule bookkeeping on truncated states
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountDistribution:
-    """Probabilities over per-mode count tuples for a subset of modes."""
-
-    modes: tuple[int, ...]
-    dims: tuple[int, ...]
-    probabilities: np.ndarray
-
-    def prob(self, counts: tuple[int, ...]) -> float:
-        return float(self.probabilities[tuple(counts)])
-
-    def total(self) -> float:
-        return float(self.probabilities.sum())
-
-    def marginal(self, keep_positions: tuple[int, ...]) -> "CountDistribution":
-        """Marginal over a subset of the measured modes (positions into `modes`)."""
-        drop = tuple(i for i in range(len(self.modes)) if i not in keep_positions)
-        probs = self.probabilities.sum(axis=drop) if drop else self.probabilities
-        return CountDistribution(
-            tuple(self.modes[i] for i in keep_positions),
-            tuple(self.dims[i] for i in keep_positions),
-            probs,
-        )
-
-
-def joint_count_distribution(state: FockVector, modes: tuple[int, ...] | None = None) -> CountDistribution:
-    """Born-rule distribution of photon counts on the listed modes."""
-    if abs(state.norm2 - 1.0) > 1e-9:
-        raise ValidationError(f"state norm^2 = {state.norm2} is not 1 within 1e-9")
-    K = state.shape.mode_count
-    modes = tuple(range(K)) if modes is None else tuple(modes)
-    if len(set(modes)) != len(modes) or any(m < 0 or m >= K for m in modes):
-        raise ValidationError(f"invalid mode subset {modes}")
-    others = tuple(m for m in range(K) if m not in modes)
-    probs = np.abs(state.amplitudes) ** 2
-    if others:
-        probs = probs.sum(axis=others)
-        # sum over `others` leaves axes ordered by original index; reorder to `modes`
-        kept_sorted = tuple(m for m in range(K) if m in modes)
-        perm = [kept_sorted.index(m) for m in modes]
-        probs = np.transpose(probs, perm)
-    dims = tuple(state.shape.dims[m] for m in modes)
-    return CountDistribution(modes, dims, probs)
-
-
-def total_number_distribution(state: FockVector, modes: tuple[int, ...] | None = None) -> np.ndarray:
-    """Distribution of the summed photon number over `modes` (default all)."""
-    K = state.shape.mode_count
-    modes = tuple(range(K)) if modes is None else tuple(modes)
-    tot = state.shape.total_occupation(modes)
-    probs = state.probabilities().ravel()
-    out = np.zeros(int(tot.max()) + 1)
-    np.add.at(out, tot, probs)
-    return out
 
 
 def project_counts(
@@ -236,20 +190,23 @@ def _start(n: int, eps: float) -> np.ndarray:
     return v
 
 
-def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple[np.ndarray, float]:
-    """Exact Born probabilities of one step's count pairs, in `_pair` order.
+def _shells(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> Iterator[tuple[np.ndarray, float]]:
+    """Exact Born probabilities of one step's count pairs, one outcome shell
+    a + b = s at a time, in `_pair` order.
 
-    `v` is scaled so that Q(v; r^2, remaining) = 1. Shell a + b = s is one
+    `v` is scaled so that Q(v; r^2, remaining) = 1. Shell s is one
     (s + 1, width) array, width <= 2n + 1 the columns the shells can reach,
     whose row i holds u_{s-i, i}, built by
         u_{a+1,0} = -c/sqrt(a+1) (x + 1) u_{a,0},
         u_{a,b+1} =  c/sqrt(b+1) (x - 1) u_{a,b},
     c = sqrt(eps r^2 / 2), from u_{0,0} = e^{-eps r^2} v, so that
     P(a, b) = Q(u_{a,b}; rho^2, remaining - s) with rho^2 = (1 - eps) r^2.
-    Stops once the enumerated outcomes carry all but 1e-12 of the
-    probability, or at the shell `_deepest_shell` bounds; the leftover tail
-    then measures the rounding of the probabilities, which at n in the
-    thousands reaches a few 1e-12. Returns (probabilities, tail).
+    The step's total count is Binomial(remaining, eps) whatever the weight,
+    so each shell must sum to its binomial weight: a shell that misses it by
+    more than STEP_TAIL_TOLERANCE raises NumericsError. Yields
+    (probabilities of shell s, |sum - binomial weight|) up to the shell
+    `_deepest_shell` bounds; callers stop reading when they have what they
+    need.
     """
     last = _deepest_shell(remaining, eps)
     # v vanishes above f1 = detected - n, and the shells reach `last` higher
@@ -257,25 +214,85 @@ def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple
     c = math.sqrt(eps * r2 / 2.0)
     lam = poisson_pmf((1.0 - eps) * r2, np.arange(remaining + 1))
     shell = math.exp(-eps * r2) * v[None, :width]
-    probs = []
-    covered = 0.0
+    log_weight, log_odds = remaining * math.log1p(-eps), math.log(eps / (1.0 - eps))
     s = 0
     while True:
         p = _quadform(shell, n, remaining - s, lam)
-        probs.append(p)
-        covered += float(p.sum())
-        tail = max(0.0, 1.0 - covered)
-        if tail < 1e-12 or s >= last:
-            return np.concatenate(probs), tail
+        total = float(p.sum())
+        deviation = abs(total - math.exp(log_weight))
+        if not deviation <= STEP_TAIL_TOLERANCE:
+            raise NumericsError(
+                f"outcome shell a + b = {s} of {remaining} photons sums to {total:.12g}, "
+                f"{deviation:.2e} off its binomial weight (tolerance {STEP_TAIL_TOLERANCE})"
+            )
+        yield p, deviation
+        if s >= last:
+            return
         s += 1
+        log_weight += log_odds + math.log((remaining - s + 1) / s)
         nxt = np.empty((s + 1, width), dtype=np.complex128)
         nxt[0] = (-c / math.sqrt(s)) * _times(shell[0], 1.0)
         nxt[1:] = (c / np.sqrt(np.arange(1.0, s + 1)))[:, None] * _times(shell, -1.0)
         shell = nxt
 
 
+def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple[np.ndarray, float]:
+    """Every outcome of one step: (probabilities in `_pair` order, worst
+    shell deviation from its binomial weight).
+
+    Reads `_shells` until the enumerated outcomes carry all but 1e-12 of the
+    probability, or to the last shell; the leftover tail then measures the
+    rounding of the probabilities, which at n in the thousands reaches a few
+    1e-12, and a tail of STEP_TAIL_TOLERANCE or more raises NumericsError.
+    """
+    probs, worst, covered = [], 0.0, 0.0
+    for p, deviation in _shells(v, n, remaining, r2, eps):
+        probs.append(p)
+        worst = max(worst, deviation)
+        covered += float(p.sum())
+        if 1.0 - covered < 1e-12:
+            break
+    tail = max(0.0, 1.0 - covered)
+    if tail >= STEP_TAIL_TOLERANCE:
+        raise NumericsError(f"unenumerated outcome probability {tail:.2e} exceeds {STEP_TAIL_TOLERANCE}")
+    return np.concatenate(probs), worst
+
+
+def _choice_index(p: np.ndarray, u: float) -> int:
+    """The index `Generator.choice(p.size, p=p / p.sum())` returns when its
+    one uniform draw is `u`: numpy's own cumulative-sum steps, replayed."""
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def _draw(v: np.ndarray, n: int, remaining: int, r2: float, eps: float, u: float) -> tuple[int, float, float]:
+    """The outcome `_choice_index` picks from the full `_step` enumeration
+    for the uniform draw `u`, reading shells only up to the drawn one.
+
+    The partial cumulative sums differ from the normalized full ones by
+    about |sum(p) - 1|, far below DRAW_MARGIN, so a `u` more than
+    DRAW_MARGIN from both edges of its outcome picks the same outcome;
+    otherwise the step is enumerated in full and `_choice_index` decides.
+    Returns (index, probability, worst deviation of the shells built).
+    """
+    worst, below, offset = 0.0, 0.0, 0
+    for p, deviation in _shells(v, n, remaining, r2, eps):
+        worst = max(worst, deviation)
+        edges = below + p.cumsum()
+        k = int(edges.searchsorted(u, side="right"))
+        if k < p.size:
+            if min(u - (edges[k - 1] if k else below), edges[k] - u) > DRAW_MARGIN:
+                return offset + k, float(p[k]), worst
+            break
+        below, offset = float(edges[-1]), offset + p.size
+    probs, deviation = _step(v, n, remaining, r2, eps)
+    pick = _choice_index(probs, u)
+    return pick, float(probs[pick]), max(worst, deviation)
+
+
 def _collapse(v: np.ndarray, r2: float, eps: float, a: int, b: int, p: float) -> np.ndarray:
-    """u_{a,b} of `_step` rebuilt by the same recursion and divided by sqrt(P),
+    """u_{a,b} of `_shells` rebuilt by the same recursion and divided by sqrt(P),
     so that Q = 1 at the next step's radius and remaining total."""
     c = math.sqrt(eps * r2 / 2.0)
     u = math.exp(-eps * r2) * v
@@ -302,6 +319,9 @@ class TrajectoryState:
     `weight[f1 + n]` is the coefficient of e^{i f1 phi + i f2 phi'} with
     f2 = -remaining - f1, where `remaining` = 2n - detected is the cavities'
     definite total photon number; every other coefficient is zero.
+    `overflow_bound` is the largest deviation of an outcome shell's summed
+    probability from its Binomial(remaining, eps) weight over the shells the
+    steps built, a measure of the probabilities' rounding.
     """
 
     n: int
@@ -395,28 +415,22 @@ def run_interference_trajectory(
     remaining = 2 * n
     r2 = float(n)
     records: list[StepRecord] = []
-    worst_tail = 0.0
+    worst = 0.0
     for step in range(steps):
-        probs, tail = _step(v, n, remaining, r2, eps_step)
-        worst_tail = max(worst_tail, tail)
-        if tail >= STEP_TAIL_TOLERANCE:
-            raise NumericsError(
-                f"step {step}: unenumerated outcome probability {tail:.2e} "
-                f"exceeds {STEP_TAIL_TOLERANCE}"
-            )
-        pick = int(rng.choice(len(probs), p=probs / probs.sum()))
+        pick, p, deviation = _draw(v, n, remaining, r2, eps_step, rng.random())
+        worst = max(worst, deviation)
         a, b = _pair(pick)
-        v = _collapse(v, r2, eps_step, a, b, probs[pick])
+        v = _collapse(v, r2, eps_step, a, b, p)
         remaining -= a + b
         r2 *= 1.0 - eps_step
-        records.append(StepRecord(step, (a, b), float(probs[pick])))
+        records.append(StepRecord(step, (a, b), p))
         if stop_after_detections is not None and 2 * n - remaining >= stop_after_detections:
             break
     totals = (
         sum(r.counts[0] for r in records),
         sum(r.counts[1] for r in records),
     )
-    traj = TrajectoryState(n, eps_step, v, remaining, r2, totals, len(records), worst_tail)
+    traj = TrajectoryState(n, eps_step, v, remaining, r2, totals, len(records), worst)
     return DetectionRecord(tuple(records), seed), traj
 
 
@@ -427,14 +441,14 @@ def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
     """
     v0 = _start(n, eps_step)
 
-    def walk(v, remaining, r2, outcomes, prob, worst_tail):
+    def walk(v, remaining, r2, outcomes, prob, worst):
         if len(outcomes) == depth:
             totals = (sum(o[0] for o in outcomes), sum(o[1] for o in outcomes))
             yield outcomes, prob, TrajectoryState(
-                n, eps_step, v, remaining, r2, totals, depth, worst_tail
+                n, eps_step, v, remaining, r2, totals, depth, worst
             )
             return
-        probs, tail = _step(v, n, remaining, r2, eps_step)
+        probs, deviation = _step(v, n, remaining, r2, eps_step)
         for index, p in enumerate(probs.tolist()):
             if prob * p < floor:
                 continue
@@ -445,7 +459,7 @@ def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
                 r2 * (1.0 - eps_step),
                 outcomes + ((a, b),),
                 prob * p,
-                max(worst_tail, tail),
+                max(worst, deviation),
             )
 
     yield from walk(v0, 2 * n, float(n), (), 1.0, 0.0)

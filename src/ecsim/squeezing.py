@@ -14,14 +14,12 @@ from .circle import ECSState, PairFactor, PhaseGrid, ecs_to_fock
 from .errors import SizingError, ValidationError
 from .fock import (
     BASIS_SIZE_CAP,
-    DensityMatrix,
     FockVector,
     ModeShape,
     default_cutoff,
     embed,
     fidelity,
     poisson_pmf,
-    reduced_density,
 )
 
 PUMP_ORACLE_CAP = 12
@@ -130,14 +128,6 @@ def pump_entangled_squeezed(n: int, zeta_t: complex, pair_cutoff: int | None = N
     chis = math.sqrt(n) * zeta_t * np.exp(1j * phis)
     shape = ModeShape((pump_cut, pair_cut, pair_cut))
     return ECSState((grid,), weight, (0,), amps, shape, (PairFactor((1, 2), chis),))
-
-
-def reduced_ab_density(state: FockVector) -> DensityMatrix:
-    """Trace the pump out of a three-mode state: the pair modes keep only
-    number-diagonal weights because the pump phase average kills coherences."""
-    if state.shape.mode_count != 3:
-        raise ValidationError("expected a pump + two-mode state")
-    return reduced_density(state.normalize(), keep=(1, 2))
 
 
 @dataclass(frozen=True)

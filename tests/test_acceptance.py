@@ -39,9 +39,9 @@ from ecsim.squeezing import (
     approximation_quality,
     pair_ladder_coefficients,
     pump_entangled_squeezed,
-    reduced_ab_density,
 )
 from ecsim.verify import check_commuting_diagram
+from fock_counts import reduced_ab_density
 
 
 def report(number: int, text: str) -> None:

@@ -88,6 +88,21 @@ class TestConfigValidation:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_trajectory_numerics_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        # step probabilities 1e-7 off their binomial shell weights
+        from ecsim import measurement
+
+        good = measurement._quadform
+        monkeypatch.setattr(measurement, "_quadform", lambda *args: good(*args) * (1.0 + 1e-7))
+        cfg = write_config(
+            tmp_path, {"experiment": "trajectory", "parameters": {"n": 20, "eps_step": 0.05, "steps": 200}}
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerics error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_output_path_that_is_a_file_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"experiment": "interfere", "parameters": VALID_PARAMETERS["interfere"]})
         assert main(["run", "--config", str(cfg), "--out", str(cfg)]) == 2

@@ -28,7 +28,7 @@ from ecsim.homodyne import (
     process_tomography_scan,
     quadrature_matrix,
 )
-from ecsim.measurement import joint_count_distribution
+from fock_counts import joint_count_distribution
 
 
 def split_common_source(n: int, theta: float, cutoff: int | None = None) -> FockVector:

@@ -10,7 +10,7 @@ import pytest
 from ecsim import coupler, measurement
 from ecsim.circle import peak_locations, profile_magnitude, width_fit
 from ecsim.coupler import CouplerParams, apply_coupler
-from ecsim.errors import SizingError, ValidationError
+from ecsim.errors import NumericsError, SizingError, ValidationError
 from ecsim.fock import (
     FockVector,
     ModeShape,
@@ -21,16 +21,16 @@ from ecsim.fock import (
     vacuum,
 )
 from ecsim.measurement import (
+    FRINGE_BRANCHES,
     TrajectoryState,
     exact_trajectory_branches,
     fringe_scan,
-    joint_count_distribution,
     project_counts,
     run_interference_trajectory,
-    total_number_distribution,
     trajectory_branches,
 )
 from ecsim.verify import check_trajectory_brute_force
+from fock_counts import joint_count_distribution, total_number_distribution
 
 
 class TestCountDistribution:
@@ -233,6 +233,102 @@ class TestTrajectory:
                 run_interference_trajectory(n, eps, 1, seed=0)
 
 
+def _choice_run(n, eps, steps, seed, stop_after_detections=None):
+    """The trajectory as a plain loop: every step enumerated in full by
+    `_step` and drawn by numpy's own `Generator.choice`. Returns the
+    (counts, probability) records and the final weight."""
+    v = measurement._start(n, eps)
+    rng = np.random.default_rng(seed)
+    remaining, r2, records = 2 * n, float(n), []
+    for _ in range(steps):
+        probs, _ = measurement._step(v, n, remaining, r2, eps)
+        pick = int(rng.choice(len(probs), p=probs / probs.sum()))
+        a, b = measurement._pair(pick)
+        v = measurement._collapse(v, r2, eps, a, b, probs[pick])
+        remaining -= a + b
+        r2 *= 1.0 - eps
+        records.append(((a, b), float(probs[pick])))
+        if stop_after_detections is not None and 2 * n - remaining >= stop_after_detections:
+            break
+    return records, v
+
+
+class TestStepSampler:
+    """The sampler reads shells only up to the drawn one, yet must draw
+    exactly what `Generator.choice` draws from the full enumeration."""
+
+    def assert_same_run(self, n, eps, steps, seed, stop_after_detections=None):
+        record, traj = run_interference_trajectory(n, eps, steps, seed, stop_after_detections)
+        records, weight = _choice_run(n, eps, steps, seed, stop_after_detections)
+        assert [(s.counts, s.probability) for s in record.steps] == records
+        assert traj.weight.tobytes() == weight.tobytes()
+        assert traj.overflow_bound < 1e-10
+        return len(records)
+
+    def test_choice_index_replays_generator_choice(self):
+        # a numpy release that changes how `choice` walks its cumulative sums
+        # fails here rather than silently changing every seeded run
+        draws = 0
+        for seed in range(5000):
+            shape_rng = np.random.default_rng(seed)
+            p = shape_rng.random(int(shape_rng.integers(1, 301))) ** shape_rng.uniform(1.0, 12.0)
+            p[shape_rng.random(p.size) < 0.1] = 0.0
+            if p.sum() == 0.0:
+                continue
+            ours, numpys = np.random.default_rng(seed + 10**6), np.random.default_rng(seed + 10**6)
+            for _ in range(4):
+                assert measurement._choice_index(p, ours.random()) == numpys.choice(p.size, p=p / p.sum())
+                draws += 1
+            assert ours.random() == numpys.random()
+        assert draws >= 19000
+
+    def test_criterion_six_seeds_match_full_enumeration(self):
+        # criterion 6's runs, whose configuration the benchmark's shallow runs share
+        for seed in range(100):
+            self.assert_same_run(20, 0.05, 200, seed)
+
+    def test_deep_bench_config_matches_full_enumeration(self):
+        for seed in (0, 1, 7, 2024):
+            self.assert_same_run(64, 0.03, 400, seed, stop_after_detections=100)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.4])
+    def test_coarse_steps_match_full_enumeration(self, eps):
+        for n, seed in [(3, 1), (8, 2), (30, 3)]:
+            self.assert_same_run(n, eps, 40, seed)
+
+    def test_large_n_matches_full_enumeration(self):
+        self.assert_same_run(2000, 0.01, 5, seed=0)
+
+    def test_forced_fallback_matches_full_enumeration(self, monkeypatch):
+        # a margin wider than the unit interval sends every step to the full
+        # enumeration and `_choice_index`
+        replay, replays = measurement._choice_index, []
+        monkeypatch.setattr(measurement, "DRAW_MARGIN", 2.0)
+        monkeypatch.setattr(measurement, "_choice_index", lambda p, u: replays.append(u) or replay(p, u))
+        executed = sum(
+            self.assert_same_run(n, eps, steps, seed, stop)
+            for n, eps, steps, seed, stop in [(20, 0.05, 200, 5, None), (64, 0.03, 400, 3, 100), (8, 0.4, 20, 2, None)]
+        )
+        assert len(replays) == executed > 200
+
+    def test_scaled_probabilities_raise(self, monkeypatch):
+        # probabilities 1e-7 too large still leave no unenumerated tail; the
+        # per-shell binomial check catches them
+        good = measurement._quadform
+        monkeypatch.setattr(measurement, "_quadform", lambda *args: good(*args) * (1.0 + 1e-7))
+        with pytest.raises(NumericsError, match="binomial weight"):
+            run_interference_trajectory(20, 0.05, 200, seed=0)
+
+    def test_lost_precision_raises(self):
+        # at a mean count of 120 per step the deep shells' rounding swamps
+        # them: the first step's probabilities sum to 1.15, which a check on
+        # the leftover mass alone passes
+        with pytest.raises(NumericsError, match="binomial weight"):
+            run_interference_trajectory(200, 0.3, 5, seed=0)
+        with pytest.raises(NumericsError, match="binomial weight"):
+            list(trajectory_branches(200, 0.3, 1, floor=1e-6))
+
+
 class TestBruteForceEquivalence:
     @pytest.mark.parametrize("n,eps", [(1, 0.5), (2, 0.4), (3, 0.35)])
     def test_phase_matches_fock_over_branches(self, n, eps):
@@ -426,6 +522,20 @@ class TestFringeScan:
         )
         scan = fringe_scan(traj, np.linspace(0, 2 * math.pi, 64), branch="positive")
         assert scan.visibility >= 0.9
+
+    def test_every_photon_detected(self):
+        # the run counts all four photons: the cavities are left in |0, 0>
+        # and the detector sees exactly nothing on either branch (the grid
+        # reference of the next test is pure rounding noise here)
+        record, traj = run_interference_trajectory(2, 0.9, 20, seed=3)
+        assert record.totals == (4, 0) and traj.remaining == 0
+        gammas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
+        for branch in FRINGE_BRANCHES:
+            scan = fringe_scan(traj, gammas, branch=branch)
+            assert np.all(scan.intensity == 0.0) and scan.visibility == 0.0
+        state = traj.cavity_state()
+        assert state.norm2 == pytest.approx(1.0, abs=1e-15)
+        assert abs(state.amplitudes[0, 0]) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("n,eps,steps,seed", [(8, 0.2, 10, 21), (12, 0.05, 15, 4), (12, 0.1, 12, 4), (6, 0.3, 0, 2)])
     def test_positive_branch_matches_grid_reference(self, n, eps, steps, seed):

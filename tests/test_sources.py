@@ -16,7 +16,6 @@ from ecsim.fock import (
     twirl,
 )
 from ecsim.circle import ECSState, PhaseGrid, ecs_to_fock
-from ecsim.measurement import total_number_distribution
 from ecsim.sources import (
     LaserSpec,
     PhaseWalkSpec,
@@ -25,6 +24,7 @@ from ecsim.sources import (
     multimode_output_coherent,
     phase_walk_correlation,
 )
+from fock_counts import total_number_distribution
 
 
 def multimode_output_number(m: int, n_modes: int) -> ECSState:

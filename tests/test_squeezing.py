@@ -6,16 +6,15 @@ import pytest
 from ecsim.circle import ecs_to_fock
 from ecsim.errors import SizingError, ValidationError
 from ecsim.fock import basis_state, fidelity, twirl
-from ecsim.measurement import joint_count_distribution, total_number_distribution
 from ecsim.squeezing import (
     approximation_quality,
     exact_three_mode_evolution,
     pair_ladder_coefficients,
     pump_entangled_squeezed,
-    reduced_ab_density,
     required_pair_cutoff,
     two_mode_squeezed_vac,
 )
+from fock_counts import joint_count_distribution, reduced_ab_density, total_number_distribution
 
 
 def taylor_pair_state(chi: complex, cutoff: int, order: int = 60) -> np.ndarray:
