@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coupler as _coupler
 from .errors import ValidationError
-from .fock import FockVector, ModeShape, coherent_log_amplitudes, poisson_pmf
+from .fock import FockVector, ModeShape, check_cells, coherent_log_amplitudes, poisson_pmf, zeros
 
 DEFAULT_GRID_FACTOR = 4  # default M = 4*cutoff + 4, above the 2*cutoff+1 bound
 # complex cells (16 MiB) per block of the grid tables and sector products, so
@@ -179,7 +179,7 @@ def _pair_block(chis: np.ndarray, ci: int, cj: int) -> np.ndarray:
     """
     chis = np.asarray(chis, dtype=np.complex128).ravel()
     kmax = min(ci, cj)
-    out = np.zeros((chis.size, ci + 1, cj + 1), dtype=np.complex128)
+    out = zeros((chis.size, ci + 1, cj + 1))
     mag = np.abs(chis)
     k = np.arange(kmax + 1)
     for p, (r, chi) in enumerate(zip(mag, chis)):
@@ -210,6 +210,7 @@ def _quadrature_inputs(ecs: ECSState, shape: ModeShape) -> tuple[np.ndarray, np.
     modes = len(ecs.coherent_modes)
     cut = max((shape.cutoffs[mode] for mode in ecs.coherent_modes), default=0)
     alphas = ecs.amplitudes.reshape(P * modes)
+    check_cells(P * modes * (cut + 1), f"circle tables ({P} points, {modes} modes, cutoff {cut})")
     tables = np.empty((P * modes, cut + 1), dtype=np.complex128)
     step = max(1, BLOCK_CELLS // (cut + 1))
     for start in range(0, len(alphas), step):
@@ -248,6 +249,7 @@ def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
         cost = max(left, right)
         if best is None or cost < best:
             best, split = cost, s
+    check_cells(max(shape.size, P * best), f"synthesis of {shape.dims} on {P} points")  # output, widest fold
     def fold(parts: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
         acc = seed
         for t in parts:
@@ -327,6 +329,7 @@ def conditional_weight(A: int, B: int, eps: float, n: int, grid: PhaseGrid | int
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     if isinstance(grid, int):
         grid = PhaseGrid(grid)
+    check_cells(grid.size**2, f"weight table on a {grid.size}-point grid")
     phis = grid.points
     e1 = np.exp(1j * phis)[:, None]
     e2 = np.exp(1j * phis)[None, :]

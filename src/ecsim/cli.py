@@ -48,7 +48,7 @@ class Experiment:
     schema: dict[str, tuple[type, Any]]
     runner: Callable[[dict, int, Path], list[str]]
     # range checks on the typed parameters, run before any output exists
-    check: Callable[[dict], None] | None = None
+    check: Callable[[dict], None]
 
 
 def _write_csv(path: Path, header: list[str], rows, meta: dict) -> None:
@@ -442,8 +442,7 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
             raise ConfigError(f"missing required parameter {key} for {name}")
         else:
             params[key] = default
-    if exp.check is not None:
-        exp.check(params)
+    exp.check(params)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")

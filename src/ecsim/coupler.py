@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SizingError, ValidationError
-from .fock import BASIS_SIZE_CAP, FockVector, ModeShape, tensor, vacuum
+from .fock import FockVector, ModeShape, tensor, vacuum
 
 BLOCK_PHOTON_CAP = 4096
 
@@ -184,10 +184,7 @@ def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
     """Sector unitary by exponentiating the sector Hamiltonian (test oracle)."""
     from scipy.linalg import expm  # only the oracle needs scipy
 
-    if N < 0:
-        raise ValidationError("photon number must be nonnegative")
-    if N > BLOCK_PHOTON_CAP:
-        raise SizingError(f"sector photon number {N} exceeds cap {BLOCK_PHOTON_CAP}")
+    _check_sector(N)
     if N == 0:
         return BlockUnitary(0, np.ones((1, 1), dtype=np.complex128))
     G = np.zeros((N + 1, N + 1), dtype=np.complex128)
@@ -273,10 +270,6 @@ def equal_multimode_split(state: FockVector, n_out: int) -> FockVector:
         raise ValidationError("n_out must be >= 1")
     if state.shape.mode_count == 1:
         cutoff = state.shape.cutoffs[0]
-        if (cutoff + 1) ** n_out > BASIS_SIZE_CAP:
-            raise SizingError(
-                f"splitting to {n_out} modes at cutoff {cutoff} exceeds the basis cap"
-            )
         full = state
         for _ in range(n_out - 1):
             full = tensor(full, vacuum(ModeShape((cutoff,))))

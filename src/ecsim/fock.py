@@ -5,6 +5,11 @@ builds on.
 All values are immutable after construction and every operation is a pure
 function of its inputs, so objects can be shared freely across threads.
 Amplitudes are stored row-major over the occupation tuple (n_1, ..., n_K).
+
+The package's one size rule is `check_cells`: no array whose size depends on
+the input exceeds BASIS_SIZE_CAP cells. Each such allocation passes the cells
+it takes, before taking them, directly or through `zeros`. A `ModeShape` only
+describes a basis, so a sector route is sized by its sector, not (cutoff + 1)^N.
 """
 
 from __future__ import annotations
@@ -20,12 +25,22 @@ import numpy as np
 
 from .errors import SizingError, ValidationError
 
-# Hard cap on the number of stored amplitudes of any state vector; density
-# matrices are capped so their entry count stays under the same bound.
+# cells of the largest array the package allocates for any input
 BASIS_SIZE_CAP = 2**24
-DENSITY_DIM_CAP = 2**12
 # largest log-factorial table kept in memory (8 MiB)
 LOG_FACTORIAL_TABLE_CAP = 2**20
+
+
+def check_cells(cells: int, what: str = "array") -> None:
+    """Raise SizingError if an array of `cells` entries would exceed BASIS_SIZE_CAP."""
+    if cells > BASIS_SIZE_CAP:
+        raise SizingError(f"{what}: {cells} cells exceed the cap of {BASIS_SIZE_CAP}")
+
+
+def zeros(dims: tuple[int, ...]) -> np.ndarray:
+    """Complex zeros of shape `dims`, once `check_cells` has admitted them."""
+    check_cells(math.prod(dims), f"array {tuple(dims)}")
+    return np.zeros(dims, dtype=np.complex128)
 
 
 def default_cutoff(nbar: float) -> int:
@@ -55,11 +70,6 @@ class ModeShape:
         dims = tuple(c + 1 for c in cutoffs)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "size", math.prod(dims))
-        if self.size > BASIS_SIZE_CAP:
-            raise SizingError(
-                f"basis size {self.size} exceeds cap {BASIS_SIZE_CAP}; "
-                f"reduce cutoffs or mode count (dims={dims})"
-            )
 
     @classmethod
     def uniform(cls, mode_count: int, cutoff: int) -> "ModeShape":
@@ -94,6 +104,7 @@ def sector_occupations(mode_count: int, total: int) -> np.ndarray:
         raise ValidationError("mode_count must be >= 1")
     if total < 0:
         raise ValidationError("photon number must be nonnegative")
+    check_cells(math.comb(total + mode_count - 1, total) * mode_count, f"{total}-photon sector of {mode_count} modes")
     slots = total + mode_count - 1
     placements = list(combinations(range(slots), mode_count - 1))
     bars = np.array(placements, dtype=np.int64).reshape(len(placements), mode_count - 1)
@@ -138,7 +149,7 @@ class FockVector:
 
 
 def vacuum(shape: ModeShape) -> FockVector:
-    amps = np.zeros(shape.dims, dtype=np.complex128)
+    amps = zeros(shape.dims)
     amps[(0,) * shape.mode_count] = 1.0
     return FockVector(shape, amps)
 
@@ -149,7 +160,7 @@ def basis_state(shape: ModeShape, occupation: Sequence[int]) -> FockVector:
         raise ValidationError("occupation length does not match mode count")
     if any(n < 0 or n > c for n, c in zip(occ, shape.cutoffs)):
         raise ValidationError(f"occupation {occ} outside cutoffs {shape.cutoffs}")
-    amps = np.zeros(shape.dims, dtype=np.complex128)
+    amps = zeros(shape.dims)
     amps[occ] = 1.0
     return FockVector(shape, amps)
 
@@ -253,6 +264,7 @@ def phase_shift(state: FockVector, mode: int, delta: float) -> FockVector:
 
 def tensor(a: FockVector, b: FockVector) -> FockVector:
     shape = ModeShape(a.shape.cutoffs + b.shape.cutoffs)
+    check_cells(shape.size, f"product state {shape.dims}")
     return FockVector(shape, np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
@@ -278,7 +290,7 @@ def embed(state: FockVector, shape: ModeShape) -> FockVector:
         raise ValidationError("embed requires equal mode counts")
     if any(cn < co for cn, co in zip(shape.cutoffs, state.shape.cutoffs)):
         raise ValidationError("target cutoffs must dominate the source cutoffs")
-    amps = np.zeros(shape.dims, dtype=np.complex128)
+    amps = zeros(shape.dims)
     amps[tuple(slice(0, d) for d in state.shape.dims)] = state.amplitudes
     return FockVector(shape, amps)
 
@@ -291,10 +303,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.shape.size > DENSITY_DIM_CAP:
-            raise SizingError(
-                f"density matrix dimension {self.shape.size} exceeds cap {DENSITY_DIM_CAP}"
-            )
+        check_cells(self.shape.size**2, f"density matrix of dimension {self.shape.size}")
         ent = np.asarray(self.entries, dtype=np.complex128)
         if ent.shape != (self.shape.size, self.shape.size):
             raise ValidationError("entries must be a square matrix over the flattened basis")
@@ -310,6 +319,7 @@ class DensityMatrix:
 
 def to_density(state: FockVector) -> DensityMatrix:
     vec = state.amplitudes.ravel()
+    check_cells(vec.size**2, f"density matrix of dimension {vec.size}")
     return DensityMatrix(state.shape, np.outer(vec, vec.conj()))
 
 
@@ -327,6 +337,7 @@ def reduced_density(state: FockVector, keep: Sequence[int]) -> DensityMatrix:
     psi = np.moveaxis(state.amplitudes, keep + drop, range(K))
     kdims = tuple(state.shape.dims[m] for m in keep)
     psi = psi.reshape(int(np.prod(kdims)), -1)
+    check_cells(len(psi) ** 2, f"density matrix of dimension {len(psi)}")
     rho = psi @ psi.conj().T
     return DensityMatrix(ModeShape(tuple(state.shape.cutoffs[m] for m in keep)), rho)
 
@@ -375,6 +386,7 @@ class NumberDiagonalDensity:
         object.__setattr__(self, "weights", _readonly(np.clip(w, 0.0, None)))
 
     def to_density(self) -> DensityMatrix:
+        check_cells(self.shape.size**2, f"density matrix of dimension {self.shape.size}")
         return DensityMatrix(self.shape, np.diag(self.weights.ravel()).astype(np.complex128))
 
     @classmethod
@@ -387,7 +399,7 @@ class NumberDiagonalDensity:
 
 def lowering_matrix(cutoff: int) -> np.ndarray:
     """Single-mode annihilation operator on the truncated space."""
-    a = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    a = zeros((cutoff + 1, cutoff + 1))
     n = np.arange(1, cutoff + 1)
     a[n - 1, n] = np.sqrt(n)
     return a
@@ -423,19 +435,23 @@ def to_json_dict(obj) -> dict:
 
 
 def from_json_dict(payload: dict):
-    kind = payload.get("kind")
+    if not {"kind", "shape", "data"} <= payload.keys():
+        raise ValidationError(f"serialized state needs kind, shape and data, got {sorted(payload)}")
+    kind, data = payload["kind"], payload["data"]
     shape = ModeShape(tuple(int(c) for c in payload["shape"]))
-    data = payload["data"]
-    if kind == "number_diagonal":
-        w = np.array([float(x) for x in data]).reshape(shape.dims)
-        return NumberDiagonalDensity(shape, w)
+    # real numbers the envelope must hold: complex data is interleaved re/im
+    numbers = {"number_diagonal": shape.size, "fock_vector": 2 * shape.size, "density_matrix": 2 * shape.size**2}
+    if kind not in numbers:
+        raise ValidationError(f"unknown serialized kind {kind!r}")
+    if len(data) != numbers[kind]:
+        raise ValidationError(f"{kind} of cutoffs {shape.cutoffs} needs {numbers[kind]} numbers, got {len(data)}")
     vals = np.array([float(x) for x in data])
+    if kind == "number_diagonal":
+        return NumberDiagonalDensity(shape, vals.reshape(shape.dims))
     cplx = vals[0::2] + 1j * vals[1::2]
     if kind == "fock_vector":
         return FockVector(shape, cplx.reshape(shape.dims))
-    if kind == "density_matrix":
-        return DensityMatrix(shape, cplx.reshape(shape.size, shape.size))
-    raise ValidationError(f"unknown serialized kind {kind!r}")
+    return DensityMatrix(shape, cplx.reshape(shape.size, shape.size))
 
 
 def dumps(obj) -> str:

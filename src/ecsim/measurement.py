@@ -48,7 +48,7 @@ from numpy.random import default_rng
 
 from .coupler import CouplerParams, apply_coupler
 from .errors import NumericsError, SizingError, ValidationError
-from .fock import FockVector, ModeShape, basis_state, poisson_pmf, tensor, vacuum
+from .fock import FockVector, ModeShape, basis_state, check_cells, poisson_pmf, tensor, vacuum, zeros
 
 RNG_NAME = "numpy-pcg64"
 STEP_TAIL_TOLERANCE = 1e-10
@@ -349,6 +349,7 @@ class TrajectoryState:
         M = grid_points or max(64, 4 * n + 4)
         if M < 2 * n + 1:
             raise ValidationError(f"grid must resolve frequencies up to {n}; need M >= {2*n+1}")
+        check_cells(M * M, f"weight table on a {M}-point grid")
         h = _psi_samples(self.weight, n, M)
         l = np.arange(M)
         phase_b = np.exp(-2j * math.pi * ((self.remaining * l) % M) / M)  # e^{-i D phi'}
@@ -384,7 +385,7 @@ class TrajectoryState:
         n, D = self.n, self.remaining
         cut = n if cutoff is None else min(cutoff, n)
         k = np.arange(max(0, D - cut), min(D, cut) + 1)
-        amps = np.zeros((cut + 1, cut + 1), dtype=np.complex128)
+        amps = zeros((cut + 1, cut + 1))
         # k and D - k run over the same range, reversed
         table = poisson_pmf(D / 2.0, k)
         radial = np.sqrt(table * table[::-1])

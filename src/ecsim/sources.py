@@ -17,17 +17,18 @@ from numpy.random import default_rng
 
 from .circle import ECSState, PhaseGrid, ecs_sector_amplitudes
 from .coupler import equal_multimode_split
-from .errors import SizingError, ValidationError
+from .errors import ValidationError
 from .fock import (
-    BASIS_SIZE_CAP,
     FockVector,
     ModeShape,
     NumberDiagonalDensity,
     basis_state,
+    check_cells,
     coherent_log_amplitudes,
     poisson_pmf,
     poisson_tail,
     sector_occupations,
+    zeros,
 )
 
 
@@ -66,10 +67,6 @@ class PhaseWalkSpec:
             raise ValidationError("mode_count must be >= 1")
         if self.photon_number < 0:
             raise ValidationError("photon_number must be nonnegative")
-        if (self.photon_number + 1) ** self.mode_count > BASIS_SIZE_CAP:
-            raise SizingError(
-                f"{self.mode_count} modes at cutoff {self.photon_number} exceed the basis cap"
-            )
 
 
 def laser_density(spec: LaserSpec) -> NumberDiagonalDensity:
@@ -83,8 +80,7 @@ def multimode_output_coherent(nbar: float, phi: float, n_modes: int, cutoff: int
     """Product of n_modes coherent states with amplitude sqrt(nbar/n_modes) e^{i phi}."""
     if nbar < 0:
         raise ValidationError("nbar must be nonnegative")
-    if (cutoff + 1) ** n_modes > BASIS_SIZE_CAP:
-        raise SizingError("multimode product exceeds the basis cap")
+    check_cells((cutoff + 1) ** n_modes, f"product of {n_modes} coherent modes at cutoff {cutoff}")
     alpha = math.sqrt(nbar / n_modes) * np.exp(1j * phi)
     row = coherent_log_amplitudes(np.array([alpha]), cutoff)[0]
     amps = row
@@ -124,16 +120,16 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
     """
     if nbar < 0:
         raise ValidationError("nbar must be nonnegative")
-    shape = ModeShape.uniform(n_modes, cutoff)
     m_max = cutoff
+    # exact phase average needs the grid to resolve all total-number coherences
+    M = 2 * n_modes * cutoff + 3
+    check_cells((cutoff + 1 + M) * (cutoff + 1) ** n_modes, "stacked number and coherent vectors")
     number_vecs = []
     number_weights = []
     for m in range(m_max + 1):
         split = equal_multimode_split(basis_state(ModeShape((cutoff,)), (m,)), n_modes)
         number_vecs.append(split.amplitudes.ravel())
         number_weights.append(poisson_pmf(nbar, m))
-    # exact phase average needs the grid to resolve all total-number coherences
-    M = 2 * n_modes * cutoff + 3
     coherent_vecs = []
     for phi in 2.0 * math.pi * np.arange(M) / M:
         coherent_vecs.append(multimode_output_coherent(nbar, phi, n_modes, cutoff).amplitudes.ravel())
@@ -204,7 +200,7 @@ def phase_walk_correlation(
     sector = sector_occupations(N, m)
     below = sector_occupations(N, m - 1) if m > 0 else np.zeros((0, N), dtype=np.int64)
     rows, scale = _lowering_maps(sector, below)
-    samples = np.zeros((realizations, len(pairs)), dtype=np.complex128)
+    samples = zeros((realizations, len(pairs)))
     for r in range(realizations):
         walk = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), N - 1))])
         amps = base_amp * np.exp(1j * (phis[:, None] + walk[None, :]))

@@ -115,8 +115,9 @@ def check_commuting_diagram(
     them per coupler."""
     worst = 0.0
     params = [CouplerParams(theta, phi) for theta in thetas for phi in phis]
-    for n in range(n_max + 1):
-        for nprime in {0, n}:
+    # largest case first, so a sweep too large for the size cap is refused at once
+    for n in range(n_max, -1, -1):
+        for nprime in sorted({0, n}, reverse=True):
             cut = max(n + nprime, 1)
             ecs = two_mode_circle(n, nprime, cutoffs=(cut, cut))
             reference = ecs_to_fock(ecs)

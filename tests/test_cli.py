@@ -68,15 +68,19 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {})
         assert main(["run", "--config", str(cfg)]) == 2
 
-    def test_sizing_error_exit_code(self, tmp_path):
+    def test_sizing_error_exit_code(self, tmp_path, capsys):
+        # one mode at 20000 photons needs 0.8e9 cells of circle tables
         cfg = write_config(
             tmp_path,
             {
                 "experiment": "phase-walk",
-                "parameters": {"step_variance": 0.1, "modes": 20, "photons": 6, "realizations": 1},
+                "parameters": {"step_variance": 0.1, "modes": 1, "photons": 20000, "realizations": 1},
             },
         )
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_run_time_failure_leaves_no_output(self, tmp_path, capsys):
         # the shell-size cap is only hit while the trajectory runs
@@ -143,6 +147,9 @@ class TestConfigValidation:
             ({"experiment": "ecs-verify", "thetas": []}, "thetas"),
             ({"experiment": "ecs-verify", "phis": []}, "phis"),
             ({"experiment": "phase-walk", "photons": 0}, "photons"),
+            ({"experiment": "laser-equivalence", "modes": 1, "cutoff": 4000, "exit": 3}, "cap"),
+            ({"experiment": "squeeze", "pumps": [100000], "exit": 3}, "capped"),
+            ({"experiment": "ecs-verify", "n_max": 100, "exit": 3}, "cap"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):

@@ -101,7 +101,7 @@ class TestModeShape:
 
     def test_size_cap_enforced(self):
         with pytest.raises(SizingError):
-            ModeShape.uniform(9, 7)  # 8^9 > 2^24
+            vacuum(ModeShape.uniform(9, 7))  # 8^9 > 2^24
 
     @pytest.mark.parametrize("modes,total", [(1, 0), (1, 3), (3, 0), (3, 2), (4, 3), (11, 2)])
     def test_sector_occupations_list_the_sector(self, modes, total):
@@ -398,3 +398,26 @@ class TestSerialization:
     def test_dumps_is_deterministic(self):
         st = coherent_amplitudes(0.3 + 0.1j, 6)
         assert fock.dumps(st) == fock.dumps(coherent_amplitudes(0.3 + 0.1j, 6))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"kind": None},
+            {"shape": None},
+            {"data": None},
+            {"data": ["0.5"] * 5},
+            {"kind": "density_matrix"},
+            {"kind": "number_diagonal"},
+            {"shape": [2**20] * 4},
+        ],
+        ids=[
+            "no-kind", "no-shape", "no-data", "short-data",
+            "vector-data-as-density", "complex-data-as-weights", "huge-shape",
+        ],
+    )
+    def test_malformed_envelope_rejected(self, edit):
+        # a None value drops the key; every other case mismatches data and shape
+        payload = {**fock.to_json_dict(vacuum(ModeShape((1, 1)))), **edit}
+        payload = {key: value for key, value in payload.items() if value is not None}
+        with pytest.raises(ValidationError):
+            fock.from_json_dict(payload)

@@ -6,7 +6,9 @@ import pytest
 from ecsim.circle import ecs_to_fock
 from ecsim.errors import SizingError, ValidationError
 from ecsim.fock import basis_state, fidelity, twirl
+from ecsim import squeezing
 from ecsim.squeezing import (
+    PUMP_ORACLE_CAP,
     approximation_quality,
     exact_three_mode_evolution,
     pair_ladder_coefficients,
@@ -104,6 +106,15 @@ class TestExactThreeMode:
     def test_pump_cap(self):
         with pytest.raises(SizingError):
             exact_three_mode_evolution(40, 0.1)
+
+    def test_pump_cap_refused_before_synthesis(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("synthesis ran")
+
+        monkeypatch.setattr(squeezing, "pump_entangled_squeezed", refuse)
+        monkeypatch.setattr(squeezing, "ecs_to_fock", refuse)
+        with pytest.raises(SizingError):
+            approximation_quality([PUMP_ORACLE_CAP + 1], 0.2)
 
 
 class TestPumpEntangled:
