@@ -143,10 +143,10 @@ def two_mode_circle(n: int, n_prime: int, cutoffs: int | tuple[int, int] | None 
     if c1 < n or c2 < n_prime:
         raise ValidationError("cutoffs below the represented photon numbers")
     g1, g2 = PhaseGrid.for_cutoff(c1), PhaseGrid.for_cutoff(c2)
+    amps = zeros((g1.size, g2.size, 2))  # the largest array here, so sized first
     p1, p2 = g1.points, g2.points
     norm = math.sqrt(poisson_pmf(float(n), n) * poisson_pmf(float(n_prime), n_prime))
     weight = np.exp(-1j * n * p1)[:, None] * np.exp(-1j * n_prime * p2)[None, :] / norm
-    amps = np.zeros((g1.size, g2.size, 2), dtype=np.complex128)
     amps[:, :, 0] = math.sqrt(n) * np.exp(1j * p1)[:, None]
     amps[:, :, 1] = math.sqrt(n_prime) * np.exp(1j * p2)[None, :]
     return ECSState((g1, g2), weight, (0, 1), amps, ModeShape((c1, c2)))
@@ -353,6 +353,7 @@ def conditional_weight(A: int, B: int, eps: float, n: int, grid: PhaseGrid | int
 
 def delta_profile(weight: ConditionalWeight, points: int = 1024) -> tuple[np.ndarray, np.ndarray]:
     """Normalized |C| as a function of the half difference Delta in (-pi/2, pi/2]."""
+    check_cells(points, f"profile of {points} points")
     deltas = -math.pi / 2 + math.pi * (np.arange(points) + 0.5) / points
     mag = profile_magnitude(weight.A, weight.B, deltas)
     return deltas, mag

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .circle import conditional_weight, delta_profile, peak_locations, width_fit
 from .errors import ConfigError, NumericsError, SizingError, ValidationError
-from .fock import _fmt, to_json_dict
+from .fock import _fmt, check_cells, to_json_dict
 from .homodyne import HomodyneConfig, PhaseShiftProcess, process_tomography_scan
 from .measurement import FRINGE_BRANCHES, fringe_scan, run_interference_trajectory
 from .sources import PhaseWalkSpec, decomposition_equivalence_check, phase_walk_correlation
@@ -52,17 +52,18 @@ class Experiment:
 
 
 def _write_csv(path: Path, header: list[str], rows, meta: dict) -> None:
-    lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_fmt(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    # written row by row: a phase walk over N modes reports N^2 rows
+    with path.open("w") as f:
+        f.writelines(f"# {k}={v}\n" for k, v in sorted(meta.items()))
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            cells = []
+            for cell in row:
+                if isinstance(cell, float):
+                    cells.append(_fmt(cell))
+                else:
+                    cells.append(str(cell))
+            f.write(",".join(cells) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -128,6 +129,7 @@ def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
         summary["width_sigma"] = fit.sigma
     artifacts = ["results.csv", "results.json"]
     if p["fringe"]:
+        check_cells(p["fringe_points"], f"fringe scan of {p['fringe_points']} points")
         gammas = 2.0 * math.pi * np.arange(p["fringe_points"]) / p["fringe_points"]
         scan = fringe_scan(traj, gammas, branch=p["fringe_branch"])
         _write_csv(out / "fringe.csv", ["gamma", "intensity"],
@@ -206,7 +208,8 @@ def _run_phase_walk(p: dict, seed: int, out: Path) -> list[str]:
         pairs = [(0, lag) for lag in p["lags"]] + [(0, 0)]
     res = phase_walk_correlation(spec, p["realizations"], pairs=pairs)
     meta = {"config_sha256": p["_hash"], "seed": seed}
-    rows = [r for r in res.to_csv_rows() if pairs is None or (r[0], r[1]) in set(pairs)]
+    wanted = None if pairs is None else set(pairs)
+    rows = (r for r in res.to_csv_rows() if wanted is None or (r[0], r[1]) in wanted)
     _write_csv(out / "results.csv", ["k", "l", "re", "im", "abs", "stderr"], rows, meta)
     summary = {
         "config_sha256": p["_hash"],
@@ -236,6 +239,7 @@ def _check_homodyne(p: dict) -> None:
 def _run_homodyne(p: dict, seed: int, out: Path) -> list[str]:
     theta = p["theta"] if p["theta"] is not None else math.acos(0.95)
     config = HomodyneConfig(p["n"], PhaseShiftProcess(p["offset"]), theta)
+    check_cells(p["points"], f"tomography scan of {p['points']} points")
     gammas = 2.0 * math.pi * np.arange(p["points"]) / p["points"]
     scan = process_tomography_scan(config, gammas)
     meta = {"config_sha256": p["_hash"], "seed": seed}

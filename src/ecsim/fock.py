@@ -34,7 +34,9 @@ LOG_FACTORIAL_TABLE_CAP = 2**20
 def check_cells(cells: int, what: str = "array") -> None:
     """Raise SizingError if an array of `cells` entries would exceed BASIS_SIZE_CAP."""
     if cells > BASIS_SIZE_CAP:
-        raise SizingError(f"{what}: {cells} cells exceed the cap of {BASIS_SIZE_CAP}")
+        # counts such as 2^(10^6) have too many digits to print
+        count = cells if cells < 2**64 else f"over 2^{int(cells).bit_length() - 1}"
+        raise SizingError(f"{what}: {count} cells exceed the cap of {BASIS_SIZE_CAP}")
 
 
 def zeros(dims: tuple[int, ...]) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coupler import CouplerParams, apply_sector
 from .errors import ValidationError
-from .fock import lowering_matrix
+from .fock import check_cells, lowering_matrix
 
 SPLITTER_PHASE = -math.pi / 2
 DEFAULT_THETA = math.acos(0.95)  # local oscillator keeps ~90% of the photons
@@ -82,6 +82,7 @@ def homodyne_difference_stats(config: HomodyneConfig) -> DifferenceStats:
     so the bins of the other parity than n hold zero.
     """
     n = config.source_photons
+    check_cells(n + 1, "homodyne source vector")  # a static message: this runs once per scan point
     k = np.arange(n + 1)
     source = np.zeros(n + 1, dtype=np.complex128)
     source[n] = 1.0

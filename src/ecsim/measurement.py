@@ -367,6 +367,7 @@ class TrajectoryState:
         """
         if points < 1:
             raise ValidationError(f"points must be positive, got {points}")
+        check_cells(points, f"profile of {points} points")
         deltas = -math.pi / 2 + math.pi * (np.arange(points) + 0.5) / points
         m = np.arange(self.weight.size)
         g = self.weight * (1 - 2 * (m & 1)) * np.exp(1j * math.pi * (m % (2 * points)) / points)

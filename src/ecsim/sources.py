@@ -150,11 +150,9 @@ class PhaseWalkResult:
     realizations: int
 
     def to_csv_rows(self):
-        rows = []
         for k in range(self.g1.shape[0]):
             for l in range(self.g1.shape[1]):
-                rows.append((k, l, self.g1[k, l].real, self.g1[k, l].imag, abs(self.g1[k, l]), self.stderr[k, l]))
-        return rows
+                yield (k, l, self.g1[k, l].real, self.g1[k, l].imag, abs(self.g1[k, l]), self.stderr[k, l])
 
 
 def _lowering_maps(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +183,13 @@ def phase_walk_correlation(
     if realizations < 1:
         raise ValidationError("need at least one realization")
     N, m = spec.mode_count, spec.photon_number
+    # sized before the grid, the sectors and the pair indices are built: the
+    # circle tables, (2m + 1) points x N modes x (m + 1), then g1 and samples
+    check_cells((2 * m + 1) * N * (m + 1), f"circle tables of {N} modes at {m} photons")
+    g1 = zeros((N, N))
+    samples = zeros((realizations, N * N if pairs is None else len(pairs)))
     rng = default_rng(spec.seed)
-    if pairs is None:
-        pairs = [(k, l) for k in range(N) for l in range(N)]
-    ks, ls = np.array(pairs, dtype=int).reshape(-1, 2).T
+    ks, ls = np.divmod(np.arange(N * N), N) if pairs is None else np.array(pairs, dtype=int).reshape(-1, 2).T
     # at the sector tuples the weight e^{-i m phi} cancels the phase of every
     # term, so the integrand is constant in phi and the smallest grid the
     # alias check accepts is exact
@@ -200,7 +201,6 @@ def phase_walk_correlation(
     sector = sector_occupations(N, m)
     below = sector_occupations(N, m - 1) if m > 0 else np.zeros((0, N), dtype=np.int64)
     rows, scale = _lowering_maps(sector, below)
-    samples = zeros((realizations, len(pairs)))
     for r in range(realizations):
         walk = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), N - 1))])
         amps = base_amp * np.exp(1j * (phis[:, None] + walk[None, :]))
@@ -210,9 +210,8 @@ def phase_walk_correlation(
         occupancy = corr.diagonal().real
         denom = np.sqrt(occupancy[ks] * occupancy[ls])
         np.divide(corr[ks, ls], denom, out=samples[r], where=denom > 0)
-    g1 = np.zeros((N, N), dtype=np.complex128)
     stderr = np.zeros((N, N))
-    for (k, l), vals in zip(pairs, samples.T):
+    for k, l, vals in zip(ks, ls, samples.T):
         mean = vals.mean()
         g1[k, l] = mean
         if realizations > 1:

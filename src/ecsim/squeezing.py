@@ -93,7 +93,9 @@ def exact_three_mode_evolution(pump_n: int, zeta_t: complex, cutoff: int | None 
             G[k + 1, k] = -zeta_t * math.sqrt(pump_n - k) * (k + 1)
         if k - 1 >= 0:
             G[k - 1, k] = np.conj(zeta_t) * math.sqrt(pump_n - k + 1) * k
-    sector = expm(G)[:, 0]
+    vec = np.zeros(pump_n + 1, dtype=np.complex128)
+    vec[0] = 1.0
+    sector = expm(G) @ vec
     shape = ModeShape((pump_n, pair_cut, pair_cut))
     amps = zeros(shape.dims)
     for k in range(pair_cut + 1):
@@ -147,7 +149,13 @@ def approximation_quality(
         ecs = pump_entangled_squeezed(n, zeta, pair_cutoff)
         synth = ecs_to_fock(ecs)
         deficit = 1.0 - synth.norm2
-        target_shape = ModeShape(tuple(map(max, ecs.shape.cutoffs, exact.shape.cutoffs)))
+        target_shape = ModeShape(
+            (
+                max(ecs.shape.cutoffs[0], exact.shape.cutoffs[0]),
+                max(ecs.shape.cutoffs[1], exact.shape.cutoffs[1]),
+                max(ecs.shape.cutoffs[2], exact.shape.cutoffs[2]),
+            )
+        )
         fid = fidelity(embed(synth, target_shape), embed(exact, target_shape))
         points.append(ApproximationPoint(n, fid, deficit))
     return points

@@ -150,6 +150,12 @@ class TestConfigValidation:
             ({"experiment": "laser-equivalence", "modes": 1, "cutoff": 4000, "exit": 3}, "cap"),
             ({"experiment": "squeeze", "pumps": [100000], "exit": 3}, "capped"),
             ({"experiment": "ecs-verify", "n_max": 100, "exit": 3}, "cap"),
+            ({"experiment": "squeeze", "pair_cutoff": 300}, "grid"),
+            ({"profile_points": 2**24 + 1, "exit": 3}, "profile"),
+            ({"fringe": True, "fringe_points": 2**24 + 1, "exit": 3}, "fringe"),
+            ({"experiment": "interfere", "profile_points": 2**24 + 1, "exit": 3}, "profile"),
+            ({"experiment": "homodyne", "n": 2**24, "exit": 3}, "cap"),
+            ({"experiment": "homodyne", "points": 2**24 + 1, "exit": 3}, "tomography"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):

@@ -11,9 +11,11 @@ from ecsim.circle import (
     ECSState,
     PhaseGrid,
     conditional_weight,
+    delta_profile,
     ecs_sector_amplitudes,
     ecs_to_fock,
     number_state_on_circle,
+    two_mode_circle,
 )
 from ecsim.errors import SizingError
 from ecsim.fock import (
@@ -31,6 +33,7 @@ from ecsim.fock import (
     to_density,
     vacuum,
 )
+from ecsim.homodyne import HomodyneConfig, PhaseShiftProcess, homodyne_difference_stats
 from ecsim.measurement import run_interference_trajectory
 from ecsim.sources import (
     PhaseWalkSpec,
@@ -79,7 +82,15 @@ OVER_CAP = [
     ("weight_table", lambda: _trajectory(4).weight_table(4097)),
     ("decomposition vectors", lambda: decomposition_equivalence_check(1.0, 1, 4000)),
     ("phase-walk samples", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 2, 1), 2**23)),
+    ("phase-walk g1", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 4097, 0), 1)),
+    ("phase-walk tables, 1 mode", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 1, 2**24), 1)),
+    ("phase-walk tables, 2 modes", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 2, 2**21), 1)),
+    ("two_mode_circle", lambda: two_mode_circle(0, 0, cutoffs=800)),
     ("commuting-diagram sweep", lambda: check_commuting_diagram(40)),
+    ("commuting-diagram circles", lambda: check_commuting_diagram(10**9)),
+    ("circle delta_profile", lambda: delta_profile(conditional_weight(1, 1, 0.1, 4, grid=16), points=2**24 + 1)),
+    ("trajectory delta_profile", lambda: _trajectory(4).delta_profile(2**24 + 1)),
+    ("homodyne source", lambda: homodyne_difference_stats(HomodyneConfig(2**24, PhaseShiftProcess(0.0)))),
 ]
 
 
@@ -99,6 +110,12 @@ def test_cap_is_inclusive():
     check_cells(BASIS_SIZE_CAP)
     with pytest.raises(SizingError):
         check_cells(BASIS_SIZE_CAP + 1)
+
+
+def test_huge_count_is_reported_by_its_bits():
+    # 2^(10^6) has more digits than int-to-str conversion allows
+    with pytest.raises(SizingError, match=r"over 2\^1000000 cells"):
+        check_cells(2**1_000_000)
 
 
 def test_sector_route_sized_by_its_sector():
