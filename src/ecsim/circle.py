@@ -192,10 +192,14 @@ def _pair_block(chis: np.ndarray, ci: int, cj: int) -> np.ndarray:
     return out
 
 
-def _quadrature_inputs(ecs: ECSState, shape: ModeShape) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_inputs(
+    ecs: ECSState, shape: ModeShape, amplitudes: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Grid weights (measure included) and the Fock expansions of every
-    coherent amplitude, shape (P, coherent modes, largest cutoff + 1), after
-    rejecting grids that alias at `shape`. Column c of mode `pos` is the same
+    coherent amplitude, shape (R, P, coherent modes, largest cutoff + 1), after
+    rejecting grids that alias at `shape`. `amplitudes` is a stack of R tables
+    shaped like `ecs.amplitudes` that share its grids and weight; by default
+    it is `ecs.amplitudes` alone (R = 1). Column c of mode `pos` is the same
     number whatever the other modes' cutoffs, so each mode slices its own."""
     max_cut = max(shape.cutoffs)
     required = 2 * max_cut + 1
@@ -209,13 +213,15 @@ def _quadrature_inputs(ecs: ECSState, shape: ModeShape) -> tuple[np.ndarray, np.
     weight_flat = ecs.weight.ravel() * (1.0 / P)
     modes = len(ecs.coherent_modes)
     cut = max((shape.cutoffs[mode] for mode in ecs.coherent_modes), default=0)
-    alphas = ecs.amplitudes.reshape(P * modes)
-    check_cells(P * modes * (cut + 1), f"circle tables ({P} points, {modes} modes, cutoff {cut})")
-    tables = np.empty((P * modes, cut + 1), dtype=np.complex128)
+    stack = ecs.amplitudes[None] if amplitudes is None else amplitudes
+    R = stack.shape[0]
+    check_cells(R * P * modes * (cut + 1), f"circle tables ({R} x {P} points, {modes} modes, cutoff {cut})")
+    alphas = stack.reshape(R * P * modes)
+    tables = np.empty((alphas.size, cut + 1), dtype=np.complex128)
     step = max(1, BLOCK_CELLS // (cut + 1))
     for start in range(0, len(alphas), step):
         tables[start : start + step] = coherent_log_amplitudes(alphas[start : start + step], cut)
-    return weight_flat, tables.reshape(P, modes, cut + 1)
+    return weight_flat, tables.reshape(R, P, modes, cut + 1)
 
 
 def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
@@ -226,6 +232,7 @@ def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
     """
     shape = ecs.shape if shape is None else shape
     weight_flat, coherent = _quadrature_inputs(ecs, shape)
+    coherent = coherent[0]
     P = weight_flat.size
 
     # one operand per factor: (mode tuple, table of shape (P, dims...))
@@ -276,7 +283,21 @@ def ecs_sector_amplitudes(ecs: ECSState, occupations: np.ndarray) -> np.ndarray:
     rows of `fock.sector_occupations`. The quadrature is the same as in
     `ecs_to_fock`, so a state confined to one total photon number (a circle
     weight e^{-i m phi}) is fully given by its C(m + N - 1, m) sector
-    amplitudes instead of (m + 1)^N. Coherent modes only.
+    amplitudes instead of (m + 1)^N. Coherent modes only. This is the one-table
+    case of `sector_amplitude_stack`.
+    """
+    return sector_amplitude_stack(ecs, ecs.amplitudes[None], occupations)[0]
+
+
+def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """`ecs_sector_amplitudes` for a stack of R amplitude tables at once.
+
+    `amplitudes` has shape (R, grid..., coherent modes): R tables like
+    `ecs.amplitudes` that share its grids, weight and shape. Returns the
+    (R, tuples) sector amplitudes. Each tuple's per-mode factors are multiplied
+    one mode at a time into an (R, P, tuples) block, so no (R, P, tuples,
+    modes) array is formed. A block and the factor gathered into it hold at
+    most `BLOCK_CELLS` cells between them unless one tuple alone needs more.
     """
     if ecs.pair_factors:
         raise ValidationError("sector synthesis supports coherent modes only, not pair factors")
@@ -285,14 +306,21 @@ def ecs_sector_amplitudes(ecs: ECSState, occupations: np.ndarray) -> np.ndarray:
         raise ValidationError(f"occupations need shape (tuples, {ecs.shape.mode_count}), got {occ.shape}")
     if occ.size and (occ.min() < 0 or np.any(occ.max(axis=0) > np.array(ecs.shape.cutoffs))):
         raise ValidationError(f"occupations outside cutoffs {ecs.shape.cutoffs}")
-    weight_flat, tables = _quadrature_inputs(ecs, ecs.shape)
+    stack = np.asarray(amplitudes, dtype=np.complex128)
+    if stack.shape[1:] != ecs.amplitudes.shape:
+        raise ValidationError(f"amplitude stack needs shape (R, *{ecs.amplitudes.shape}), got {stack.shape}")
+    weight_flat, tables = _quadrature_inputs(ecs, ecs.shape, stack)
+    R, P, modes = tables.shape[:3]
     columns = occ[:, list(ecs.coherent_modes)]  # (tuples, modes) in table order
-    modes = np.arange(columns.shape[1])
-    step = max(1, BLOCK_CELLS // (weight_flat.size * max(1, len(modes))))  # tuples per block
-    out = np.empty(len(columns), dtype=np.complex128)
+    check_cells(R * len(columns), f"sector amplitudes ({R} tables, {len(columns)} tuples)")
+    step = max(1, BLOCK_CELLS // (2 * R * P))  # tuples per block
+    out = np.empty((R, len(columns)), dtype=np.complex128)
     for start in range(0, len(columns), step):
-        factors = tables[:, modes, columns[start : start + step]]
-        out[start : start + step] = weight_flat @ factors.prod(axis=2)
+        block = columns[start : start + step]
+        acc = tables[:, :, 0, block[:, 0]]
+        for pos in range(1, modes):
+            acc *= tables[:, :, pos, block[:, pos]]
+        out[:, start : start + step] = weight_flat @ acc
     return out
 
 

@@ -208,9 +208,7 @@ def _run_phase_walk(p: dict, seed: int, out: Path) -> list[str]:
         pairs = [(0, lag) for lag in p["lags"]] + [(0, 0)]
     res = phase_walk_correlation(spec, p["realizations"], pairs=pairs)
     meta = {"config_sha256": p["_hash"], "seed": seed}
-    wanted = None if pairs is None else set(pairs)
-    rows = (r for r in res.to_csv_rows() if wanted is None or (r[0], r[1]) in wanted)
-    _write_csv(out / "results.csv", ["k", "l", "re", "im", "abs", "stderr"], rows, meta)
+    _write_csv(out / "results.csv", ["k", "l", "re", "im", "abs", "stderr"], res.to_csv_rows(), meta)
     summary = {
         "config_sha256": p["_hash"],
         "seed": seed,

@@ -157,10 +157,12 @@ def coupler_block(params: CouplerParams, N: int) -> BlockUnitary:
 
 
 def _real_matmul(W: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """W @ z for real W and complex z, on z's real and imaginary parts as the
-    two columns of a real matrix (a view, no copy), so W stays real."""
-    pairs = np.ascontiguousarray(z).view(np.float64).reshape(-1, 2)
-    return (W @ pairs).view(np.complex128).ravel()
+    """W @ z for real W and complex z (one vector per row of a stack), on each
+    vector's real and imaginary parts as the two columns of a real matrix (a
+    view, no copy), so W stays real. The stack is one `np.matmul` over
+    (rows, len, 2) real pairs, so each row gets the product it gets alone."""
+    pairs = np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2)
+    return np.matmul(W, pairs).view(np.complex128).reshape(z.shape)
 
 
 def apply_sector(params: CouplerParams, vector: np.ndarray) -> np.ndarray:
@@ -172,11 +174,16 @@ def apply_sector(params: CouplerParams, vector: np.ndarray) -> np.ndarray:
     v = np.asarray(vector, dtype=np.complex128)
     if v.ndim != 1:
         raise ValidationError("sector vector must be one-dimensional")
-    N = v.size - 1
+    return _apply_sector_stack(params, v[None])[0]
+
+
+def _apply_sector_stack(params: CouplerParams, vectors: np.ndarray) -> np.ndarray:
+    """`apply_sector` on every row of a (rows, N + 1) complex stack at once."""
+    N = vectors.shape[1] - 1
     spectrum = sector_spectrum(N)
     W = spectrum.eigenvectors
     d = _sector_phases(params.phi, N)
-    inner = _real_matmul(W.T, d.conj() * v) * np.exp(-1j * params.theta * spectrum.eigenvalues)
+    inner = _real_matmul(W.T, d.conj() * vectors) * np.exp(-1j * params.theta * spectrum.eigenvalues)
     return d * _real_matmul(W, inner)
 
 

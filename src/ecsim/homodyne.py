@@ -12,8 +12,9 @@ Every stage conserves the source's n photons, so the circuit is computed in
 the n-photon sector, one amplitude per |k, n - k> with k photons in the
 local-oscillator mode. Both couplers act on that (n + 1)-vector through
 `coupler.apply_sector`, which reads the sector's one J_y factorisation and
-never forms a coupler block. Only phase processes keep the state in that
-sector, and only they are supported.
+never forms a coupler block; a scan splits once and remixes all its points
+as one stack. Only phase processes keep the state in that sector, and only
+they are supported.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupler import CouplerParams, apply_sector
+from .coupler import CouplerParams, _apply_sector_stack, apply_sector
 from .errors import ValidationError
 from .fock import check_cells, lowering_matrix
 
@@ -79,23 +80,35 @@ def homodyne_difference_stats(config: HomodyneConfig) -> DifferenceStats:
     The source |n, 0> is sector index k = n; the split, the phase on the
     signal's n - k photons and the 50/50 remix act on the (n + 1)-vector, and
     outcome k is the difference A - B = 2k - n. `values` runs over -n .. n,
-    so the bins of the other parity than n hold zero.
+    so the bins of the other parity than n hold zero. This is the one-point
+    case of a scan.
     """
+    values, probs, means, variances = _difference_scan(config, np.array([config.process.gamma]))
+    return DifferenceStats(values, probs[0], float(means[0]), float(variances[0]))
+
+
+def _difference_scan(config: HomodyneConfig, gammas: np.ndarray):
+    """The difference distributions of the circuit with each phase process
+    gamma in `gammas` in place of the configured one: `values`, then the
+    (points, 2n + 1) probabilities and each point's mean and variance. The
+    split does not depend on gamma, so it is computed once and every point is
+    remixed in one stacked `coupler._apply_sector_stack`; each point gets the
+    numbers it gets alone."""
     n = config.source_photons
-    check_cells(n + 1, "homodyne source vector")  # a static message: this runs once per scan point
+    check_cells(gammas.size * (2 * n + 1), "homodyne difference distributions")
     k = np.arange(n + 1)
     source = np.zeros(n + 1, dtype=np.complex128)
     source[n] = 1.0
     split = apply_sector(CouplerParams(config.splitter_theta, SPLITTER_PHASE), source)
-    signal = split * np.exp(1j * config.process.gamma * (n - k))
-    mixed = apply_sector(CouplerParams(math.pi / 4, SPLITTER_PHASE), signal)
+    signals = split * np.exp(1j * gammas[:, None] * (n - k))
+    mixed = _apply_sector_stack(CouplerParams(math.pi / 4, SPLITTER_PHASE), signals)
     weights = np.abs(mixed) ** 2
     values = np.arange(-n, n + 1)
-    probs = np.zeros(values.size)
-    probs[2 * k] = weights / weights.sum()
-    mean = float((values * probs).sum())
-    var = float((values**2 * probs).sum()) - mean**2
-    return DifferenceStats(values, probs, mean, var)
+    probs = np.zeros((gammas.size, values.size))
+    probs[:, 2 * k] = weights / weights.sum(axis=1, keepdims=True)
+    means = (values * probs).sum(axis=1)
+    variances = (values**2 * probs).sum(axis=1) - means**2
+    return values, probs, means, variances
 
 
 @dataclass(frozen=True)
@@ -129,14 +142,7 @@ def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> T
             f"tomography scan needs sin(2 theta) > 1e-12 so that both branches are lit, "
             f"got theta {config.splitter_theta}"
         )
-    means = np.zeros(gammas.size)
-    variances = np.zeros(gammas.size)
-    for i, g in enumerate(gammas):
-        stats = homodyne_difference_stats(
-            HomodyneConfig(config.source_photons, PhaseShiftProcess(gamma0 + g), config.splitter_theta)
-        )
-        means[i] = stats.mean
-        variances[i] = stats.variance
+    _, _, means, variances = _difference_scan(config, gamma0 + gammas)
     harmonic = np.mean(means * np.exp(-1j * gammas)) * 2.0
     recovered = float(np.angle(-harmonic))
     return TomographyScan(gammas, means, variances, recovered, float(abs(harmonic)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .circle import ECSState, PhaseGrid, ecs_sector_amplitudes
+from .circle import ECSState, PhaseGrid, sector_amplitude_stack
 from .coupler import equal_multimode_split
 from .errors import ValidationError
 from .fock import (
@@ -145,26 +145,55 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
 
 @dataclass(frozen=True)
 class PhaseWalkResult:
+    """g1 and its standard error as N x N arrays. Only the entries marked in
+    the boolean N x N `reported` were computed; the rest hold zero."""
+
     g1: np.ndarray
     stderr: np.ndarray
     realizations: int
+    reported: np.ndarray
 
     def to_csv_rows(self):
-        for k in range(self.g1.shape[0]):
-            for l in range(self.g1.shape[1]):
+        """One row per reported (k, l), in row-major order."""
+        for k in range(self.reported.shape[0]):
+            for l in np.flatnonzero(self.reported[k]).tolist():
                 yield (k, l, self.g1[k, l].real, self.g1[k, l].imag, abs(self.g1[k, l]), self.stderr[k, l])
 
 
-def _lowering_maps(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b_k from the sector listed by `upper` to the sector one photon below
-    it, listed by `lower`, as a gather: (b_k psi)[j] = scale[k, j] psi[rows[k, j]],
-    where rows[k, j] indexes lower[j] + e_k in `upper`. Both have shape
-    (modes, len(lower)); each b_k has one nonzero per row, so the dense
-    (modes, len(lower), len(upper)) matrices would be almost all zeros."""
-    index = {row: i for i, row in enumerate(map(tuple, upper.tolist()))}
-    unit = np.eye(upper.shape[1], dtype=np.int64)
-    rows = np.array([[index[row] for row in map(tuple, (lower + e).tolist())] for e in unit], dtype=np.int64)
-    return rows, np.sqrt(lower.T + 1.0)
+# complex cells per realization chunk, so that the phase walk's peak memory
+# does not grow with the realization count
+CHUNK_CELLS = 2**13
+
+
+def _lowering_maps(lower: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """b_k from the m-photon sector of N modes to the (m - 1)-photon sector
+    listed by `lower` (in `sector_occupations` order) as a gather:
+    (b_k psi)[j] = scale[k, j] psi[rows[k, j]], where rows[k, j] is the row of
+    lower[j] + e_k in `sector_occupations(N, m)`. Both have shape
+    (N, len(lower)); each b_k has one nonzero per row, so the dense
+    (N, len(lower), len(upper)) matrices would be almost all zeros.
+
+    `sector_occupations` lists tuples lexicographically, so a tuple's row is
+    its rank in the combinatorial number system: the tuples that agree with n
+    before mode i and hold fewer photons there number
+    C(s_i + K_i, K_i) - C(s_{i+1} + K_i, K_i), with s_i = n_i + ... + n_{N-1}
+    and K_i = N - 1 - i, and the rank is their sum over i."""
+    N = lower.shape[1]
+    # binom[s, K] = C(s + K, K) for s <= m: each row is the running sum of the one before
+    binom = np.ones((m + 1, N), dtype=np.int64)
+    for s in range(1, m + 1):
+        np.cumsum(binom[s - 1], out=binom[s])
+    K = np.arange(N - 1, -1, -1)
+    tail = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1]  # s_i
+    after = tail - lower  # s_{i+1}
+    # lower[j] + e_k adds one to s_i for i <= k: mode i's term is `keep` for
+    # i > k, `own` for i = k and `shifted` for i < k
+    keep = binom[tail, K] - binom[after, K]
+    own = binom[tail + 1, K] - binom[after, K]
+    shifted = binom[tail + 1, K] - binom[after + 1, K]
+    before = np.cumsum(shifted, axis=1) - shifted
+    beyond = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
+    return (before + own + beyond).T, np.sqrt(lower.T + 1.0)
 
 
 def phase_walk_correlation(
@@ -176,9 +205,14 @@ def phase_walk_correlation(
     Each realization synthesizes the multimode state exactly in its m-photon
     sector, the C(m + N - 1, m) amplitudes the circle weight e^{-i m phi}
     leaves nonzero, and takes matrix elements on it; nothing is inferred from
-    the weight algebra. |g1| decays like exp(-step_variance |k - l| / 2) in
-    the realization average. `pairs` restricts which (k, l) entries are
-    reported. No photons (m = 0) gives g1 = 0.
+    the weight algebra. The realizations are taken in chunks of about
+    `CHUNK_CELLS` cells: a chunk's walks come from one draw of the seeded
+    generator (the same stream as one draw per realization), its sector
+    amplitudes from one `circle.sector_amplitude_stack` quadrature and its
+    N x N correlations from one stacked product. |g1| decays like
+    exp(-step_variance |k - l| / 2) in the realization average. `pairs`
+    restricts which (k, l) entries are computed and reported. No photons
+    (m = 0) gives g1 = 0.
     """
     if realizations < 1:
         raise ValidationError("need at least one realization")
@@ -187,8 +221,7 @@ def phase_walk_correlation(
     # circle tables, (2m + 1) points x N modes x (m + 1), then g1 and samples
     check_cells((2 * m + 1) * N * (m + 1), f"circle tables of {N} modes at {m} photons")
     g1 = zeros((N, N))
-    samples = zeros((realizations, N * N if pairs is None else len(pairs)))
-    rng = default_rng(spec.seed)
+    samples = zeros((N * N if pairs is None else len(pairs), realizations))
     ks, ls = np.divmod(np.arange(N * N), N) if pairs is None else np.array(pairs, dtype=int).reshape(-1, 2).T
     # at the sector tuples the weight e^{-i m phi} cancels the phase of every
     # term, so the integrand is constant in phi and the smallest grid the
@@ -196,26 +229,36 @@ def phase_walk_correlation(
     grid = PhaseGrid(2 * m + 1)
     phis = grid.points
     weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m)) if m > 0 else np.ones(grid.size)
-    shape = ModeShape.uniform(N, m)
     base_amp = math.sqrt(m / N) if N > 0 else 0.0
     sector = sector_occupations(N, m)
     below = sector_occupations(N, m - 1) if m > 0 else np.zeros((0, N), dtype=np.int64)
-    rows, scale = _lowering_maps(sector, below)
-    for r in range(realizations):
-        walk = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), N - 1))])
-        amps = base_amp * np.exp(1j * (phis[:, None] + walk[None, :]))
-        ecs = ECSState((grid,), weight, tuple(range(N)), amps, shape)
-        lowered = scale * ecs_sector_amplitudes(ecs, sector)[rows]
-        corr = lowered.conj() @ lowered.T
-        occupancy = corr.diagonal().real
-        denom = np.sqrt(occupancy[ks] * occupancy[ls])
-        np.divide(corr[ks, ls], denom, out=samples[r], where=denom > 0)
+    rows, scale = _lowering_maps(below, m)
+    circle = ECSState((grid,), weight, tuple(range(N)), np.zeros((grid.size, N)), ModeShape.uniform(N, m))
+    # cells one realization holds at once: circle tables, the quadrature's
+    # (points, tuples) products, lowered vectors and correlations. A lone
+    # realization is within the checks above, and circle.BLOCK_CELLS blocks
+    # the products
+    cells = max(grid.size * N * (m + 1), grid.size * len(sector), N * len(below), N * N)
+    chunk = max(1, CHUNK_CELLS // cells)
+    rng = default_rng(spec.seed)
+    for start in range(0, realizations, chunk):
+        r = min(chunk, realizations - start)
+        walks = np.zeros((r, N))
+        np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), (r, N - 1)), axis=1, out=walks[:, 1:])
+        amps = base_amp * np.exp(1j * (phis[None, :, None] + walks[:, None, :]))
+        lowered = scale * sector_amplitude_stack(circle, amps, sector)[:, rows]
+        corr = lowered.conj() @ lowered.transpose(0, 2, 1)
+        occupancy = np.diagonal(corr, axis1=1, axis2=2).real
+        denom = np.sqrt(occupancy[:, ks] * occupancy[:, ls])
+        np.divide(corr[:, ks, ls], denom, out=samples[:, start : start + r].T, where=denom > 0)
+    mean = samples.mean(axis=1)
+    g1[ks, ls] = mean
     stderr = np.zeros((N, N))
-    for k, l, vals in zip(ks, ls, samples.T):
-        mean = vals.mean()
-        g1[k, l] = mean
-        if realizations > 1:
-            direction = mean / abs(mean) if abs(mean) > 0 else 1.0
-            aligned = np.real(vals / direction)
-            stderr[k, l] = float(aligned.std(ddof=1) / math.sqrt(realizations))
-    return PhaseWalkResult(g1, stderr, realizations)
+    if realizations > 1:
+        magnitude = np.hypot(mean.real, mean.imag)  # abs() of each mean alone, to the last bit
+        direction = np.divide(mean, magnitude, out=np.ones_like(mean), where=magnitude > 0)
+        aligned = np.real(samples / direction[:, None])
+        stderr[ks, ls] = aligned.std(axis=1, ddof=1) / math.sqrt(realizations)
+    reported = np.zeros((N, N), dtype=bool)
+    reported[ks, ls] = True
+    return PhaseWalkResult(g1, stderr, realizations, reported)

@@ -11,6 +11,7 @@ from ecsim.circle import (
     delta_profile,
     ecs_apply_coupler,
     ecs_sector_amplitudes,
+    sector_amplitude_stack,
     ecs_to_fock,
     number_state_on_circle,
     peak_locations,
@@ -168,6 +169,22 @@ class TestSectorSynthesis:
         monkeypatch.setattr(circle, "BLOCK_CELLS", 64)
         assert np.abs(ecs_sector_amplitudes(ecs, occ) - whole).max() <= 1e-15
         assert np.abs(ecs_to_fock(ecs).amplitudes - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("block_cells", [circle.BLOCK_CELLS, 64])
+    def test_stack_matches_each_table(self, monkeypatch, block_cells):
+        # five walked tables on one grid and weight; with 64-cell blocks a
+        # block holds less than one tuple across the stack
+        states = [walked_sector_state(4, 3, seed) for seed in range(5)]
+        occ = sector_occupations(4, 3)
+        monkeypatch.setattr(circle, "BLOCK_CELLS", block_cells)
+        stacked = sector_amplitude_stack(states[0], np.array([s.amplitudes for s in states]), occ)
+        for row, ecs in zip(stacked, states):
+            assert np.abs(row - ecs_sector_amplitudes(ecs, occ)).max() <= 1e-15
+
+    def test_stack_shape_rejected(self):
+        ecs = walked_sector_state(3, 2, 1)
+        with pytest.raises(ValidationError):
+            sector_amplitude_stack(ecs, ecs.amplitudes, sector_occupations(3, 2))
 
     def test_pair_factors_rejected(self):
         ecs = pump_entangled_squeezed(2, 0.1, pair_cutoff=2)

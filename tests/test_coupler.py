@@ -191,6 +191,14 @@ class TestSectorSpectrum:
                 v = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
                 assert np.abs(apply_sector(params, v) - coupler_block(params, N).matrix @ v).max() <= 1e-13
 
+    @pytest.mark.parametrize("N", [0, 1, 7, 200])
+    def test_stacked_rows_equal_lone_vectors(self, N):
+        rng = np.random.default_rng(N)
+        params = CouplerParams(0.7, 2.0)
+        stack = rng.normal(size=(5, N + 1)) + 1j * rng.normal(size=(5, N + 1))
+        rows = coupler_mod._apply_sector_stack(params, stack)
+        assert all(np.array_equal(row, apply_sector(params, v)) for row, v in zip(rows, stack))
+
     @pytest.mark.parametrize("N", [0, 1, 6, 61])
     def test_eigenvalues_are_the_j_y_integers(self, N):
         assert np.array_equal(sector_spectrum(N).eigenvalues, np.arange(-N, N + 1, 2))

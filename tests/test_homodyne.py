@@ -200,7 +200,7 @@ class TestTomographyScan:
         coupler_mod._sector_spectrum_cached.cache_clear()
         process_tomography_scan(HomodyneConfig(37, PhaseShiftProcess(0.2)), self.GRID)
         info = coupler_mod._sector_spectrum_cached.cache_info()
-        assert info.misses == 1 and info.hits == 2 * self.GRID.size - 1
+        assert info.misses == 1 and info.hits == 1
 
     def test_scan_materialises_no_block(self):
         coupler_mod._coupler_block_cached.cache_clear()

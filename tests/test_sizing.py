@@ -15,6 +15,7 @@ from ecsim.circle import (
     ecs_sector_amplitudes,
     ecs_to_fock,
     number_state_on_circle,
+    sector_amplitude_stack,
     two_mode_circle,
 )
 from ecsim.errors import SizingError
@@ -54,6 +55,9 @@ def _split_circle(m: int, modes: int) -> ECSState:
     return ECSState((grid,), np.ones(grid.size), tuple(range(modes)), amps, ModeShape.uniform(modes, m))
 
 
+_circle3 = number_state_on_circle(3)  # 16 grid points, cutoff 3
+
+
 def _trajectory(n: int):
     return run_interference_trajectory(n, 0.01, 0, seed=0)[1]
 
@@ -75,6 +79,7 @@ OVER_CAP = [
     ("two_mode_squeezed_vac", lambda: two_mode_squeezed_vac(0.1, 4096)),
     ("circle tables", lambda: ecs_to_fock(number_state_on_circle(2100))),
     ("sector circle tables", lambda: ecs_sector_amplitudes(number_state_on_circle(2100), np.array([[2100]]))),
+    ("sector table stack", lambda: sector_amplitude_stack(_circle3, np.broadcast_to(_circle3.amplitudes, (2**22, 16, 1)), np.array([[3]]))),
     ("synthesis output", lambda: ecs_to_fock(_split_circle(7, 9))),
     ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=150))),
     ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=4097)),

@@ -15,7 +15,9 @@ from ecsim.fock import (
     to_density,
     twirl,
 )
+from ecsim import sources
 from ecsim.circle import ECSState, PhaseGrid, ecs_to_fock
+from ecsim.fock import sector_occupations
 from ecsim.sources import (
     LaserSpec,
     PhaseWalkSpec,
@@ -64,6 +66,54 @@ def dense_phase_walk(spec, realizations, pairs):
             direction = g1[k, l] / abs(g1[k, l]) if abs(g1[k, l]) > 0 else 1.0
             stderr[k, l] = np.real(vals / direction).std(ddof=1) / math.sqrt(realizations)
     return g1, stderr
+
+
+def lowering_maps_by_lookup(upper, lower):
+    """Reference for `sources._lowering_maps`: look up every lower[j] + e_k
+    among the rows of `upper` in a dict of tuples."""
+    index = {row: i for i, row in enumerate(map(tuple, upper.tolist()))}
+    unit = np.eye(upper.shape[1], dtype=np.int64)
+    rows = np.array([[index[row] for row in map(tuple, (lower + e).tolist())] for e in unit], dtype=np.int64)
+    return rows.reshape(upper.shape[1], len(lower)), np.sqrt(lower.T + 1.0)
+
+
+def walk_closed_form(spec, realizations):
+    """g1 and stderr from the seeded walk alone, one normal draw of N - 1
+    increments per realization: for m photons split equally over the modes
+    each realization's g1[k, l] is exactly e^{i (W_l - W_k)}."""
+    N = spec.mode_count
+    rng = np.random.default_rng(spec.seed)
+    walks = np.array(
+        [np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), N - 1))])
+         for _ in range(realizations)]
+    )
+    phases = np.exp(1j * (walks[:, None, :] - walks[:, :, None]))
+    g1 = phases.mean(axis=0)
+    stderr = np.zeros((N, N))
+    for k in range(N):
+        for l in range(N):
+            direction = g1[k, l] / abs(g1[k, l]) if abs(g1[k, l]) > 0 else 1.0
+            stderr[k, l] = np.real(phases[:, k, l] / direction).std(ddof=1) / math.sqrt(realizations)
+    return g1, stderr
+
+
+# (modes, photons, seed, realizations, chunk budget): each budget splits the
+# realizations into at least 3 chunks, the last one short where it can be
+WALK_CASES = [(2, 2, 9, 7, 60), (4, 2, 1, 13, 300), (3, 5, 4, 5, 500), (6, 3, 2, 10, 1200), (11, 2, 7, 11, 1000)]
+
+
+def walk_deviation(monkeypatch, modes, photons, seed, realizations, budget):
+    """Largest g1 and stderr differences between the walk, taken in chunks of
+    the given cell budget, and its closed form."""
+    chunks = []
+    stack = sources.sector_amplitude_stack
+    monkeypatch.setattr(sources, "CHUNK_CELLS", budget)
+    monkeypatch.setattr(sources, "sector_amplitude_stack", lambda ecs, amps, occ: chunks.append(len(amps)) or stack(ecs, amps, occ))
+    spec = PhaseWalkSpec(0.3, modes, photons, seed=seed)
+    res = phase_walk_correlation(spec, realizations)
+    assert len(chunks) >= 3 and max(chunks) > 1 and sum(chunks) == realizations
+    g1, stderr = walk_closed_form(spec, realizations)
+    return np.abs(res.g1 - g1).max(), np.abs(res.stderr - stderr).max()
 
 
 class TestLaserDensity:
@@ -205,3 +255,35 @@ class TestPhaseWalk:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValidationError):
             PhaseWalkSpec(-0.1, 2, 1)
+
+    @pytest.mark.parametrize("modes,photons,seed,realizations,budget", WALK_CASES)
+    def test_every_chunk_matches_walk_closed_form(self, monkeypatch, modes, photons, seed, realizations, budget):
+        g1_error, stderr_error = walk_deviation(monkeypatch, modes, photons, seed, realizations, budget)
+        assert g1_error <= 1e-12 and stderr_error <= 1e-12
+
+    @pytest.mark.parametrize("modes,photons,seed,realizations,budget", WALK_CASES)
+    def test_closed_form_catches_unscaled_lowering(self, monkeypatch, modes, photons, seed, realizations, budget):
+        # mutation canary: b_k without its sqrt(n + 1) factors. Criterion 10
+        # passes this mutation; the per-realization closed form must not.
+        maps = sources._lowering_maps
+        monkeypatch.setattr(sources, "_lowering_maps", lambda lower, m: (maps(lower, m)[0], np.ones(lower.T.shape)))
+        g1_error, _ = walk_deviation(monkeypatch, modes, photons, seed, realizations, budget)
+        assert g1_error > 1e-3
+
+    @pytest.mark.parametrize("modes,photons", [(1, 0), (1, 3), (2, 1), (3, 2), (4, 3), (5, 4), (11, 2), (7, 5)])
+    def test_lowering_maps_match_lookup(self, modes, photons):
+        upper = sector_occupations(modes, photons)
+        lower = sector_occupations(modes, photons - 1) if photons else np.zeros((0, modes), dtype=np.int64)
+        rows, scale = sources._lowering_maps(lower, photons)
+        want_rows, want_scale = lowering_maps_by_lookup(upper, lower)
+        assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
+        assert np.array_equal(scale, want_scale)
+
+    def test_csv_rows_are_the_reported_pairs(self):
+        res = phase_walk_correlation(PhaseWalkSpec(0.2, 4, 2, seed=3), 3, pairs=[(2, 0), (0, 3), (2, 0), (1, 1)])
+        rows = list(res.to_csv_rows())
+        assert [(k, l) for k, l, *_ in rows] == [(0, 3), (1, 1), (2, 0)]
+        k, l, re, im, mag, se = rows[2]
+        assert (re, im, mag, se) == (res.g1[2, 0].real, res.g1[2, 0].imag, abs(res.g1[2, 0]), res.stderr[2, 0])
+        full = phase_walk_correlation(PhaseWalkSpec(0.2, 3, 2, seed=3), 2)
+        assert [(k, l) for k, l, *_ in full.to_csv_rows()] == [(k, l) for k in range(3) for l in range(3)]
