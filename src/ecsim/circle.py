@@ -192,15 +192,13 @@ def _pair_block(chis: np.ndarray, ci: int, cj: int) -> np.ndarray:
     return out
 
 
-def _quadrature_inputs(
-    ecs: ECSState, shape: ModeShape, amplitudes: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_inputs(ecs: ECSState, shape: ModeShape, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid weights (measure included) and the Fock expansions of every
     coherent amplitude, shape (R, P, coherent modes, largest cutoff + 1), after
-    rejecting grids that alias at `shape`. `amplitudes` is a stack of R tables
-    shaped like `ecs.amplitudes` that share its grids and weight; by default
-    it is `ecs.amplitudes` alone (R = 1). Column c of mode `pos` is the same
-    number whatever the other modes' cutoffs, so each mode slices its own."""
+    rejecting grids that alias at `shape`. `stack` holds R amplitude tables
+    shaped like `ecs.amplitudes` that share its grids and weight. Column c of
+    mode `pos` is the same number whatever the other modes' cutoffs, so each
+    mode slices its own."""
     max_cut = max(shape.cutoffs)
     required = 2 * max_cut + 1
     for g in ecs.grids:
@@ -213,7 +211,6 @@ def _quadrature_inputs(
     weight_flat = ecs.weight.ravel() * (1.0 / P)
     modes = len(ecs.coherent_modes)
     cut = max((shape.cutoffs[mode] for mode in ecs.coherent_modes), default=0)
-    stack = ecs.amplitudes[None] if amplitudes is None else amplitudes
     R = stack.shape[0]
     check_cells(R * P * modes * (cut + 1), f"circle tables ({R} x {P} points, {modes} modes, cutoff {cut})")
     alphas = stack.reshape(R * P * modes)
@@ -231,8 +228,7 @@ def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
     satisfies M >= 2*cutoff + 1; smaller grids alias and are rejected.
     """
     shape = ecs.shape if shape is None else shape
-    weight_flat, coherent = _quadrature_inputs(ecs, shape)
-    coherent = coherent[0]
+    weight_flat, (coherent,) = _quadrature_inputs(ecs, shape, ecs.amplitudes[None])
     P = weight_flat.size
 
     # one operand per factor: (mode tuple, table of shape (P, dims...))
@@ -293,7 +289,9 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
     """`ecs_sector_amplitudes` for a stack of R amplitude tables at once.
 
     `amplitudes` has shape (R, grid..., coherent modes): R tables like
-    `ecs.amplitudes` that share its grids, weight and shape. Returns the
+    `ecs.amplitudes` that share its grids, weight and shape. Of `ecs` only
+    those three, its modes and the shape of its amplitude table are read, not
+    the amplitudes themselves. Returns the
     (R, tuples) sector amplitudes. Each tuple's per-mode factors are multiplied
     one mode at a time into an (R, P, tuples) block, so no (R, P, tuples,
     modes) array is formed. A block and the factor gathered into it hold at

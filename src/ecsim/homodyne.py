@@ -12,9 +12,10 @@ Every stage conserves the source's n photons, so the circuit is computed in
 the n-photon sector, one amplitude per |k, n - k> with k photons in the
 local-oscillator mode. Both couplers act on that (n + 1)-vector through
 `coupler.apply_sector`, which reads the sector's one J_y factorisation and
-never forms a coupler block; a scan splits once and remixes all its points
-as one stack. Only phase processes keep the state in that sector, and only
-they are supported.
+never forms a coupler block; a scan splits once and remixes its points in
+chunks of at most `SCAN_CELLS` distribution cells, each chunk as one stack.
+Only phase processes keep the state in that sector, and only they are
+supported.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .fock import check_cells, lowering_matrix
 
 SPLITTER_PHASE = -math.pi / 2
 DEFAULT_THETA = math.acos(0.95)  # local oscillator keeps ~90% of the photons
+# cells of one chunk of scan points' (points, 2n + 1) distributions, so that
+# a scan's memory does not grow with its point count; the chunk's other arrays
+# are about as large
+SCAN_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -83,23 +88,28 @@ def homodyne_difference_stats(config: HomodyneConfig) -> DifferenceStats:
     so the bins of the other parity than n hold zero. This is the one-point
     case of a scan.
     """
-    values, probs, means, variances = _difference_scan(config, np.array([config.process.gamma]))
-    return DifferenceStats(values, probs[0], float(means[0]), float(variances[0]))
-
-
-def _difference_scan(config: HomodyneConfig, gammas: np.ndarray):
-    """The difference distributions of the circuit with each phase process
-    gamma in `gammas` in place of the configured one: `values`, then the
-    (points, 2n + 1) probabilities and each point's mean and variance. The
-    split does not depend on gamma, so it is computed once and every point is
-    remixed in one stacked `coupler._apply_sector_stack`; each point gets the
-    numbers it gets alone."""
     n = config.source_photons
-    check_cells(gammas.size * (2 * n + 1), "homodyne difference distributions")
-    k = np.arange(n + 1)
+    probs, means, variances = _remix(_split(config), np.array([config.process.gamma]))
+    return DifferenceStats(np.arange(-n, n + 1), probs[0], float(means[0]), float(variances[0]))
+
+
+def _split(config: HomodyneConfig) -> np.ndarray:
+    """The source |n, 0> after the unbalanced split, as an (n + 1)-vector."""
+    n = config.source_photons
+    check_cells(n + 1, "homodyne source vector")
     source = np.zeros(n + 1, dtype=np.complex128)
     source[n] = 1.0
-    split = apply_sector(CouplerParams(config.splitter_theta, SPLITTER_PHASE), source)
+    return apply_sector(CouplerParams(config.splitter_theta, SPLITTER_PHASE), source)
+
+
+def _remix(split: np.ndarray, gammas: np.ndarray):
+    """The (points, 2n + 1) difference distributions, means and variances of
+    the circuit with each phase process gamma in `gammas` on the signal of
+    `split`. All points are remixed in one stacked
+    `coupler._apply_sector_stack`, and each gets the numbers it gets alone."""
+    n = split.size - 1
+    check_cells(gammas.size * (2 * n + 1), "homodyne difference distributions")
+    k = np.arange(n + 1)
     signals = split * np.exp(1j * gammas[:, None] * (n - k))
     mixed = _apply_sector_stack(CouplerParams(math.pi / 4, SPLITTER_PHASE), signals)
     weights = np.abs(mixed) ** 2
@@ -108,7 +118,7 @@ def _difference_scan(config: HomodyneConfig, gammas: np.ndarray):
     probs[:, 2 * k] = weights / weights.sum(axis=1, keepdims=True)
     means = (values * probs).sum(axis=1)
     variances = (values**2 * probs).sum(axis=1) - means**2
-    return values, probs, means, variances
+    return probs, means, variances
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,14 @@ def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> T
             f"tomography scan needs sin(2 theta) > 1e-12 so that both branches are lit, "
             f"got theta {config.splitter_theta}"
         )
-    _, _, means, variances = _difference_scan(config, gamma0 + gammas)
+    # the split does not depend on gamma, so it is computed once
+    split = _split(config)
+    chunk = max(1, SCAN_CELLS // (2 * config.source_photons + 1))
+    means = np.empty(gammas.size)
+    variances = np.empty(gammas.size)
+    for start in range(0, gammas.size, chunk):
+        part = slice(start, start + chunk)
+        _, means[part], variances[part] = _remix(split, gamma0 + gammas[part])
     harmonic = np.mean(means * np.exp(-1j * gammas)) * 2.0
     recovered = float(np.angle(-harmonic))
     return TomographyScan(gammas, means, variances, recovered, float(abs(harmonic)))

@@ -233,6 +233,8 @@ def phase_walk_correlation(
     sector = sector_occupations(N, m)
     below = sector_occupations(N, m - 1) if m > 0 else np.zeros((0, N), dtype=np.int64)
     rows, scale = _lowering_maps(below, m)
+    # grid, weight and shape for the stacked quadrature; each chunk brings its
+    # own amplitudes, so this state's are zeros that are never read
     circle = ECSState((grid,), weight, tuple(range(N)), np.zeros((grid.size, N)), ModeShape.uniform(N, m))
     # cells one realization holds at once: circle tables, the quadrature's
     # (points, tuples) products, lowered vectors and correlations. A lone

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
 import ecsim.coupler as coupler_mod
+import ecsim.fock as fock_mod
+import ecsim.homodyne as homodyne_mod
 from ecsim.circle import ecs_apply_coupler, ecs_to_fock, two_mode_circle
 from ecsim.coupler import CouplerParams, apply_coupler
 from ecsim.errors import ValidationError
@@ -216,6 +219,32 @@ class TestTomographyScan:
         # each scan point equals the stats of its config computed alone
         alone = [homodyne_difference_stats(HomodyneConfig(5, PhaseShiftProcess(offset + g))).mean for g in grid]
         assert np.array_equal(scan.means, alone)
+
+    def test_scan_is_sized_a_chunk_at_a_time(self, monkeypatch):
+        # 100 points of 2n + 1 = 21 cells are 2100 cells, over a 1000-cell
+        # cap; in chunks of 200 cells each check passes, and every point,
+        # whichever chunk it lands in, gets the numbers of its lone call
+        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 1000)
+        monkeypatch.setattr(homodyne_mod, "SCAN_CELLS", 200)
+        grid = 2 * math.pi * np.arange(100) / 100
+        scan = process_tomography_scan(HomodyneConfig(10, PhaseShiftProcess(0.4), 0.3), grid)
+        alone = [homodyne_difference_stats(HomodyneConfig(10, PhaseShiftProcess(0.4 + g), 0.3)) for g in grid]
+        assert np.array_equal(scan.means, [s.mean for s in alone])
+        assert np.array_equal(scan.variances, [s.variance for s in alone])
+
+    def test_scan_memory_does_not_grow_with_points(self):
+        # 4000 points at n = 100 hold 804 000 distribution cells (6.1 MiB of
+        # floats) as one stack; in chunks the scan stays far below that
+        grid = 2 * math.pi * np.arange(4000) / 4000
+        config = HomodyneConfig(100, PhaseShiftProcess(0.4))
+        homodyne_mod._split(config)  # the sector's eigensolve, cached
+        tracemalloc.start()
+        try:
+            process_tomography_scan(config, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"scan peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize(
         "n,theta,points",
