@@ -437,7 +437,8 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
                 value = float(value)
             if typ is int and isinstance(value, float) and value.is_integer():
                 value = int(value)
-            if value is not None and not isinstance(value, typ):
+            # null stands for a parameter's default only where that default is None
+            if not isinstance(value, typ) and not (value is None and default is None):
                 raise ConfigError(f"parameter {key} must be {typ.__name__}")
             params[key] = value
         elif default is _REQUIRED:

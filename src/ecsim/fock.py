@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -106,11 +106,11 @@ def sector_occupations(mode_count: int, total: int) -> np.ndarray:
         raise ValidationError("mode_count must be >= 1")
     if total < 0:
         raise ValidationError("photon number must be nonnegative")
-    check_cells(math.comb(total + mode_count - 1, total) * mode_count, f"{total}-photon sector of {mode_count} modes")
-    slots = total + mode_count - 1
-    placements = list(combinations(range(slots), mode_count - 1))
-    bars = np.array(placements, dtype=np.int64).reshape(len(placements), mode_count - 1)
-    ends = np.ones((len(bars), 1), dtype=np.int64)
+    slots, rows = total + mode_count - 1, math.comb(total + mode_count - 1, total)
+    check_cells(rows * mode_count, f"{total}-photon sector of {mode_count} modes")
+    placements = chain.from_iterable(combinations(range(slots), mode_count - 1))
+    bars = np.fromiter(placements, np.int64, rows * (mode_count - 1)).reshape(rows, mode_count - 1)
+    ends = np.ones((rows, 1), dtype=np.int64)
     return np.diff(np.hstack([-ends, bars, slots * ends]), axis=1) - 1
 
 

@@ -48,7 +48,7 @@ from numpy.random import default_rng
 
 from .coupler import CouplerParams, apply_coupler
 from .errors import NumericsError, SizingError, ValidationError
-from .fock import FockVector, ModeShape, basis_state, check_cells, poisson_pmf, tensor, vacuum, zeros
+from .fock import FockVector, ModeShape, basis_state, check_cells, poisson_pmf, zeros
 
 RNG_NAME = "numpy-pcg64"
 STEP_TAIL_TOLERANCE = 1e-10
@@ -528,6 +528,32 @@ def fringe_scan(
 # ---------------------------------------------------------------------------
 
 
+def _detection_kraus(n: int, eps_step: float) -> np.ndarray:
+    """Kraus operators of one detection step on two cavities of cutoff n.
+
+    K_ab = <a, b|_AB U_mix U_B U_A |., 0, 0>: each cavity leaks through a
+    coupler of angle arccos(sqrt(1 - eps)) into its vacuum output mode, and
+    the outputs meet a 50/50 coupler. All (n + 1)^2 cavity basis states go
+    through the same three `apply_coupler` calls at once, each tagged by two
+    reference modes that no coupler touches. Outputs have cutoff 2n, so every
+    sector fits both cutoffs of each coupler and nothing is truncated.
+    Returns the table as a ((n + 1)^2, (n + 1)^2 (2n + 1)^2) matrix whose row
+    j, reshaped to (n + 1)^2 x (2n + 1)^2, holds K_ab |j> in column
+    a (2n + 1) + b.
+    """
+    cav = (n + 1) ** 2
+    check_cells(cav * cav * (2 * n + 1) ** 2, f"Kraus table of a detection step at n = {n}")
+    shape = ModeShape((n, n, n, n, 2 * n, 2 * n))
+    amps = np.zeros(shape.dims, dtype=np.complex128)
+    k = np.arange(n + 1)
+    amps[k[:, None], k[None, :], k[:, None], k[None, :], 0, 0] = 1.0
+    psi = FockVector(shape, amps)
+    theta = math.acos(math.sqrt(1.0 - eps_step))
+    for pair, angle in (((2, 4), theta), ((3, 5), theta), ((4, 5), math.pi / 4)):
+        psi = apply_coupler(psi, pair, CouplerParams(angle, 0.0))
+    return psi.amplitudes.reshape(cav, -1)
+
+
 def exact_trajectory_branches(
     n: int, eps_step: float, branches: Iterable[Sequence[tuple[int, int]]]
 ) -> dict[tuple[tuple[int, int], ...], tuple[FockVector | None, float]]:
@@ -536,34 +562,39 @@ def exact_trajectory_branches(
 
     Returns {outcomes: (conditional cavity state, branch probability)} for
     every branch in `branches` and every prefix of one, keyed by the outcomes
-    as a tuple of (a, b) int pairs. The branches are merged into their prefix
-    tree and walked depth first, so each parent state is coupled to its
-    output modes once, whatever the order of the list. A branch that passes
-    through an impossible outcome (more counts than photons left, or a
-    zero-probability projection) maps to (None, 0.0).
+    as a tuple of (a, b) int pairs. Every step applies the same Kraus
+    operators K_ab (`_detection_kraus`), built once per call and kept by no
+    cache. The branches are merged into their prefix tree and walked depth
+    first; each parent takes one matmul against the table, which gives every
+    outcome's unnormalised child as a column, whose squared norm is the
+    outcome's probability. A branch that passes through an impossible outcome
+    (more counts than photons left, or a probability of exactly 0.0) maps to
+    (None, 0.0).
     """
-    theta = math.acos(math.sqrt(1.0 - eps_step))
     tree: dict = {}
     for outcomes in branches:
         node = tree
         for a, b in outcomes:
+            if a < 0 or b < 0:
+                raise ValidationError(f"counts must be nonnegative, got {(a, b)}")
             node = node.setdefault((int(a), int(b)), {})
+    side = 2 * n + 1
+    kraus = _detection_kraus(n, eps_step)
+    shape = ModeShape((n, n))
     results = {}
 
     def walk(node, prefix, cavities, probability, remaining):
         results[prefix] = (cavities, probability)
         if cavities is not None and node:
-            out = vacuum(ModeShape((remaining,)))
-            psi = tensor(tensor(cavities, out), out)
-            psi = apply_coupler(psi, (0, 2), CouplerParams(theta, 0.0))
-            psi = apply_coupler(psi, (1, 3), CouplerParams(theta, 0.0))
-            psi = apply_coupler(psi, (2, 3), CouplerParams(math.pi / 4, 0.0))
+            children = (cavities.amplitudes.ravel() @ kraus).reshape(-1, side * side)
         for (a, b), child in node.items():
             state, p = None, 0.0
-            if cavities is not None and a <= remaining and b <= remaining:
-                state, p = project_counts(psi, (2, 3), (a, b))
+            if cavities is not None and a + b <= remaining:
+                column = children[:, a * side + b]
+                p = float(np.sum(column.real**2 + column.imag**2))
+                if p > 0.0:
+                    state = FockVector(shape, (column / math.sqrt(p)).reshape(shape.dims))
             walk(child, prefix + ((a, b),), state, probability * p, remaining - a - b)
 
-    start = basis_state(ModeShape((n,)), (n,))
-    walk(tree, (), tensor(start, start), 1.0, 2 * n)
+    walk(tree, (), basis_state(shape, (n, n)), 1.0, 2 * n)
     return results

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ecsim
-from ecsim.cli import main
+from ecsim.cli import load_config, main
 
 
 # a minimal valid parameter set per experiment, for the malformed-config table
@@ -113,6 +113,12 @@ class TestConfigValidation:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_null_stands_for_a_null_default_only(self, tmp_path):
+        # homodyne's theta defaults to None, so null picks that default; the
+        # typed parameters without one are rows of the malformed-config table
+        cfg = write_config(tmp_path, {"experiment": "homodyne", "parameters": {"n": 4, "theta": None}})
+        assert load_config(cfg, None, None)[1]["theta"] is None
+
     @pytest.mark.parametrize(
         "override, key",
         [
@@ -156,6 +162,8 @@ class TestConfigValidation:
             ({"experiment": "interfere", "profile_points": 2**24 + 1, "exit": 3}, "profile"),
             ({"experiment": "homodyne", "n": 2**24, "exit": 3}, "cap"),
             ({"experiment": "homodyne", "points": 2**24 + 1, "exit": 3}, "tomography"),
+            ({"experiment": "phase-walk", "lags": None}, "lags"),
+            ({"experiment": "phase-walk", "modes": None}, "modes"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -111,6 +112,16 @@ class TestModeShape:
         occ = sector_occupations(modes, total)
         assert occ.shape == (math.comb(total + modes - 1, total), modes)
         assert np.array_equal(occ, dense)
+
+    @pytest.mark.parametrize("modes,total", [(1, 0), (1, 5), (5, 0), (4, 3), (11, 2), (20, 3)])
+    def test_sector_occupations_match_itertools(self, modes, total):
+        # reference: each multiset of `total` mode labels, counted per mode;
+        # combinations_with_replacement lists them in reverse row-major order
+        multisets = combinations_with_replacement(range(modes), total)
+        ref = [np.bincount(labels, minlength=modes) for labels in multisets]
+        occ = sector_occupations(modes, total)
+        assert occ.dtype == np.int64
+        assert np.array_equal(occ, np.array(ref[::-1], dtype=np.int64).reshape(-1, modes))
 
     def test_sector_occupations_reject_bad_arguments(self):
         with pytest.raises(ValidationError):

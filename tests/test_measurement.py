@@ -392,6 +392,29 @@ class TestBruteForceMutations:
         assert not check_trajectory_brute_force(2, 2).passed
 
 
+def _kraus_completeness_defect(n, eps):
+    """max |sum_ab K_ab^dag K_ab - I| over the cavity space, K_ab read from
+    the detection step's table as K[ab][out, in]."""
+    cav = (n + 1) ** 2
+    K = measurement._detection_kraus(n, eps).reshape(cav, cav, -1).transpose(2, 1, 0)
+    return np.abs(np.einsum("kij,kil->jl", K.conj(), K) - np.eye(cav)).max()
+
+
+class TestDetectionKraus:
+    @pytest.mark.parametrize("eps", [0.35, 0.4, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_complete_on_cavity_space(self, n, eps):
+        assert _kraus_completeness_defect(n, eps) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_output_cutoff_n_breaks_completeness(self, monkeypatch, n):
+        # output modes cut at n instead of 2n truncate the 50/50 coupler's
+        # sectors above n photons, so the step loses probability
+        truncated = lambda cutoffs: ModeShape(tuple(min(c, n) for c in cutoffs))
+        monkeypatch.setattr(measurement, "ModeShape", truncated)
+        assert _kraus_completeness_defect(n, 0.4) > 1e-13
+
+
 def _oracle_uncached(n, eps, outcomes):
     """The Fock oracle for one branch, without a prefix tree: the whole dense
     prefix is rebuilt for the one branch."""
@@ -415,28 +438,33 @@ def _oracle_uncached(n, eps, outcomes):
 
 class TestOracleTree:
     N, EPS = 3, 0.4
+    # the Kraus-table walk against the per-branch dense pipeline: at N = 3,
+    # eps = 0.4, depth 3 the gaps measure 1.6e-15 relative in probability and
+    # 6.6e-16 in amplitude; the bounds are about 100 times those
+    P_RTOL, AMP_TOL = 2e-13, 7e-14
 
     def test_any_order_matches_single_branch_oracle(self):
         # bit for bit, whatever the order of the list, with duplicates and with
-        # a prefix asked for next to its extension
+        # a prefix asked for next to its extension; and within rounding of the
+        # single-branch oracle
         branches = [seq for seq, _, _ in trajectory_branches(self.N, self.EPS, 3, floor=1e-8)]
-        expect = {}
-        for seq in branches:
-            for depth in range(len(seq) + 1):
-                if seq[:depth] not in expect:
-                    expect[seq[:depth]] = _oracle_uncached(self.N, self.EPS, seq[:depth])
+        first = exact_trajectory_branches(self.N, self.EPS, branches)
+        for seq, (state, p) in first.items():
+            state_ref, p_ref = _oracle_uncached(self.N, self.EPS, seq)
+            assert abs(p - p_ref) <= self.P_RTOL * p_ref
+            assert state.shape == state_ref.shape
+            assert np.abs(state.amplitudes - state_ref.amplitudes).max() <= self.AMP_TOL
         shuffled = list(branches)
         np.random.default_rng(4).shuffle(shuffled)
         with_prefixes = [part for seq in branches[::5] for part in (seq[:2], seq)]
-        orders = [branches, branches[::-1], shuffled, branches + branches[::7], with_prefixes]
+        orders = [branches[::-1], shuffled, branches + branches[::7], with_prefixes]
         for order in orders:
             got = exact_trajectory_branches(self.N, self.EPS, order)
             assert set(got) == {seq[:depth] for seq in order for depth in range(len(seq) + 1)}
             for seq, (state, p) in got.items():
-                state_ref, p_ref = expect[seq]
-                assert p == p_ref
-                assert state.shape == state_ref.shape
-                assert np.array_equal(state.amplitudes, state_ref.amplitudes)
+                state_first, p_first = first[seq]
+                assert p == p_first
+                assert np.array_equal(state.amplitudes, state_first.amplitudes)
 
     def test_impossible_outcomes_and_descendants_return_none(self):
         n = 2
@@ -453,8 +481,12 @@ class TestOracleTree:
             assert got[seq] == (None, 0.0)
         state, p = got[((2, 1),)]
         state_ref, p_ref = _oracle_uncached(n, self.EPS, [(2, 1)])
-        assert p == p_ref > 0.0
-        assert np.array_equal(state.amplitudes, state_ref.amplitudes)
+        assert p > 0.0 and abs(p - p_ref) <= self.P_RTOL * p_ref
+        assert np.abs(state.amplitudes - state_ref.amplitudes).max() <= self.AMP_TOL
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValidationError):
+            exact_trajectory_branches(2, self.EPS, [((1, -1),)])
 
     def test_concurrent_calls_match_serial(self):
         # the oracle keeps no state between calls, so threads cannot corrupt
