@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coupler as _coupler
 from .errors import ValidationError
@@ -170,26 +171,16 @@ def ecs_apply_coupler(ecs: ECSState, mode_pair: tuple[int, int], params: _couple
     return ECSState(ecs.grids, ecs.weight, ecs.coherent_modes, amps, ecs.shape, ecs.pair_factors)
 
 
-def _pair_block(chis: np.ndarray, ci: int, cj: int) -> np.ndarray:
-    """Two-mode squeezed-vacuum amplitudes per grid point, shape (P, ci+1, cj+1).
-
-    The ladder for parameter chi has coefficient (-chi/|chi| tanh|chi|)^k /
-    cosh|chi| on |k, k); the modulus is grid independent here because the pump
-    circle only rotates chi's phase.
-    """
+def pair_ladder(chis: complex | np.ndarray, cutoff: int) -> np.ndarray:
+    """Two-mode squeezed-vacuum coefficients on |k, k), k = 0..cutoff, one row
+    per parameter chi: (-chi/|chi| tanh|chi|)^k / cosh|chi|, the closed form of
+    exp(chi* ab - chi a^dag b^dag)|0, 0) read up to `cutoff`."""
     chis = np.asarray(chis, dtype=np.complex128).ravel()
-    kmax = min(ci, cj)
-    out = zeros((chis.size, ci + 1, cj + 1))
-    mag = np.abs(chis)
-    k = np.arange(kmax + 1)
-    for p, (r, chi) in enumerate(zip(mag, chis)):
-        if r == 0.0:
-            out[p, 0, 0] = 1.0
-            continue
-        unit = -chi / r
-        ladder = (unit**k) * (math.tanh(r) ** k) / math.cosh(r)
-        out[p, k, k] = ladder
-    return out
+    check_cells(chis.size * (cutoff + 1), f"pair ladder of {chis.size} x {cutoff + 1}")
+    r = np.abs(chis)
+    unit = np.divide(-chis, r, out=np.ones_like(chis), where=r > 0)
+    k = np.arange(cutoff + 1)
+    return (unit[:, None] ** k) * (np.tanh(r)[:, None] ** k) / np.cosh(r)[:, None]
 
 
 def _quadrature_inputs(ecs: ECSState, shape: ModeShape, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +227,12 @@ def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
         ((mode,), coherent[:, pos, : shape.dims[mode]]) for pos, mode in enumerate(ecs.coherent_modes)
     ]
     for pf in ecs.pair_factors:
+        # squeezed-vacuum amplitudes per grid point, the ladder on the diagonal k = l
         i, j = pf.modes
-        operands.append(((i, j), _pair_block(pf.chi, shape.cutoffs[i], shape.cutoffs[j])))
+        block = zeros((P, shape.dims[i], shape.dims[j]))
+        k = np.arange(min(shape.dims[i], shape.dims[j]))
+        block[:, k, k] = pair_ladder(pf.chi, k[-1])
+        operands.append(((i, j), block))
     operands.sort(key=lambda item: item[0][0])
     mode_order: list[int] = [m for modes, _ in operands for m in modes]
 
@@ -279,8 +274,8 @@ def ecs_sector_amplitudes(ecs: ECSState, occupations: np.ndarray) -> np.ndarray:
     rows of `fock.sector_occupations`. The quadrature is the same as in
     `ecs_to_fock`, so a state confined to one total photon number (a circle
     weight e^{-i m phi}) is fully given by its C(m + N - 1, m) sector
-    amplitudes instead of (m + 1)^N. Coherent modes only. This is the one-table
-    case of `sector_amplitude_stack`.
+    amplitudes instead of (m + 1)^N. This is the one-table case of
+    `sector_amplitude_stack`.
     """
     return sector_amplitude_stack(ecs, ecs.amplitudes[None], occupations)[0]
 
@@ -289,16 +284,15 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
     """`ecs_sector_amplitudes` for a stack of R amplitude tables at once.
 
     `amplitudes` has shape (R, grid..., coherent modes): R tables like
-    `ecs.amplitudes` that share its grids, weight and shape. Of `ecs` only
-    those three, its modes and the shape of its amplitude table are read, not
-    the amplitudes themselves. Returns the
-    (R, tuples) sector amplitudes. Each tuple's per-mode factors are multiplied
-    one mode at a time into an (R, P, tuples) block, so no (R, P, tuples,
-    modes) array is formed. A block and the factor gathered into it hold at
-    most `BLOCK_CELLS` cells between them unless one tuple alone needs more.
+    `ecs.amplitudes` that share its grids, weight, pair factors and shape. Of
+    `ecs` only those, its modes and the shape of its amplitude table are read,
+    not the amplitudes themselves. Returns the (R, tuples) sector amplitudes.
+    Each tuple's per-mode factors are multiplied one mode at a time into an
+    (R, P, tuples) block, so no (R, P, tuples, modes) array is formed. A pair
+    factor contributes `pair_ladder`[k] where both of its modes hold k, and 0
+    where they differ. A block and the factor gathered into it hold at most
+    `BLOCK_CELLS` cells between them unless one tuple alone needs more.
     """
-    if ecs.pair_factors:
-        raise ValidationError("sector synthesis supports coherent modes only, not pair factors")
     occ = np.asarray(occupations)
     if occ.ndim != 2 or occ.shape[1] != ecs.shape.mode_count:
         raise ValidationError(f"occupations need shape (tuples, {ecs.shape.mode_count}), got {occ.shape}")
@@ -311,6 +305,15 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
     R, P, modes = tables.shape[:3]
     columns = occ[:, list(ecs.coherent_modes)]  # (tuples, modes) in table order
     check_cells(R * len(columns), f"sector amplitudes ({R} tables, {len(columns)} tuples)")
+    # per pair factor: its ladder up to the highest rung a tuple reads, with a
+    # zero column after it, and each tuple's column in that table
+    ladders = []
+    for pf in ecs.pair_factors:
+        i, j = pf.modes
+        top = int(occ[occ[:, i] == occ[:, j], i].max(initial=0))
+        ladder = zeros((P, top + 2))
+        ladder[:, :-1] = pair_ladder(pf.chi, top)
+        ladders.append((ladder, np.where(occ[:, i] == occ[:, j], occ[:, i], top + 1)))
     step = max(1, BLOCK_CELLS // (2 * R * P))  # tuples per block
     out = np.empty((R, len(columns)), dtype=np.complex128)
     for start in range(0, len(columns), step):
@@ -318,6 +321,8 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
         acc = tables[:, :, 0, block[:, 0]]
         for pos in range(1, modes):
             acc *= tables[:, :, pos, block[:, pos]]
+        for ladder, rungs in ladders:
+            acc *= ladder[:, rungs[start : start + step]]
         out[:, start : start + step] = weight_flat @ acc
     return out
 
@@ -355,15 +360,16 @@ def conditional_weight(A: int, B: int, eps: float, n: int, grid: PhaseGrid | int
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
     if isinstance(grid, int):
         grid = PhaseGrid(grid)
-    check_cells(grid.size**2, f"weight table on a {grid.size}-point grid")
-    phis = grid.points
-    e1 = np.exp(1j * phis)[:, None]
-    e2 = np.exp(1j * phis)[None, :]
+    M = grid.size
+    check_cells(M**2, f"weight table on a {M}-point grid")
+    # alpha_a = s e^{i phi'} (1 + e^{i delta}), alpha_b = s e^{i phi'} (1 - e^{i delta}),
+    # delta = phi - phi': C is e^{i (A + B) phi'} times a function of delta alone
+    unit = np.exp(1j * grid.points)
     scale = math.sqrt(eps * n / 2.0)
-    alpha_a = scale * (e1 + e2)
-    alpha_b = scale * (-e1 + e2)
-    log_mag = (-eps * n - 0.5 * (lgamma(A + 1) + lgamma(B + 1))) * np.ones_like(np.real(alpha_a))
-    phase = np.zeros_like(log_mag)
+    alpha_a = scale * (1.0 + unit)
+    alpha_b = scale * (1.0 - unit)
+    log_mag = np.full(M, -eps * n - 0.5 * (lgamma(A + 1) + lgamma(B + 1)))
+    phase = np.zeros(M)
     with np.errstate(divide="ignore"):
         if A > 0:
             log_mag += A * np.log(np.abs(alpha_a))
@@ -372,8 +378,11 @@ def conditional_weight(A: int, B: int, eps: float, n: int, grid: PhaseGrid | int
             log_mag += B * np.log(np.abs(alpha_b))
             phase += B * np.angle(alpha_b)
     log_peak = float(np.max(log_mag))
-    table = np.exp(log_mag - log_peak + 1j * phase)
-    table[np.isneginf(log_mag)] = 0.0
+    profile = np.exp(log_mag - log_peak + 1j * phase)
+    profile[np.isneginf(log_mag)] = 0.0
+    # window M - i over profile[-t mod M], t < 2M, is row i: profile[(i - j) mod M]
+    windows = sliding_window_view(profile[-np.arange(2 * M) % M], M)[M:0:-1]
+    table = windows * np.exp(2j * math.pi * ((A + B) * np.arange(M) % M) / M)
     return ConditionalWeight(A, B, eps, n, grid, table, log_peak)
 
 

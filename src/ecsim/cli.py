@@ -27,13 +27,13 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .circle import conditional_weight, delta_profile, peak_locations, width_fit
+from .circle import conditional_weight, delta_profile, pair_ladder, peak_locations, width_fit
 from .errors import ConfigError, NumericsError, SizingError, ValidationError
 from .fock import _fmt, check_cells, to_json_dict
 from .homodyne import HomodyneConfig, PhaseShiftProcess, process_tomography_scan
 from .measurement import FRINGE_BRANCHES, fringe_scan, run_interference_trajectory
 from .sources import PhaseWalkSpec, decomposition_equivalence_check, phase_walk_correlation
-from .squeezing import approximation_quality, pair_ladder_coefficients, required_pair_cutoff
+from .squeezing import approximation_quality, required_pair_cutoff
 
 EXIT_CONFIG = 2
 EXIT_SIZING = 3
@@ -262,6 +262,9 @@ def _run_homodyne(p: dict, seed: int, out: Path) -> list[str]:
 
 def _check_squeeze(p: dict) -> None:
     _at_least(p, {"pair_cutoff": 0})
+    if not p["pumps"]:
+        # no pump compares nothing and would write a header-only table
+        raise ConfigError("parameter pumps must hold at least one pump photon number, got []")
     _numbers_within(p, "pumps", 1, math.inf, integer=True)
 
 
@@ -275,7 +278,7 @@ def _run_squeeze(p: dict, seed: int, out: Path) -> list[str]:
         meta,
     )
     cut = required_pair_cutoff(p["scale"]) + 4
-    ladder = pair_ladder_coefficients(p["scale"], cut)
+    ladder = pair_ladder(p["scale"], cut)[0]
     _write_json(
         out / "results.json",
         {

@@ -39,10 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizingError, ValidationError
-from .fock import FockVector, ModeShape, tensor, vacuum
-
-BLOCK_PHOTON_CAP = 4096
+from .errors import ValidationError
+from .fock import FockVector, ModeShape, check_cells, tensor, vacuum
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,7 @@ class SectorSpectrum:
 def _check_sector(N: int) -> None:
     if N < 0:
         raise ValidationError("photon number must be nonnegative")
-    if N > BLOCK_PHOTON_CAP:
-        raise SizingError(f"sector photon number {N} exceeds cap {BLOCK_PHOTON_CAP}")
+    check_cells((N + 1) ** 2, f"sector {N} matrices")
 
 
 # one entry per sector photon number; the block cache serves the

@@ -1,6 +1,11 @@
-"""Two-mode squeezing: the exact three-mode parametric interaction at small
-pump occupation, the classical-pump idealization, and the circle
-representation of a number-state pump whose pair modes ride on the pump phase.
+"""Two-mode squeezing: the exact three-mode parametric interaction, the
+classical-pump idealization, and the circle representation of a number-state
+pump whose pair modes ride on the pump phase.
+
+The interaction conserves pump-plus-pair number, so a pump of n photons stays
+in its pump sector, the n + 1 amplitudes of |n - k, k, k>, k = 0..n. Both
+routes are computed there: the exact one from one eigensolve of the sector
+generator, the circle one by reading the circle state at the sector tuples.
 """
 
 from __future__ import annotations
@@ -10,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import ECSState, PairFactor, PhaseGrid, ecs_to_fock
+from .circle import ECSState, PairFactor, PhaseGrid, ecs_sector_amplitudes, pair_ladder
+from .coupler import _I_POWERS
 from .errors import SizingError, ValidationError
-from .fock import (
-    FockVector,
-    ModeShape,
-    default_cutoff,
-    embed,
-    fidelity,
-    poisson_pmf,
-    zeros,
-)
-
-PUMP_ORACLE_CAP = 12
+from .fock import FockVector, ModeShape, check_cells, poisson_pmf, zeros
 
 
 def required_pair_cutoff(chi_mag: float, tail: float = 1e-8) -> int:
@@ -37,11 +33,11 @@ def required_pair_cutoff(chi_mag: float, tail: float = 1e-8) -> int:
 
 
 def two_mode_squeezed_vac(chi: complex, cutoff: int) -> FockVector:
-    """Pair-correlated vacuum: exp(chi* ab - chi a^dag b^dag)|0,0>.
+    """Pair-correlated vacuum: exp(chi* ab - chi a^dag b^dag)|0,0> up to `cutoff`.
 
-    Exponentiates the generator on the pair ladder |k, k>, so support off the
-    diagonal is structurally zero. Rejects cutoffs whose truncation tail
-    exceeds 1e-8, naming the cutoff that would suffice.
+    The closed-form `circle.pair_ladder` fills the diagonal |k, k>, so support
+    off the diagonal is structurally zero. Rejects cutoffs whose truncation
+    tail exceeds 1e-8, naming the cutoff that would suffice.
     """
     if cutoff < 0:
         raise ValidationError("cutoff must be nonnegative")
@@ -50,56 +46,47 @@ def two_mode_squeezed_vac(chi: complex, cutoff: int) -> FockVector:
         raise ValidationError(
             f"truncation tail above 1e-8 at cutoff {cutoff}; need cutoff >= {need}"
         )
-    ladder = pair_ladder_coefficients(chi, cutoff)
     amps = zeros((cutoff + 1, cutoff + 1))
     k = np.arange(cutoff + 1)
-    amps[k, k] = ladder
+    amps[k, k] = pair_ladder(chi, cutoff)[0]
     return FockVector(ModeShape((cutoff, cutoff)), amps)
 
 
-def pair_ladder_coefficients(chi: complex, cutoff: int) -> np.ndarray:
-    """Coefficients on |k, k> from the matrix exponential of the pair generator."""
-    from scipy.linalg import expm  # loaded by the squeeze experiment and verify only
+def pump_sector_evolution(n: int, zeta_t: complex) -> np.ndarray:
+    """Amplitudes of the evolved |n, 0, 0> on |n - k, k, k>, k = 0..n.
 
-    vec = zeros((cutoff + 1,))
-    vec[0] = 1.0
-    if chi == 0:
-        return vec
-    G = zeros((cutoff + 1, cutoff + 1))
-    for k in range(cutoff):
-        G[k + 1, k] = -chi * (k + 1)
-        G[k, k + 1] = np.conj(chi) * (k + 1)
-    return expm(G) @ vec
+    The trilinear generator acts on the pump sector as G with
+    G[k + 1, k] = -zeta_t sqrt(n - k) (k + 1) and G[k, k + 1] its negated
+    conjugate. G = -i |zeta_t| D T D^dag, where D = diag((-i zeta_t/|zeta_t|)^k)
+    and T is the real symmetric tridiagonal matrix with zero diagonal and
+    off-diagonal sqrt(n - k) (k + 1). One `np.linalg.eigh` of T = W diag(m) W^T
+    then gives exp(G) e_0 = D W (e^{-i |zeta_t| m} * W^T e_0), as
+    `coupler.sector_spectrum` does for J_y. Serves as the ground truth for the
+    classical-pump replacement.
+    """
+    if n < 0:
+        raise ValidationError("pump photon number must be nonnegative")
+    check_cells((n + 1) ** 2, f"pump sector generator of {n} photons")
+    r = abs(zeta_t)
+    if r == 0.0:
+        return np.eye(1, n + 1, dtype=np.complex128)[0]
+    k = np.arange(n + 1)
+    T = np.zeros((n + 1, n + 1))
+    T[k[:-1], k[1:]] = T[k[1:], k[:-1]] = np.sqrt(n - k[:-1]) * (k[:-1] + 1.0)
+    m, W = np.linalg.eigh(T)
+    inner = np.exp(-1j * r * m) * W[0]
+    rotated = W @ inner.real + 1j * (W @ inner.imag)
+    return _I_POWERS[-k % 4] * np.exp(1j * np.angle(zeta_t) * k) * rotated
 
 
 def exact_three_mode_evolution(pump_n: int, zeta_t: complex, cutoff: int | None = None) -> FockVector:
-    """Evolve |pump_n, 0, 0> under the trilinear pair-production generator.
-
-    The interaction conserves pump-plus-pair number, so the dynamics stay in
-    the (pump_n + 1)-dimensional sector spanned by |pump_n - k> |k, k>; the
-    sector generator is exponentiated exactly. Serves as the ground truth for
-    the classical-pump replacement.
-    """
-    from scipy.linalg import expm
-
-    if pump_n < 0:
-        raise ValidationError("pump photon number must be nonnegative")
-    if pump_n > PUMP_ORACLE_CAP:
-        raise SizingError(f"exact pump evolution capped at {PUMP_ORACLE_CAP} photons")
+    """`pump_sector_evolution` embedded in the dense three-mode basis, pump
+    cutoff pump_n and pair cutoffs `cutoff` (default pump_n)."""
     pair_cut = pump_n if cutoff is None else min(cutoff, pump_n)
-    G = np.zeros((pump_n + 1, pump_n + 1), dtype=np.complex128)
-    for k in range(pump_n + 1):
-        if k + 1 <= pump_n:
-            G[k + 1, k] = -zeta_t * math.sqrt(pump_n - k) * (k + 1)
-        if k - 1 >= 0:
-            G[k - 1, k] = np.conj(zeta_t) * math.sqrt(pump_n - k + 1) * k
-    vec = np.zeros(pump_n + 1, dtype=np.complex128)
-    vec[0] = 1.0
-    sector = expm(G) @ vec
     shape = ModeShape((pump_n, pair_cut, pair_cut))
     amps = zeros(shape.dims)
-    for k in range(pair_cut + 1):
-        amps[pump_n - k, k, k] = sector[k]
+    k = np.arange(pair_cut + 1)
+    amps[pump_n - k, k, k] = pump_sector_evolution(pump_n, zeta_t)[k]
     return FockVector(shape, amps)
 
 
@@ -108,19 +95,22 @@ def pump_entangled_squeezed(n: int, zeta_t: complex, pair_cutoff: int | None = N
 
     Each pump phase point carries the coherent pump amplitude sqrt(n) e^{i phi}
     together with a pair state of parameter chi(phi) = sqrt(n) zeta_t e^{i phi};
-    the synthesized state has definite pump-plus-pair number n.
+    the synthesized state has definite pump-plus-pair number n. The circle is
+    sized to that sector: pump cutoff n, since pump + pair = n, and
+    2 max(n, pair cutoff) + 1 points, the smallest grid the alias check
+    accepts. At every sector tuple the weight e^{-i n phi} cancels the phase of
+    the integrand, so that grid is exact.
     """
     if n < 1:
         raise ValidationError("the classical-pump replacement needs n >= 1")
     chi_mag = math.sqrt(n) * abs(zeta_t)
     pair_cut = required_pair_cutoff(chi_mag) + 2 if pair_cutoff is None else pair_cutoff
-    pump_cut = default_cutoff(float(n))
-    grid = PhaseGrid.for_cutoff(pump_cut)
+    grid = PhaseGrid(2 * max(n, pair_cut) + 1)
     phis = grid.points
     weight = np.exp(-1j * n * phis) / math.sqrt(poisson_pmf(float(n), n))
     amps = (math.sqrt(n) * np.exp(1j * phis))[:, None]
     chis = math.sqrt(n) * zeta_t * np.exp(1j * phis)
-    shape = ModeShape((pump_cut, pair_cut, pair_cut))
+    shape = ModeShape((n, pair_cut, pair_cut))
     return ECSState((grid,), weight, (0,), amps, shape, (PairFactor((1, 2), chis),))
 
 
@@ -134,28 +124,27 @@ class ApproximationPoint:
 def approximation_quality(
     pump_ns: list[int], scale: float, pair_cutoff: int | None = None
 ) -> list[ApproximationPoint]:
-    """Fidelity of the circle synthesis against the exact three-mode oracle at
-    fixed sqrt(n) * |zeta_t| = scale.
+    """Fidelity of the circle synthesis against the exact three-mode evolution
+    at fixed sqrt(n) * |zeta_t| = scale.
 
-    The synthesized state is renormalized before comparing; the deficit
+    Both states are read on the pump sector only: the circle state at its
+    tuples |n - k, k, k>, k up to the pair cutoff, where all of its content
+    lies. The synthesized state is renormalized before comparing; the deficit
     1 - norm^2 is reported alongside as the approximation's own diagnostic.
-    The oracle state comes first, so a pump above PUMP_ORACLE_CAP is refused
-    before any synthesis work.
+    Each pump is sized, by its circle table, before its eigensolve or any
+    table is built.
     """
     points = []
     for n in pump_ns:
+        pair_cut = required_pair_cutoff(scale) + 2 if pair_cutoff is None else pair_cutoff
+        # the circle table, (2 max(n, pair cutoff) + 1) points x (n + 1), is
+        # the largest array; the n + 1 square eigensolve is smaller
+        check_cells((2 * max(n, pair_cut) + 1) * (n + 1), f"pump circle tables at {n} photons")
         zeta = scale / math.sqrt(n)
-        exact = exact_three_mode_evolution(n, zeta)
-        ecs = pump_entangled_squeezed(n, zeta, pair_cutoff)
-        synth = ecs_to_fock(ecs)
-        deficit = 1.0 - synth.norm2
-        target_shape = ModeShape(
-            (
-                max(ecs.shape.cutoffs[0], exact.shape.cutoffs[0]),
-                max(ecs.shape.cutoffs[1], exact.shape.cutoffs[1]),
-                max(ecs.shape.cutoffs[2], exact.shape.cutoffs[2]),
-            )
-        )
-        fid = fidelity(embed(synth, target_shape), embed(exact, target_shape))
-        points.append(ApproximationPoint(n, fid, deficit))
+        k = np.arange(min(n, pair_cut) + 1)
+        synth = ecs_sector_amplitudes(pump_entangled_squeezed(n, zeta, pair_cut), np.stack([n - k, k, k], axis=1))
+        exact = pump_sector_evolution(n, zeta)
+        norm2 = float(np.vdot(synth, synth).real)
+        fid = float(abs(np.vdot(synth, exact[k])) ** 2 / (norm2 * np.vdot(exact, exact).real))
+        points.append(ApproximationPoint(n, fid, 1.0 - norm2))
     return points

@@ -1,5 +1,6 @@
 """Born-rule count statistics of truncated Fock states, used by the tests as
-plain references: dense sums over |amplitude|^2, no phase-circle code."""
+plain references: dense sums over |amplitude|^2, no phase-circle code. Also
+the pair-ladder reference, a Taylor series of the pair generator."""
 
 from __future__ import annotations
 
@@ -73,3 +74,22 @@ def reduced_ab_density(state: FockVector) -> DensityMatrix:
     if state.shape.mode_count != 3:
         raise ValidationError("expected a pump + two-mode state")
     return reduced_density(state.normalize(), keep=(1, 2))
+
+
+def taylor_pair_state(chi: complex, cutoff: int, order: int = 60) -> np.ndarray:
+    """sum_j G^j v / j! on the pair ladder |k, k>, k = 0..cutoff, with G the
+    generator chi* ab - chi a^dag b^dag truncated at `cutoff` and v = |0, 0>."""
+    G = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for k in range(cutoff):
+        G[k + 1, k] = -chi * (k + 1)
+        G[k, k + 1] = np.conj(chi) * (k + 1)
+    vec = np.zeros(cutoff + 1, dtype=complex)
+    vec[0] = 1.0
+    total = vec.copy()
+    term = vec.copy()
+    for j in range(1, order + 1):
+        term = G @ term / j
+        total = total + term
+        if np.linalg.norm(term) < 1e-18:
+            break
+    return total

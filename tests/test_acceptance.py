@@ -35,13 +35,9 @@ from ecsim.sources import (
     laser_density,
     phase_walk_correlation,
 )
-from ecsim.squeezing import (
-    approximation_quality,
-    pair_ladder_coefficients,
-    pump_entangled_squeezed,
-)
+from ecsim.squeezing import approximation_quality, pump_entangled_squeezed
 from ecsim.verify import check_commuting_diagram
-from fock_counts import reduced_ab_density
+from fock_counts import reduced_ab_density, taylor_pair_state
 
 
 def report(number: int, text: str) -> None:
@@ -241,7 +237,7 @@ def test_criterion_9_squeezing_approximation():
     dim = rho.shape.dims[0]
     ent = rho.entries.reshape((dim,) * 4)
     w = np.array([ent[k, k, k, k].real for k in range(3)])
-    ladder = np.abs(pair_ladder_coefficients(scale, 4)) ** 2
+    ladder = np.abs(taylor_pair_state(scale, 4)) ** 2
     err1 = abs(w[1] / w[0] - ladder[1] / ladder[0])
     err2 = abs(w[2] / w[1] - ladder[2] / ladder[1])
     assert err1 <= 1e-2 and err2 <= 1e-2

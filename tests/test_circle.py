@@ -186,10 +186,15 @@ class TestSectorSynthesis:
         with pytest.raises(ValidationError):
             sector_amplitude_stack(ecs, ecs.amplitudes, sector_occupations(3, 2))
 
-    def test_pair_factors_rejected(self):
-        ecs = pump_entangled_squeezed(2, 0.1, pair_cutoff=2)
-        with pytest.raises(ValidationError):
-            ecs_sector_amplitudes(ecs, np.zeros((1, 3), dtype=int))
+    @pytest.mark.parametrize("block_cells", [circle.BLOCK_CELLS, 64])
+    def test_pair_factors_read_at_their_ladder(self, monkeypatch, block_cells):
+        # every tuple of the dense basis, k != l included, where the pair
+        # factor contributes 0
+        ecs = pump_entangled_squeezed(3, 0.3 * np.exp(0.4j), pair_cutoff=4)
+        dense = ecs_to_fock(ecs).amplitudes
+        occ = np.indices(dense.shape).reshape(3, -1).T
+        monkeypatch.setattr(circle, "BLOCK_CELLS", block_cells)
+        assert np.abs(ecs_sector_amplitudes(ecs, occ) - dense.ravel()).max() <= 1e-15
 
     @pytest.mark.parametrize("occ", [[[3, 0, 0]], [[-1, 2, 0]], [[1, 1]]])
     def test_occupations_outside_shape_rejected(self, occ):

@@ -143,7 +143,7 @@ class TestConfigValidation:
             ({"experiment": "interfere", "grid": 1, "A": 0, "B": 2}, "grid"),
             ({"experiment": "interfere", "grid": 2, "A": 1, "B": 1}, "grid"),
             ({"experiment": "squeeze", "pumps": [2], "scale": 20, "exit": 3}, "cutoff"),
-            ({"experiment": "squeeze", "pumps": [], "scale": 5, "exit": 3}, "cap"),
+            ({"experiment": "squeeze", "pumps": [2], "scale": 8, "exit": 3}, "cap"),
             ({"experiment": "homodyne", "n": 5000, "exit": 3}, "cap"),
             ({"experiment": "homodyne", "points": 1}, "points"),
             ({"experiment": "homodyne", "points": 2}, "points"),
@@ -154,9 +154,9 @@ class TestConfigValidation:
             ({"experiment": "ecs-verify", "phis": []}, "phis"),
             ({"experiment": "phase-walk", "photons": 0}, "photons"),
             ({"experiment": "laser-equivalence", "modes": 1, "cutoff": 4000, "exit": 3}, "cap"),
-            ({"experiment": "squeeze", "pumps": [100000], "exit": 3}, "capped"),
+            ({"experiment": "squeeze", "pumps": [2896], "exit": 3}, "cap"),
             ({"experiment": "ecs-verify", "n_max": 100, "exit": 3}, "cap"),
-            ({"experiment": "squeeze", "pair_cutoff": 300}, "grid"),
+            ({"experiment": "squeeze", "pair_cutoff": 2**24, "exit": 3}, "cap"),
             ({"profile_points": 2**24 + 1, "exit": 3}, "profile"),
             ({"fringe": True, "fringe_points": 2**24 + 1, "exit": 3}, "fringe"),
             ({"experiment": "interfere", "profile_points": 2**24 + 1, "exit": 3}, "profile"),
@@ -164,6 +164,7 @@ class TestConfigValidation:
             ({"experiment": "homodyne", "points": 2**24 + 1, "exit": 3}, "tomography"),
             ({"experiment": "phase-walk", "lags": None}, "lags"),
             ({"experiment": "phase-walk", "modes": None}, "modes"),
+            ({"experiment": "squeeze", "pumps": []}, "pumps"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
@@ -211,9 +212,9 @@ class TestEnvironment:
         assert done.stdout.strip() == "1"
 
     def test_run_paths_leave_scipy_unloaded(self, tmp_path):
-        # scipy serves `ecsim verify`, the squeeze experiment and test oracles;
-        # start-up and every other experiment must not pay for its import, nor
-        # for a package-metadata scan to stamp the manifest's version
+        # scipy serves `ecsim verify` and test oracles; start-up and every
+        # experiment must not pay for its import, nor for a package-metadata
+        # scan to stamp the manifest's version
         code = (
             "import json, sys\n"
             "from ecsim.cli import main\n"
@@ -225,7 +226,7 @@ class TestEnvironment:
             "    assert main(['run', '--config', path, '--out', path + '.out']) == 0, path\n"
             "print(json.dumps(scipy_modules()))\n"
         )
-        names = ["interfere", "trajectory", "phase-walk", "homodyne", "laser-equivalence", "ecs-verify"]
+        names = ["interfere", "trajectory", "phase-walk", "homodyne", "laser-equivalence", "squeeze", "ecs-verify"]
         configs = [
             str(write_config(tmp_path, {"experiment": name, "parameters": VALID_PARAMETERS[name]}, f"{name}.json"))
             for name in names
@@ -330,6 +331,18 @@ class TestRunArtifacts:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         res = json.loads((out / "results.json").read_text())
         assert res["fidelities"]["4"] >= res["fidelities"]["2"] - 1e-12
+
+    def test_squeeze_pair_cutoff_past_pump(self, tmp_path):
+        # the pump circle is sized by max(n, pair cutoff), so a pair cutoff far
+        # past every pump runs and only adds Schmidt rungs below 1e-8 in weight
+        fidelities = []
+        for pair_cutoff in (0, 300):
+            params = {"pumps": [2, 12, 1000], "scale": 0.2, "pair_cutoff": pair_cutoff}
+            cfg = write_config(tmp_path, {"experiment": "squeeze", "parameters": params})
+            out = tmp_path / f"out{pair_cutoff}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            fidelities.append(json.loads((out / "results.json").read_text())["fidelities"])
+        assert all(abs(fidelities[1][n] - fidelities[0][n]) <= 1e-10 for n in ("2", "12", "1000"))
 
     def test_ecs_verify_run(self, tmp_path):
         cfg = write_config(

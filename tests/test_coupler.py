@@ -5,7 +5,6 @@ import pytest
 
 import ecsim.coupler as coupler_mod
 from ecsim.coupler import (
-    BLOCK_PHOTON_CAP,
     BlockUnitary,
     CouplerParams,
     apply_coupler,
@@ -19,6 +18,7 @@ from ecsim.coupler import (
 )
 from ecsim.errors import SizingError, ValidationError
 from ecsim.fock import (
+    BASIS_SIZE_CAP,
     FockVector,
     ModeShape,
     basis_state,
@@ -225,13 +225,15 @@ class TestSectorSpectrum:
         def refuse(matrix):
             raise AssertionError("eigensolve ran")
 
+        # the smallest sector whose (N + 1)^2 matrices exceed the one size rule
+        N = math.isqrt(BASIS_SIZE_CAP)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        with pytest.raises(SizingError):
-            sector_spectrum(BLOCK_PHOTON_CAP + 1)
-        with pytest.raises(SizingError):
-            coupler_block(CouplerParams(0.4), BLOCK_PHOTON_CAP + 1)
-        with pytest.raises(SizingError):
-            apply_sector(CouplerParams(0.4), np.zeros(BLOCK_PHOTON_CAP + 2))
+        with pytest.raises(SizingError, match="cap"):
+            sector_spectrum(N)
+        with pytest.raises(SizingError, match="cap"):
+            coupler_block(CouplerParams(0.4), N)
+        with pytest.raises(SizingError, match="cap"):
+            apply_sector(CouplerParams(0.4), np.zeros(N + 1))
 
     @pytest.mark.parametrize("vector", [np.zeros(0), np.zeros((2, 2))])
     def test_malformed_sector_vector_rejected(self, vector):

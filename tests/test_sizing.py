@@ -15,6 +15,7 @@ from ecsim.circle import (
     ecs_sector_amplitudes,
     ecs_to_fock,
     number_state_on_circle,
+    pair_ladder,
     sector_amplitude_stack,
     two_mode_circle,
 )
@@ -42,7 +43,13 @@ from ecsim.sources import (
     multimode_output_coherent,
     phase_walk_correlation,
 )
-from ecsim.squeezing import pair_ladder_coefficients, pump_entangled_squeezed, two_mode_squeezed_vac
+from ecsim.squeezing import (
+    approximation_quality,
+    exact_three_mode_evolution,
+    pump_entangled_squeezed,
+    pump_sector_evolution,
+    two_mode_squeezed_vac,
+)
 from ecsim.verify import check_commuting_diagram
 
 MIB = 2**20
@@ -75,13 +82,17 @@ OVER_CAP = [
     ("NumberDiagonalDensity", lambda: NumberDiagonalDensity(ModeShape((4096,)), np.zeros(4097)).to_density()),
     ("DensityMatrix", lambda: DensityMatrix(ModeShape((4096,)), np.zeros((1, 1)))),
     ("multimode_output_coherent", lambda: multimode_output_coherent(1.0, 0.0, 9, 7)),
-    ("pair ladder", lambda: pair_ladder_coefficients(0.1, 4096)),
+    ("pair ladder", lambda: pair_ladder(0.1, 2**24)),
     ("two_mode_squeezed_vac", lambda: two_mode_squeezed_vac(0.1, 4096)),
+    ("pump sector", lambda: pump_sector_evolution(4096, 0.1)),
+    ("exact three-mode embedding", lambda: exact_three_mode_evolution(256, 0.1)),
+    # (2n + 1)(n + 1) circle cells first pass 2^24 at n = 2896
+    ("squeeze pump circle", lambda: approximation_quality([2896], 0.2)),
     ("circle tables", lambda: ecs_to_fock(number_state_on_circle(2100))),
     ("sector circle tables", lambda: ecs_sector_amplitudes(number_state_on_circle(2100), np.array([[2100]]))),
     ("sector table stack", lambda: sector_amplitude_stack(_circle3, np.broadcast_to(_circle3.amplitudes, (2**22, 16, 1)), np.array([[3]]))),
     ("synthesis output", lambda: ecs_to_fock(_split_circle(7, 9))),
-    ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=150))),
+    ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=210))),
     ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=4097)),
     ("cavity_state", lambda: _trajectory(4100).cavity_state()),
     ("weight_table", lambda: _trajectory(4).weight_table(4097)),

@@ -3,38 +3,40 @@ import math
 import numpy as np
 import pytest
 
-from ecsim.circle import ecs_to_fock
+from ecsim import circle, squeezing
+from ecsim.circle import ecs_to_fock, pair_ladder
 from ecsim.errors import SizingError, ValidationError
-from ecsim.fock import basis_state, fidelity, twirl
-from ecsim import squeezing
+from ecsim.fock import ModeShape, basis_state, embed, fidelity, twirl
 from ecsim.squeezing import (
-    PUMP_ORACLE_CAP,
     approximation_quality,
     exact_three_mode_evolution,
-    pair_ladder_coefficients,
     pump_entangled_squeezed,
+    pump_sector_evolution,
     required_pair_cutoff,
     two_mode_squeezed_vac,
 )
-from fock_counts import joint_count_distribution, reduced_ab_density, total_number_distribution
+from fock_counts import joint_count_distribution, reduced_ab_density, taylor_pair_state, total_number_distribution
 
 
-def taylor_pair_state(chi: complex, cutoff: int, order: int = 60) -> np.ndarray:
-    """Independent series oracle: sum_j G^j v / j! on the pair ladder."""
-    G = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for k in range(cutoff):
-        G[k + 1, k] = -chi * (k + 1)
-        G[k, k + 1] = np.conj(chi) * (k + 1)
-    vec = np.zeros(cutoff + 1, dtype=complex)
-    vec[0] = 1.0
-    total = vec.copy()
-    term = vec.copy()
-    for j in range(1, order + 1):
-        term = G @ term / j
-        total = total + term
-        if np.linalg.norm(term) < 1e-18:
-            break
-    return total
+def expm_pump_sector(n: int, zeta: complex) -> np.ndarray:
+    """Reference for the pump sector: scipy's `expm` of the dense sector
+    generator, built entry by entry, applied to |n, 0, 0>."""
+    from scipy.linalg import expm
+
+    G = np.zeros((n + 1, n + 1), dtype=complex)
+    for k in range(n):
+        G[k + 1, k] = -zeta * math.sqrt(n - k) * (k + 1)
+        G[k, k + 1] = np.conj(zeta) * math.sqrt(n - k) * (k + 1)
+    return expm(G)[:, 0]
+
+
+def infidelity_rate(scale: float = 0.2) -> tuple[float, list[float]]:
+    """Log-log slope of 1 - F between pumps 100 and 1000, and n^2 (1 - F) at
+    each. A pair cutoff of 20 puts the Schmidt tail far below 1 - F."""
+    pumps = [100, 1000]
+    gaps = [1.0 - p.fidelity for p in approximation_quality(pumps, scale, pair_cutoff=20)]
+    slope = math.log(gaps[1] / gaps[0]) / math.log(pumps[1] / pumps[0])
+    return slope, [n * n * gap for n, gap in zip(pumps, gaps)]
 
 
 class TestTwoModeSqueezedVac:
@@ -50,9 +52,11 @@ class TestTwoModeSqueezedVac:
 
     @pytest.mark.parametrize("chi", [0.1, 0.2 * np.exp(1.1j), 0.35j])
     def test_matches_taylor_oracle(self, chi):
+        # the closed form holds the untruncated state's rungs, so the series
+        # runs on a ladder 40 rungs longer, where truncation is below 1e-16
         cutoff = 12
         st = two_mode_squeezed_vac(chi, cutoff)
-        oracle = taylor_pair_state(chi, cutoff)
+        oracle = taylor_pair_state(chi, cutoff + 40)[: cutoff + 1]
         ladder = np.array([st.amplitudes[k, k] for k in range(cutoff + 1)])
         assert np.abs(ladder - oracle).max() <= 1e-10
 
@@ -103,18 +107,40 @@ class TestExactThreeMode:
                 if c + b != 4 and dist_b.probabilities[c, b] > 0:
                     pytest.fail("pump + idler charge violated")
 
-    def test_pump_cap(self):
-        with pytest.raises(SizingError):
-            exact_three_mode_evolution(40, 0.1)
+    def test_pump_cap(self, monkeypatch):
+        # the one size rule: a 4097-square sector generator or a 257^3 dense
+        # embedding passes 2^24 cells, and is refused before any eigensolve
+        def refuse(matrix):
+            raise AssertionError("eigensolve ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(SizingError, match="cap"):
+            pump_sector_evolution(4096, 0.1)
+        with pytest.raises(SizingError, match="cap"):
+            exact_three_mode_evolution(256, 0.1)
 
     def test_pump_cap_refused_before_synthesis(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("synthesis ran")
 
         monkeypatch.setattr(squeezing, "pump_entangled_squeezed", refuse)
-        monkeypatch.setattr(squeezing, "ecs_to_fock", refuse)
-        with pytest.raises(SizingError):
-            approximation_quality([PUMP_ORACLE_CAP + 1], 0.2)
+        monkeypatch.setattr(squeezing, "ecs_sector_amplitudes", refuse)
+        monkeypatch.setattr(squeezing, "pump_sector_evolution", refuse)
+        # the (2n + 1)(n + 1) circle table first passes 2^24 cells at n = 2896
+        with pytest.raises(SizingError, match="cap"):
+            approximation_quality([2896], 0.2)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.3 * np.exp(0.7j), 0.05j, -0.2])
+    def test_sector_matches_expm(self, zeta):
+        worst = max(np.abs(pump_sector_evolution(n, zeta) - expm_pump_sector(n, zeta)).max() for n in range(13))
+        assert worst <= 1e-14
+
+    def test_dense_embedding_is_the_sector(self):
+        sector = pump_sector_evolution(6, 0.2)
+        st = exact_three_mode_evolution(6, 0.2, cutoff=4)
+        k = np.arange(5)
+        assert np.array_equal(st.amplitudes[6 - k, k, k], sector[:5])
+        assert np.count_nonzero(st.amplitudes) == 5
 
 
 class TestPumpEntangled:
@@ -141,6 +167,36 @@ class TestPumpEntangled:
     def test_norm_deficit_reported(self):
         points = approximation_quality([4], scale=0.2)
         assert 0.0 <= points[0].norm_deficit < 0.2
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_sector_reading_matches_dense_synthesis(self, n):
+        zeta = 0.2 / math.sqrt(n)
+        synth = ecs_to_fock(pump_entangled_squeezed(n, zeta))
+        exact = exact_three_mode_evolution(n, zeta)
+        pair_cut = max(synth.shape.cutoffs[1], n)
+        shape = ModeShape((n, pair_cut, pair_cut))
+        point = approximation_quality([n], 0.2)[0]
+        assert abs(point.fidelity - fidelity(embed(synth, shape), embed(exact, shape))) <= 1e-13
+        assert abs(point.norm_deficit - (1.0 - synth.norm2)) <= 1e-14
+
+    def test_infidelity_falls_as_inverse_square_of_pump(self):
+        # measured: slope -1.9991, n^2 (1 - F) = 3.2376e-5 at n = 100 and
+        # 3.2444e-5 at n = 1000. The bounds allow 5x the measured departure
+        # of the slope from -2 and 1 % on the constant
+        slope, constants = infidelity_rate()
+        assert abs(slope + 2.0) <= 5e-3
+        assert all(abs(c - 3.241e-5) <= 0.01 * 3.241e-5 for c in constants)
+
+    def test_rate_catches_flipped_pair_phase(self, monkeypatch):
+        # mutation canary: the ladder's pair phase flipped (unit = chi / r)
+        # leaves every pair weight and so criterion 9 as they were, with
+        # fidelities near 0.855 rising in n; the rate does not fall
+        good = circle.pair_ladder
+        monkeypatch.setattr(circle, "pair_ladder", lambda chis, cutoff: good(-np.asarray(chis), cutoff))
+        fids = [p.fidelity for p in approximation_quality([2, 4, 8, 12], 0.2)]
+        assert fids == sorted(fids)
+        slope, _ = infidelity_rate()
+        assert abs(slope + 2.0) > 5e-3
 
 
 class TestReducedDensity:
@@ -170,7 +226,7 @@ class TestReducedDensity:
         rho = reduced_ab_density(st)
         dims = rho.shape.dims[0]
         w = np.array([rho.entries.reshape((dims,) * 4)[k, k, k, k].real for k in range(3)])
-        ladder = np.abs(pair_ladder_coefficients(scale, 4)) ** 2
+        ladder = np.abs(taylor_pair_state(scale, 4)) ** 2
         assert w[1] / w[0] == pytest.approx(ladder[1] / ladder[0], abs=1e-2)
         assert w[2] / w[1] == pytest.approx(ladder[2] / ladder[1], abs=1e-2)
 
@@ -182,7 +238,7 @@ class TestCutoffSizing:
     def test_tail_below_threshold(self):
         chi = 0.6
         cut = required_pair_cutoff(chi)
-        lad = np.abs(pair_ladder_coefficients(chi, cut + 30)) ** 2
+        lad = np.abs(pair_ladder(chi, cut + 30)[0]) ** 2
         assert lad[cut + 1 :].sum() <= 1e-8
 
     @pytest.mark.parametrize("chi", [19.1, 20.0, -25.0])
