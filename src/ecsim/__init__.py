@@ -46,13 +46,10 @@ from .fock import (
     NumberDiagonalDensity,
     basis_state,
     coherent_amplitudes,
-    default_cutoff,
-    embed,
     fidelity,
     inner,
     phase_shift,
     poisson_pmf,
-    reduced_density,
     sector_occupations,
     tensor,
     to_density,
@@ -70,7 +67,6 @@ from .measurement import (
     DetectionRecord,
     TrajectoryState,
     fringe_scan,
-    project_counts,
     run_interference_trajectory,
 )
 from .sources import (

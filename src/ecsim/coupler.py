@@ -20,25 +20,28 @@ S = diag(i^k) and J_y the Schwinger generator, so its spectrum is exactly the
 integers -N, -N+2, ..., N. Neither T nor its eigenvectors depend on (theta,
 phi), so each sector is diagonalised once with numpy's symmetric eigensolver
 (`np.linalg.eigh`): `sector_spectrum` holds the eigenvalues rounded to those
-integers and the real orthogonal W, and every (theta, phi) reads it.
-`coupler_block` forms U = D W diag(e^{-i theta m}) W^T D^dag (Feng, Wang,
-Yang & Jin, PRE 92, 043307 (2015)); `apply_sector` applies the same product
-to one sector vector right to left without forming U. `oracle_block` builds
-G in its own loop and exponentiates it with scipy's `expm`, imported only
-when the oracle runs; it is the test reference. Both routes start from the
-same sector Hamiltonian, so the sign and phase convention is pinned
-separately by checks that go through `heisenberg_matrix`: coherent
-covariance and the commuting diagram with the phase-circle route.
+integers and the real orthogonal W, and every (theta, phi) reads it. A
+coupler acts only through the sector product U v =
+d * (W (e^{-i theta m} * (W^T (conj(d) * v)))), d the diagonal of D (Feng,
+Wang, Yang & Jin, PRE 92, 043307 (2015)): `apply_sector` on sector vectors,
+`apply_coupler` on each live sector of a state, `coupler_block` on the
+identity. `oracle_block` builds G in its own loop and exponentiates it with
+scipy's `expm`, imported only when the oracle runs; it is the test reference.
+Both routes start from the same sector Hamiltonian, so the sign and phase
+convention is pinned separately by checks that go through
+`heisenberg_matrix`: coherent covariance and the commuting diagram with the
+phase-circle route.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from . import fock
 from .errors import ValidationError
 from .fock import FockVector, ModeShape, check_cells, tensor, vacuum
 
@@ -116,41 +119,31 @@ def _check_sector(N: int) -> None:
     check_cells((N + 1) ** 2, f"sector {N} matrices")
 
 
-# one entry per sector photon number; the block cache serves the
-# repeated (theta, phi, N), so a few spectra are enough
-@lru_cache(maxsize=8)
-def _sector_spectrum_cached(N: int) -> SectorSpectrum:
-    k = np.arange(N + 1)
-    off = np.sqrt(k[1:] * (N + 1.0 - k[1:]))
-    m, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return SectorSpectrum(np.rint(m), W)
+# sector photon number -> its spectrum, least recently read first
+_spectra: dict[int, SectorSpectrum] = {}
+_spectra_lock = threading.Lock()
 
 
 def sector_spectrum(N: int) -> SectorSpectrum:
-    """The one factorisation of sector N that every (theta, phi) reads."""
+    """The one factorisation of sector N that every (theta, phi) reads. Read
+    spectra are kept, the least recently read dropped first while all but the
+    one just read hold more than `fock.BASIS_SIZE_CAP` eigenvector cells."""
     _check_sector(N)
-    return _sector_spectrum_cached(int(N))
-
-
-def _sector_phases(phi: float, N: int) -> np.ndarray:
-    """Diagonal of D = diag(e^{-i phi k} i^k), k = 0..N."""
-    k = np.arange(N + 1)
-    return np.exp(-1j * phi * k) * _I_POWERS[k % 4]
-
-
-@lru_cache(maxsize=4096)
-def _coupler_block_cached(theta: float, phi: float, N: int) -> BlockUnitary:
-    spectrum = _sector_spectrum_cached(N)
-    W = spectrum.eigenvectors
-    rotation = (W * np.exp(-1j * theta * spectrum.eigenvalues)) @ W.T
-    d = _sector_phases(phi, N)
-    return BlockUnitary(N, d[:, None] * rotation * d.conj()[None, :])
-
-
-def coupler_block(params: CouplerParams, N: int) -> BlockUnitary:
-    """Sector unitary from the exact spectrum of the sector's J_y."""
-    _check_sector(N)
-    return _coupler_block_cached(float(params.theta), float(params.phi), int(N))
+    N = int(N)
+    with _spectra_lock:
+        spectrum = _spectra.pop(N, None)
+        if spectrum is None:
+            k = np.arange(N + 1)
+            off = np.sqrt(k[1:] * (N + 1.0 - k[1:]))
+            m, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+            spectrum = SectorSpectrum(np.rint(m), W)
+        _spectra[N] = spectrum
+        held = sum(s.eigenvectors.size for s in _spectra.values()) - spectrum.eigenvectors.size
+        for old in list(_spectra)[:-1]:
+            if held <= fock.BASIS_SIZE_CAP:
+                break
+            held -= _spectra.pop(old).eigenvectors.size
+    return spectrum
 
 
 def _real_matmul(W: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -159,29 +152,36 @@ def _real_matmul(W: np.ndarray, z: np.ndarray) -> np.ndarray:
     view, no copy), so W stays real. The stack is one `np.matmul` over
     (rows, len, 2) real pairs, so each row gets the product it gets alone."""
     pairs = np.ascontiguousarray(z).view(np.float64).reshape(*z.shape, 2)
-    return np.matmul(W, pairs).view(np.complex128).reshape(z.shape)
+    return np.matmul(W, pairs).view(np.complex128).reshape(*z.shape[:-1], W.shape[0])
 
 
-def apply_sector(params: CouplerParams, vector: np.ndarray) -> np.ndarray:
-    """U v on the N-photon sector, N = len(v) - 1, indexed like `coupler_block`.
-
-    Computes d * (W (e^{-i theta m} * (W^T (conj(d) * v)))) in O(N^2) from
-    the sector's spectrum; U itself is never formed.
-    """
-    v = np.asarray(vector, dtype=np.complex128)
-    if v.ndim != 1:
-        raise ValidationError("sector vector must be one-dimensional")
-    return _apply_sector_stack(params, v[None])[0]
-
-
-def _apply_sector_stack(params: CouplerParams, vectors: np.ndarray) -> np.ndarray:
-    """`apply_sector` on every row of a (rows, N + 1) complex stack at once."""
-    N = vectors.shape[1] - 1
+def _sector_product(params: CouplerParams, N: int, vectors: np.ndarray, k0: int = 0) -> np.ndarray:
+    """U[sub, sub] v for each row v of a (rows, s) stack, sub = k0 .. k0 + s - 1:
+    d * (W (e^{-i theta m} * (W^T (conj(d) * v)))) on the rows sub of W and of
+    the diagonal d = e^{-i phi k} i^k of D, O(N s) per row; U is never formed."""
     spectrum = sector_spectrum(N)
-    W = spectrum.eigenvectors
-    d = _sector_phases(params.phi, N)
+    k = np.arange(k0, k0 + vectors.shape[-1])
+    W = spectrum.eigenvectors[k0 : k0 + k.size]
+    d = np.exp(-1j * params.phi * k) * _I_POWERS[k % 4]
     inner = _real_matmul(W.T, d.conj() * vectors) * np.exp(-1j * params.theta * spectrum.eigenvalues)
     return d * _real_matmul(W, inner)
+
+
+def coupler_block(params: CouplerParams, N: int) -> BlockUnitary:
+    """Sector unitary from the exact spectrum of the sector's J_y: the sector
+    product on the identity, whose row j is column j of U."""
+    _check_sector(N)
+    return BlockUnitary(N, _sector_product(params, int(N), np.eye(N + 1, dtype=np.complex128)).T)
+
+
+def apply_sector(params: CouplerParams, vectors: np.ndarray) -> np.ndarray:
+    """U v on the N-photon sector, N = len(v) - 1, indexed like `coupler_block`,
+    for one vector v or each row of a (rows, N + 1) stack, which gets the
+    numbers it gets alone. U is never formed."""
+    v = np.asarray(vectors, dtype=np.complex128)
+    if v.ndim not in (1, 2):
+        raise ValidationError("sector vectors must be one vector or a (rows, N + 1) stack")
+    return _sector_product(params, v.shape[-1] - 1, np.atleast_2d(v)).reshape(v.shape)
 
 
 def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
@@ -201,19 +201,6 @@ def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
     return BlockUnitary(N, expm(G))
 
 
-@lru_cache(maxsize=64)
-def _sector_order(ci: int, cj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells (k, l) of a (ci + 1) x (cj + 1) pair grid, row-major index, sorted
-    stably by total k + l (so by k within a sector), and the offset of each
-    sector N = 0 .. ci + cj in that order, with the cell count appended."""
-    totals = np.add.outer(np.arange(ci + 1), np.arange(cj + 1)).ravel()
-    order = np.argsort(totals, kind="stable")
-    starts = np.searchsorted(totals[order], np.arange(ci + cj + 2))
-    order.setflags(write=False)
-    starts.setflags(write=False)
-    return order, starts
-
-
 def apply_coupler(
     state: FockVector,
     mode_pair: tuple[int, int],
@@ -230,21 +217,17 @@ def apply_coupler(
     K = state.shape.mode_count
     if i == j or not (0 <= i < K and 0 <= j < K):
         raise ValidationError(f"invalid mode pair {mode_pair}")
-    perm = (i, j, *(m for m in range(K) if m != i and m != j))
-    psi = np.ascontiguousarray(state.amplitudes.transpose(perm))
+    psi = np.moveaxis(state.amplitudes, (i, j), (0, 1))
     ci, cj = psi.shape[0] - 1, psi.shape[1] - 1
-    order, starts = _sector_order(ci, cj)
-    gathered = psi.reshape(order.size, -1)[order]
-    live = np.logical_or.reduceat(np.any(gathered, axis=1), starts[:-1])
-    coupled = np.zeros_like(gathered)
-    for N in np.flatnonzero(live).tolist():
-        # sector N holds k = k0 .. k0 + size - 1 photons in mode i
-        k0, lo, hi = max(0, N - cj), starts[N], starts[N + 1]
-        U = coupler_block(params, N).matrix
-        coupled[lo:hi] = U[k0 : k0 + hi - lo, k0 : k0 + hi - lo] @ gathered[lo:hi]
-    out = np.empty_like(gathered)
-    out[order] = coupled
-    return FockVector(state.shape, out.reshape(psi.shape).transpose(np.argsort(perm)))
+    out = np.zeros_like(psi)
+    for N in range(ci + cj + 1):
+        # sector N holds the cells (k, N - k) that both cutoffs keep
+        k = np.arange(max(0, N - cj), min(N, ci) + 1)
+        cells = psi[k, N - k]
+        if cells.any():
+            vectors = cells.reshape(k.size, -1).T
+            out[k, N - k] = _sector_product(params, N, vectors, k[0]).T.reshape(cells.shape)
+    return FockVector(state.shape, np.moveaxis(out, (0, 1), (i, j)))
 
 
 def split_cascade(n_out: int) -> list[tuple[int, int, float]]:

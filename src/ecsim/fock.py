@@ -8,8 +8,10 @@ Amplitudes are stored row-major over the occupation tuple (n_1, ..., n_K).
 
 The package's one size rule is `check_cells`: no array whose size depends on
 the input exceeds BASIS_SIZE_CAP cells. Each such allocation passes the cells
-it takes, before taking them, directly or through `zeros`. A `ModeShape` only
-describes a basis, so a sector route is sized by its sector, not (cutoff + 1)^N.
+it takes, before taking them, directly or through `zeros`; a dense state also
+passes its mode count to `check_dense`, because numpy arrays hold at most 64
+axes. A `ModeShape` only describes a basis, of any number of modes, so a
+sector route is sized by its sector, not (cutoff + 1)^N.
 """
 
 from __future__ import annotations
@@ -39,15 +41,18 @@ def check_cells(cells: int, what: str = "array") -> None:
         raise SizingError(f"{what}: {count} cells exceed the cap of {BASIS_SIZE_CAP}")
 
 
+def check_dense(axes: int, cells: int, what: str = "array") -> None:
+    """`check_cells` for a dense array of `axes` axes, one per mode of a
+    state; numpy arrays hold at most 64 axes, so more raise SizingError too."""
+    if axes > 64:
+        raise SizingError(f"{what}: {axes} axes exceed the 64 of a dense array")
+    check_cells(cells, what)
+
+
 def zeros(dims: tuple[int, ...]) -> np.ndarray:
-    """Complex zeros of shape `dims`, once `check_cells` has admitted them."""
-    check_cells(math.prod(dims), f"array {tuple(dims)}")
+    """Complex zeros of shape `dims`, once `check_dense` has admitted them."""
+    check_dense(len(dims), math.prod(dims), f"array {tuple(dims)}")
     return np.zeros(dims, dtype=np.complex128)
-
-
-def default_cutoff(nbar: float) -> int:
-    """Per-mode cutoff that keeps the Poisson tail of a mean-nbar source negligible."""
-    return int(math.ceil(nbar + 10.0 * math.sqrt(max(nbar, 0.0)) + 10.0))
 
 
 @dataclass(frozen=True)
@@ -266,7 +271,7 @@ def phase_shift(state: FockVector, mode: int, delta: float) -> FockVector:
 
 def tensor(a: FockVector, b: FockVector) -> FockVector:
     shape = ModeShape(a.shape.cutoffs + b.shape.cutoffs)
-    check_cells(shape.size, f"product state {shape.dims}")
+    check_dense(shape.mode_count, shape.size, f"product state {shape.dims}")
     return FockVector(shape, np.multiply.outer(a.amplitudes, b.amplitudes))
 
 
@@ -284,17 +289,6 @@ def fidelity(a: FockVector, b: FockVector) -> float:
     if norms == 0.0:
         raise ValidationError("cannot normalize the zero vector")
     return float(abs(overlap) ** 2 / norms)
-
-
-def embed(state: FockVector, shape: ModeShape) -> FockVector:
-    """Zero-pad a state into a larger shape with the same mode count."""
-    if shape.mode_count != state.shape.mode_count:
-        raise ValidationError("embed requires equal mode counts")
-    if any(cn < co for cn, co in zip(shape.cutoffs, state.shape.cutoffs)):
-        raise ValidationError("target cutoffs must dominate the source cutoffs")
-    amps = zeros(shape.dims)
-    amps[tuple(slice(0, d) for d in state.shape.dims)] = state.amplitudes
-    return FockVector(shape, amps)
 
 
 @dataclass(frozen=True)
@@ -323,25 +317,6 @@ def to_density(state: FockVector) -> DensityMatrix:
     vec = state.amplitudes.ravel()
     check_cells(vec.size**2, f"density matrix of dimension {vec.size}")
     return DensityMatrix(state.shape, np.outer(vec, vec.conj()))
-
-
-def reduced_density(state: FockVector, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace of |state><state| keeping the listed modes.
-
-    Contracts the pure state directly so the full density matrix is never
-    materialized.
-    """
-    keep = tuple(keep)
-    K = state.shape.mode_count
-    if any(m < 0 or m >= K for m in keep) or len(set(keep)) != len(keep):
-        raise ValidationError(f"invalid mode subset {keep}")
-    drop = tuple(m for m in range(K) if m not in keep)
-    psi = np.moveaxis(state.amplitudes, keep + drop, range(K))
-    kdims = tuple(state.shape.dims[m] for m in keep)
-    psi = psi.reshape(int(np.prod(kdims)), -1)
-    check_cells(len(psi) ** 2, f"density matrix of dimension {len(psi)}")
-    rho = psi @ psi.conj().T
-    return DensityMatrix(ModeShape(tuple(state.shape.cutoffs[m] for m in keep)), rho)
 
 
 def twirl(rho: DensityMatrix, modes: Sequence[int] | None = None) -> DensityMatrix:
@@ -390,13 +365,6 @@ class NumberDiagonalDensity:
     def to_density(self) -> DensityMatrix:
         check_cells(self.shape.size**2, f"density matrix of dimension {self.shape.size}")
         return DensityMatrix(self.shape, np.diag(self.weights.ravel()).astype(np.complex128))
-
-    @classmethod
-    def from_density(cls, rho: DensityMatrix, atol: float = 1e-12) -> "NumberDiagonalDensity":
-        off = rho.entries - np.diag(np.diag(rho.entries))
-        if np.abs(off).max() > atol:
-            raise ValidationError("density has off-diagonal entries; not number diagonal")
-        return cls(rho.shape, np.real(np.diag(rho.entries)).reshape(rho.shape.dims))
 
 
 def lowering_matrix(cutoff: int) -> np.ndarray:

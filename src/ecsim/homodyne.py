@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupler import CouplerParams, _apply_sector_stack, apply_sector
+from .coupler import CouplerParams, apply_sector
 from .errors import ValidationError
 from .fock import check_cells, lowering_matrix
 
@@ -105,13 +105,13 @@ def _split(config: HomodyneConfig) -> np.ndarray:
 def _remix(split: np.ndarray, gammas: np.ndarray):
     """The (points, 2n + 1) difference distributions, means and variances of
     the circuit with each phase process gamma in `gammas` on the signal of
-    `split`. All points are remixed in one stacked
-    `coupler._apply_sector_stack`, and each gets the numbers it gets alone."""
+    `split`. All points are remixed in one stacked `coupler.apply_sector`,
+    and each gets the numbers it gets alone."""
     n = split.size - 1
     check_cells(gammas.size * (2 * n + 1), "homodyne difference distributions")
     k = np.arange(n + 1)
     signals = split * np.exp(1j * gammas[:, None] * (n - k))
-    mixed = _apply_sector_stack(CouplerParams(math.pi / 4, SPLITTER_PHASE), signals)
+    mixed = apply_sector(CouplerParams(math.pi / 4, SPLITTER_PHASE), signals)
     weights = np.abs(mixed) ** 2
     values = np.arange(-n, n + 1)
     probs = np.zeros((gammas.size, values.size))

@@ -1,6 +1,5 @@
-"""Photon counting: exact count distributions, projective collapse, and the
-seeded repeated-detection trajectory that phase-locks two independent
-number-state cavities.
+"""Photon counting: the seeded repeated-detection trajectory that phase-locks
+two independent number-state cavities, and its brute-force Fock oracle.
 
 Trajectory internals
 --------------------
@@ -10,7 +9,7 @@ detection multiplies it by a polynomial in e^{i phi}, e^{i phi'}. The total
 photon number is definite, so every nonzero Fourier coefficient lies on the
 anti-diagonal f1 + f2 = -D, with D = 2n - detected photons remaining in the
 cavities. The trajectory stores that anti-diagonal as one vector
-`weight[f1 + n]` of length 2n + 1, plus D; grids only appear when a table,
+`weight[f1 + n]` of length 2n + 1, plus D; grids only appear when a
 profile or fringe is exported. On the vector e^{i phi} is a shift by one and
 e^{i phi'} the identity, so a detection at A or B multiplies by (x + 1) or
 (x - 1). Detection probabilities reduce to quadratic forms of the vector
@@ -59,42 +58,6 @@ FRINGE_BRANCHES = ("full", "positive")
 # complex cells of the deepest outcome shell, (s + 1) x (2n + 1): 32 MiB
 SHELL_CELL_CAP = 2**21
 
-
-
-# ---------------------------------------------------------------------------
-# Exact Born-rule bookkeeping on truncated states
-# ---------------------------------------------------------------------------
-
-
-def project_counts(
-    state: FockVector, modes: tuple[int, ...], counts: tuple[int, ...]
-) -> tuple[FockVector | None, float]:
-    """Project the listed modes onto definite counts.
-
-    Returns the renormalized state of the unmeasured modes together with the
-    outcome probability; a zero-probability outcome returns (None, 0.0)
-    rather than dividing by zero.
-    """
-    K = state.shape.mode_count
-    modes = tuple(modes)
-    counts = tuple(int(c) for c in counts)
-    if len(modes) != len(counts):
-        raise ValidationError("modes and counts must have equal length")
-    if len(modes) >= K:
-        raise ValidationError("at least one mode must remain unmeasured")
-    for m, c in zip(modes, counts):
-        if not 0 <= c <= state.shape.cutoffs[m]:
-            raise ValidationError(f"count {c} outside cutoff of mode {m}")
-    index: list = [slice(None)] * K
-    for m, c in zip(modes, counts):
-        index[m] = c
-    sub = state.amplitudes[tuple(index)]
-    prob = float(np.sum(np.abs(sub) ** 2))
-    if prob == 0.0:
-        return None, 0.0
-    keep = tuple(m for m in range(K) if m not in modes)
-    shape = ModeShape(tuple(state.shape.cutoffs[m] for m in keep))
-    return FockVector(shape, sub / math.sqrt(prob)), prob
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +305,6 @@ class TrajectoryState:
     @property
     def radius(self) -> float:
         return math.sqrt(self.radius2)
-
-    def weight_table(self, grid_points: int | None = None) -> np.ndarray:
-        """Materialize w(phi, phi') on a uniform grid (complex table)."""
-        n = self.n
-        M = grid_points or max(64, 4 * n + 4)
-        if M < 2 * n + 1:
-            raise ValidationError(f"grid must resolve frequencies up to {n}; need M >= {2*n+1}")
-        check_cells(M * M, f"weight table on a {M}-point grid")
-        h = _psi_samples(self.weight, n, M)
-        l = np.arange(M)
-        phase_b = np.exp(-2j * math.pi * ((self.remaining * l) % M) / M)  # e^{-i D phi'}
-        return h[(l[:, None] - l[None, :]) % M] * phase_b[None, :]
 
     def delta_profile(self, points: int = 1024) -> tuple[np.ndarray, np.ndarray]:
         """|w| against the half phase difference Delta, normalized to unit peak.

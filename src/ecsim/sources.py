@@ -24,6 +24,7 @@ from .fock import (
     NumberDiagonalDensity,
     basis_state,
     check_cells,
+    check_dense,
     coherent_log_amplitudes,
     poisson_pmf,
     poisson_tail,
@@ -80,7 +81,7 @@ def multimode_output_coherent(nbar: float, phi: float, n_modes: int, cutoff: int
     """Product of n_modes coherent states with amplitude sqrt(nbar/n_modes) e^{i phi}."""
     if nbar < 0:
         raise ValidationError("nbar must be nonnegative")
-    check_cells((cutoff + 1) ** n_modes, f"product of {n_modes} coherent modes at cutoff {cutoff}")
+    check_dense(n_modes, (cutoff + 1) ** n_modes, f"product of {n_modes} coherent modes at cutoff {cutoff}")
     alpha = math.sqrt(nbar / n_modes) * np.exp(1j * phi)
     row = coherent_log_amplitudes(np.array([alpha]), cutoff)[0]
     amps = row

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ecsim.errors import ValidationError
-from ecsim.fock import DensityMatrix, FockVector, reduced_density
+from ecsim.fock import DensityMatrix, FockVector
+from fock_helpers import reduced_density
 
 
 @dataclass(frozen=True)

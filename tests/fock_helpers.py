@@ -1,0 +1,102 @@
+"""Dense truncated-Fock helpers that only the tests use: cutoffs for a
+Poisson source, zero-padding, partial traces, number-diagonal reads,
+projective count collapse and the trajectory's full phase-pair table."""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from ecsim.errors import ValidationError
+from ecsim.fock import DensityMatrix, FockVector, ModeShape, NumberDiagonalDensity, check_cells, zeros
+from ecsim.measurement import TrajectoryState, _psi_samples
+
+
+def default_cutoff(nbar: float) -> int:
+    """Per-mode cutoff that keeps the Poisson tail of a mean-nbar source negligible."""
+    return int(math.ceil(nbar + 10.0 * math.sqrt(max(nbar, 0.0)) + 10.0))
+
+
+def embed(state: FockVector, shape: ModeShape) -> FockVector:
+    """Zero-pad a state into a larger shape with the same mode count."""
+    if shape.mode_count != state.shape.mode_count:
+        raise ValidationError("embed requires equal mode counts")
+    if any(cn < co for cn, co in zip(shape.cutoffs, state.shape.cutoffs)):
+        raise ValidationError("target cutoffs must dominate the source cutoffs")
+    amps = zeros(shape.dims)
+    amps[tuple(slice(0, d) for d in state.shape.dims)] = state.amplitudes
+    return FockVector(shape, amps)
+
+
+def reduced_density(state: FockVector, keep: Sequence[int]) -> DensityMatrix:
+    """Partial trace of |state><state| keeping the listed modes.
+
+    Contracts the pure state directly so the full density matrix is never
+    materialized.
+    """
+    keep = tuple(keep)
+    K = state.shape.mode_count
+    if any(m < 0 or m >= K for m in keep) or len(set(keep)) != len(keep):
+        raise ValidationError(f"invalid mode subset {keep}")
+    drop = tuple(m for m in range(K) if m not in keep)
+    psi = np.moveaxis(state.amplitudes, keep + drop, range(K))
+    kdims = tuple(state.shape.dims[m] for m in keep)
+    psi = psi.reshape(int(np.prod(kdims)), -1)
+    check_cells(len(psi) ** 2, f"density matrix of dimension {len(psi)}")
+    rho = psi @ psi.conj().T
+    return DensityMatrix(ModeShape(tuple(state.shape.cutoffs[m] for m in keep)), rho)
+
+
+def from_density(rho: DensityMatrix, atol: float = 1e-12) -> NumberDiagonalDensity:
+    """The number-diagonal density of rho, which must have no off-diagonal
+    entry larger than atol."""
+    off = rho.entries - np.diag(np.diag(rho.entries))
+    if np.abs(off).max() > atol:
+        raise ValidationError("density has off-diagonal entries; not number diagonal")
+    return NumberDiagonalDensity(rho.shape, np.real(np.diag(rho.entries)).reshape(rho.shape.dims))
+
+
+def project_counts(
+    state: FockVector, modes: tuple[int, ...], counts: tuple[int, ...]
+) -> tuple[FockVector | None, float]:
+    """Project the listed modes onto definite counts.
+
+    Returns the renormalized state of the unmeasured modes together with the
+    outcome probability; a zero-probability outcome returns (None, 0.0)
+    rather than dividing by zero.
+    """
+    K = state.shape.mode_count
+    modes = tuple(modes)
+    counts = tuple(int(c) for c in counts)
+    if len(modes) != len(counts):
+        raise ValidationError("modes and counts must have equal length")
+    if len(modes) >= K:
+        raise ValidationError("at least one mode must remain unmeasured")
+    for m, c in zip(modes, counts):
+        if not 0 <= c <= state.shape.cutoffs[m]:
+            raise ValidationError(f"count {c} outside cutoff of mode {m}")
+    index: list = [slice(None)] * K
+    for m, c in zip(modes, counts):
+        index[m] = c
+    sub = state.amplitudes[tuple(index)]
+    prob = float(np.sum(np.abs(sub) ** 2))
+    if prob == 0.0:
+        return None, 0.0
+    keep = tuple(m for m in range(K) if m not in modes)
+    shape = ModeShape(tuple(state.shape.cutoffs[m] for m in keep))
+    return FockVector(shape, sub / math.sqrt(prob)), prob
+
+
+def weight_table(traj: TrajectoryState, grid_points: int | None = None) -> np.ndarray:
+    """Materialize the trajectory's w(phi, phi') on a uniform grid (complex table)."""
+    n = traj.n
+    M = grid_points or max(64, 4 * n + 4)
+    if M < 2 * n + 1:
+        raise ValidationError(f"grid must resolve frequencies up to {n}; need M >= {2*n+1}")
+    check_cells(M * M, f"weight table on a {M}-point grid")
+    h = _psi_samples(traj.weight, n, M)
+    l = np.arange(M)
+    phase_b = np.exp(-2j * math.pi * ((traj.remaining * l) % M) / M)  # e^{-i D phi'}
+    return h[(l[:, None] - l[None, :]) % M] * phase_b[None, :]

@@ -165,6 +165,7 @@ class TestConfigValidation:
             ({"experiment": "phase-walk", "lags": None}, "lags"),
             ({"experiment": "phase-walk", "modes": None}, "modes"),
             ({"experiment": "squeeze", "pumps": []}, "pumps"),
+            ({"experiment": "laser-equivalence", "nbar": 0.5, "modes": 70, "cutoff": 0, "exit": 3}, "axes"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
@@ -439,20 +440,24 @@ class TestVerifyCommand:
     def test_json_document_reports_failure(self, monkeypatch, capsys):
         import ecsim.coupler as coupler_mod
 
-        good = coupler_mod._coupler_block_cached
-        monkeypatch.setattr(coupler_mod, "_coupler_block_cached", lambda theta, phi, N: good(-theta, phi, N))
+        coupler_mod._spectra.clear()
+        good = coupler_mod.sector_spectrum
+        inverse = lambda N: coupler_mod.SectorSpectrum(-good(N).eigenvalues, good(N).eigenvectors)
+        monkeypatch.setattr(coupler_mod, "sector_spectrum", inverse)
         assert main(["verify", "--suite", "fast", "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         failed = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failed and doc["passed"] == doc["total"] - len(failed)
         assert all(c["measured"] > c["tolerance"] for c in doc["checks"] if c["name"] in failed)
 
-    @pytest.mark.parametrize("target", ["heisenberg_matrix", "_coupler_block_cached"])
+    @pytest.mark.parametrize("target", ["heisenberg_matrix", "sector_spectrum"])
     def test_corrupted_coupler_detected(self, monkeypatch, capsys, target):
         # mutation canaries: flip the sign structure of the mode-mixing matrix,
-        # or make every sector block the inverse rotation (still unitary)
+        # or negate every sector's eigenvalues, which makes each coupler the
+        # inverse rotation U(-theta) (still unitary) on every route
         import ecsim.coupler as coupler_mod
 
+        coupler_mod._spectra.clear()
         good = getattr(coupler_mod, target)
 
         def corrupted_mixing(params):
@@ -460,10 +465,11 @@ class TestVerifyCommand:
             m[0, 1] = -m[0, 1]
             return m
 
-        def corrupted_block(theta, phi, N):
-            return good(-theta, phi, N)
+        def corrupted_spectrum(N):
+            spectrum = good(N)
+            return coupler_mod.SectorSpectrum(-spectrum.eigenvalues, spectrum.eigenvectors)
 
-        corrupted = {"heisenberg_matrix": corrupted_mixing, "_coupler_block_cached": corrupted_block}
+        corrupted = {"heisenberg_matrix": corrupted_mixing, "sector_spectrum": corrupted_spectrum}
         monkeypatch.setattr(coupler_mod, target, corrupted[target])
         assert main(["verify", "--suite", "fast"]) == 1
         assert "FAIL" in capsys.readouterr().out

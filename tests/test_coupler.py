@@ -1,9 +1,12 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import ecsim.coupler as coupler_mod
+import ecsim.fock as fock_mod
 from ecsim.coupler import (
     BlockUnitary,
     CouplerParams,
@@ -28,6 +31,7 @@ from ecsim.fock import (
     tensor,
     vacuum,
 )
+from ecsim.verify import check_commuting_diagram
 
 
 def cascade_matrix(cascade: list[tuple[int, int, float]], n_modes: int) -> np.ndarray:
@@ -184,19 +188,20 @@ class TestApplyCoupler:
 class TestSectorSpectrum:
     @pytest.mark.parametrize("N", [0, 1, 2, 5, 60, 200])
     def test_apply_sector_matches_block(self, N):
+        # against the expm oracle: `coupler_block` is the sector product itself
         rng = np.random.default_rng(N)
         for theta in (0.3, math.pi / 4, math.pi / 2):
             for phi in (0.0, 4.0):
                 params = CouplerParams(theta, phi)
                 v = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
-                assert np.abs(apply_sector(params, v) - coupler_block(params, N).matrix @ v).max() <= 1e-13
+                assert np.abs(apply_sector(params, v) - oracle_block(params, N).matrix @ v).max() <= 1e-13
 
     @pytest.mark.parametrize("N", [0, 1, 7, 200])
     def test_stacked_rows_equal_lone_vectors(self, N):
         rng = np.random.default_rng(N)
         params = CouplerParams(0.7, 2.0)
         stack = rng.normal(size=(5, N + 1)) + 1j * rng.normal(size=(5, N + 1))
-        rows = coupler_mod._apply_sector_stack(params, stack)
+        rows = apply_sector(params, stack)
         assert all(np.array_equal(row, apply_sector(params, v)) for row, v in zip(rows, stack))
 
     @pytest.mark.parametrize("N", [0, 1, 6, 61])
@@ -214,7 +219,7 @@ class TestSectorSpectrum:
             W[:, 1] *= 1.0 + 1e-8
             return m, W
 
-        coupler_mod._sector_spectrum_cached.cache_clear()
+        coupler_mod._spectra.clear()
         monkeypatch.setattr(np.linalg, "eigh", scaled)
         with pytest.raises(ValidationError, match="orthogonal"):
             sector_spectrum(7)
@@ -235,10 +240,83 @@ class TestSectorSpectrum:
         with pytest.raises(SizingError, match="cap"):
             apply_sector(CouplerParams(0.4), np.zeros(N + 1))
 
-    @pytest.mark.parametrize("vector", [np.zeros(0), np.zeros((2, 2))])
+    # a vector of no entries, a three-dimensional array, a stack of empty rows
+    @pytest.mark.parametrize("vector", [np.zeros(0), np.zeros((2, 2, 2)), np.zeros((2, 0))])
     def test_malformed_sector_vector_rejected(self, vector):
         with pytest.raises(ValidationError):
             apply_sector(CouplerParams(0.4), vector)
+
+
+@pytest.fixture
+def factorised(monkeypatch):
+    """The sector photon numbers factorised from here on, in order, starting
+    from an empty spectrum cache."""
+    coupler_mod._spectra.clear()
+    good, sectors = np.linalg.eigh, []
+
+    def counted(matrix):
+        sectors.append(matrix.shape[0] - 1)
+        return good(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sectors
+
+
+def cached_cells_before_newest():
+    """Eigenvector cells the spectrum cache holds apart from its newest entry."""
+    return sum(s.eigenvectors.size for s in list(coupler_mod._spectra.values())[:-1])
+
+
+class TestSpectrumCache:
+    def test_sweep_factorises_each_sector_once(self, factorised):
+        # sectors 0 .. 32 of the cutoff-16 pairs, each read by six couplers
+        check_commuting_diagram(8)
+        assert sorted(factorised) == list(range(33))
+
+    def test_least_recently_read_dropped_past_the_cap(self, monkeypatch, factorised):
+        # 16 + 25 + 36 + 169 cells fit 200 beside the newest; reading sector
+        # 13 (196 cells) drops the oldest until the rest fit, and a reread
+        # moves a spectrum to the newest place without factorising it again
+        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 200)
+        for N in (3, 4, 5, 12):
+            sector_spectrum(N)
+        assert list(coupler_mod._spectra) == [3, 4, 5, 12]
+        sector_spectrum(13)
+        assert list(coupler_mod._spectra) == [12, 13]
+        sector_spectrum(12)
+        assert list(coupler_mod._spectra) == [13, 12]
+        assert factorised == [3, 4, 5, 12, 13]
+
+    def test_cached_cells_never_exceed_the_cap_beside_the_newest(self, monkeypatch, factorised):
+        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 200)
+        # sector 13 is the largest under the cap: 14^2 = 196 cells
+        for N in np.random.default_rng(3).integers(0, 14, size=300).tolist():
+            spectrum = sector_spectrum(N)
+            assert coupler_mod._spectra[N] is spectrum and list(coupler_mod._spectra)[-1] == N
+            assert cached_cells_before_newest() <= 200
+
+    def test_concurrent_reads_keep_the_bound(self, monkeypatch, factorised):
+        # eight threads on two cores, switching every microsecond, read and
+        # evict in one cache (sector 5 alone fills the 36-cell cap); each read
+        # returns its own sector's spectrum. Without the cache's lock this
+        # test failed in 3 of 5 runs ("dictionary changed size during
+        # iteration")
+        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 36)
+
+        def reads(seed):
+            for N in np.random.default_rng(seed).integers(0, 6, size=1000).tolist():
+                assert np.array_equal(sector_spectrum(N).eigenvalues, np.arange(-N, N + 1, 2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(reads, seed) for seed in range(8)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cached_cells_before_newest() <= 36
 
 
 def dense_pair_unitary(params, ci, cj):

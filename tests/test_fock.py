@@ -14,19 +14,19 @@ from ecsim.fock import (
     NumberDiagonalDensity,
     basis_state,
     coherent_amplitudes,
-    embed,
     fidelity,
     inner,
     lowering_matrix,
     phase_shift,
     poisson_pmf,
-    reduced_density,
     sector_occupations,
     tensor,
     to_density,
     twirl,
     vacuum,
 )
+from ecsim.sources import multimode_output_coherent
+from fock_helpers import default_cutoff, embed, from_density, reduced_density
 
 RNG = np.random.default_rng(20231015)
 # relative gap of the Poisson and coherent weights to a gammaln reference, per
@@ -104,6 +104,22 @@ class TestModeShape:
         with pytest.raises(SizingError):
             vacuum(ModeShape.uniform(9, 7))  # 8^9 > 2^24
 
+    def test_dense_arrays_past_64_modes_refused(self):
+        # a shape describes any number of modes (the phase walk's reach 4096),
+        # but a dense array holds at most 64 axes: one cell over 65 modes is
+        # refused like an array over the cap, not left to numpy
+        assert ModeShape((0,) * 4096).size == 1
+        assert vacuum(ModeShape((0,) * 64)).amplitudes.ndim == 64
+        calls = [
+            lambda: fock.zeros((1,) * 65),
+            lambda: vacuum(ModeShape((0,) * 65)),
+            lambda: tensor(vacuum(ModeShape((0,) * 64)), vacuum(ModeShape((0,)))),
+            lambda: multimode_output_coherent(0.5, 0.0, 65, 0),
+        ]
+        for call in calls:
+            with pytest.raises(SizingError, match="65 axes exceed the 64"):
+                call()
+
     @pytest.mark.parametrize("modes,total", [(1, 0), (1, 3), (3, 0), (3, 2), (4, 3), (11, 2)])
     def test_sector_occupations_list_the_sector(self, modes, total):
         # reference: the dense basis tuples of that total, in row-major order
@@ -137,7 +153,7 @@ class TestPoisson:
 
     def test_mean_and_variance_at_64(self):
         nbar = 64.0
-        cutoff = fock.default_cutoff(nbar)
+        cutoff = default_cutoff(nbar)
         n = np.arange(cutoff + 1)
         pmf = poisson_pmf(nbar, n)
         mean = float((n * pmf).sum())
@@ -151,7 +167,7 @@ class TestPoisson:
 
     @pytest.mark.parametrize("nbar", [0.3, 2.0, 17.5])
     def test_mass_below_cutoff(self, nbar):
-        cutoff = fock.default_cutoff(nbar)
+        cutoff = default_cutoff(nbar)
         total = poisson_pmf(nbar, np.arange(cutoff + 1)).sum()
         assert total >= 1.0 - 1e-12
 
@@ -329,7 +345,7 @@ class TestTwirl:
         nbar = 1.7
         st = coherent_amplitudes(math.sqrt(nbar), 20)
         rho = twirl(to_density(st))
-        diag = NumberDiagonalDensity.from_density(rho)
+        diag = from_density(rho)
         assert np.allclose(diag.weights, poisson_pmf(nbar, np.arange(21)), atol=1e-14)
 
     def test_plus_state_off_diagonals_killed(self):

@@ -141,13 +141,14 @@ class TestDifferenceStats:
     def test_binomial_check_catches_wrong_coupling_angle(self, monkeypatch):
         # mutation canary: the shared sector factorisation with its eigenvalues
         # scaled by 0.9 turns every coupler angle into 0.9 theta, still unitary
-        good = coupler_mod._sector_spectrum_cached
+        coupler_mod._spectra.clear()
+        good = coupler_mod.sector_spectrum
 
         def scaled(N):
             spectrum = good(N)
             return coupler_mod.SectorSpectrum(0.9 * spectrum.eigenvalues, spectrum.eigenvectors)
 
-        monkeypatch.setattr(coupler_mod, "_sector_spectrum_cached", scaled)
+        monkeypatch.setattr(coupler_mod, "sector_spectrum", scaled)
         assert _binomial_deviation() > 1e-3
 
     def test_identity_process_is_extremal(self):
@@ -199,16 +200,33 @@ class TestDifferenceStats:
 class TestTomographyScan:
     GRID = np.linspace(0, 2 * math.pi, 24, endpoint=False)
 
-    def test_scan_does_one_eigensolve(self):
-        coupler_mod._sector_spectrum_cached.cache_clear()
+    def test_scan_does_one_eigensolve(self, monkeypatch):
+        # the split and the one remix chunk read sector 37; only the first
+        # factorises it
+        factorised, reads = counted_spectra(monkeypatch)
         process_tomography_scan(HomodyneConfig(37, PhaseShiftProcess(0.2)), self.GRID)
-        info = coupler_mod._sector_spectrum_cached.cache_info()
-        assert info.misses == 1 and info.hits == 1
+        assert factorised == [37] and reads == [37, 37]
 
-    def test_scan_materialises_no_block(self):
-        coupler_mod._coupler_block_cached.cache_clear()
+    def test_largest_sector_is_kept_for_its_next_read(self, monkeypatch):
+        # under a 64-cell cap sector 7 is the largest (8^2 cells): a scan at
+        # n = 7 after smaller sectors filled the cache still factorises once,
+        # in 6 chunks of 4 points, and the sector stays for the next reader
+        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 64)
+        monkeypatch.setattr(homodyne_mod, "SCAN_CELLS", 60)
+        factorised, reads = counted_spectra(monkeypatch)
+        for N in range(7):
+            coupler_mod.sector_spectrum(N)
+        process_tomography_scan(HomodyneConfig(7, PhaseShiftProcess(0.2)), self.GRID)
+        coupler_mod.sector_spectrum(7)
+        assert factorised == list(range(8)) and reads[7:] == [7] * 8
+        assert list(coupler_mod._spectra)[-1] == 7
+
+    def test_scan_materialises_no_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a coupler block was formed")
+
+        monkeypatch.setattr(coupler_mod, "BlockUnitary", refuse)
         process_tomography_scan(HomodyneConfig(37, PhaseShiftProcess(0.2)), self.GRID)
-        assert coupler_mod._coupler_block_cached.cache_info().currsize == 0
 
     @pytest.mark.parametrize("offset", [0.0, 0.3])
     def test_offset_recovery(self, offset):
@@ -273,6 +291,26 @@ class TestTomographyScan:
         r1 = process_tomography_scan(HomodyneConfig(4, PhaseShiftProcess(offset)), grid)
         r2 = process_tomography_scan(HomodyneConfig(8, PhaseShiftProcess(offset)), grid)
         assert _wrapped_distance(r1.recovered_offset, r2.recovered_offset) <= 0.02
+
+
+def counted_spectra(monkeypatch):
+    """From an empty spectrum cache on, the sectors factorised and the
+    sectors read, in order."""
+    coupler_mod._spectra.clear()
+    eigh, read = np.linalg.eigh, coupler_mod.sector_spectrum
+    factorised, reads = [], []
+
+    def counted_eigh(matrix):
+        factorised.append(matrix.shape[0] - 1)
+        return eigh(matrix)
+
+    def counted_read(N):
+        reads.append(N)
+        return read(N)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(coupler_mod, "sector_spectrum", counted_read)
+    return factorised, reads
 
 
 def _binomial_deviation() -> float:

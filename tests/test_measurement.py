@@ -25,12 +25,12 @@ from ecsim.measurement import (
     TrajectoryState,
     exact_trajectory_branches,
     fringe_scan,
-    project_counts,
     run_interference_trajectory,
     trajectory_branches,
 )
 from ecsim.verify import check_trajectory_brute_force
 from fock_counts import joint_count_distribution, total_number_distribution
+from fock_helpers import project_counts, weight_table
 
 
 class TestCountDistribution:
@@ -128,7 +128,7 @@ class TestTrajectory:
     def test_zero_steps_uniform_weight(self):
         record, traj = run_interference_trajectory(3, 0.1, 0, seed=1)
         assert record.steps == ()
-        table = traj.weight_table(32)
+        table = weight_table(traj, 32)
         assert np.abs(np.abs(table) - np.abs(table[0, 0])).max() <= 1e-12
 
     def test_record_reproducible(self):
@@ -144,7 +144,7 @@ class TestTrajectory:
 
     def test_weight_symmetric_in_delta(self):
         _, traj = run_interference_trajectory(5, 0.2, 25, seed=11)
-        table = np.abs(traj.weight_table(64))
+        table = np.abs(weight_table(traj, 64))
         assert np.abs(table - table.T).max() <= 1e-9 * table.max()
 
     def test_weight_modulus_matches_realized_counts(self):
@@ -385,9 +385,11 @@ class TestBruteForceMutations:
         assert not check_trajectory_brute_force(2, 2).passed
 
     def test_corrupted_coupler_detected(self, monkeypatch):
-        good = coupler._coupler_block_cached
+        # negated eigenvalues: every coupler the inverse rotation U(-theta)
+        coupler._spectra.clear()
+        good = coupler.sector_spectrum
         monkeypatch.setattr(
-            coupler, "_coupler_block_cached", lambda theta, phi, N: good(-theta, phi, N)
+            coupler, "sector_spectrum", lambda N: coupler.SectorSpectrum(-good(N).eigenvalues, good(N).eigenvectors)
         )
         assert not check_trajectory_brute_force(2, 2).passed
 

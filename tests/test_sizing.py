@@ -27,9 +27,7 @@ from ecsim.fock import (
     NumberDiagonalDensity,
     basis_state,
     check_cells,
-    embed,
     lowering_matrix,
-    reduced_density,
     sector_occupations,
     tensor,
     to_density,
@@ -51,6 +49,7 @@ from ecsim.squeezing import (
     two_mode_squeezed_vac,
 )
 from ecsim.verify import check_commuting_diagram
+from fock_helpers import embed, reduced_density, weight_table
 
 MIB = 2**20
 
@@ -95,7 +94,7 @@ OVER_CAP = [
     ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=210))),
     ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=4097)),
     ("cavity_state", lambda: _trajectory(4100).cavity_state()),
-    ("weight_table", lambda: _trajectory(4).weight_table(4097)),
+    ("weight_table", lambda: weight_table(_trajectory(4), 4097)),
     ("decomposition vectors", lambda: decomposition_equivalence_check(1.0, 1, 4000)),
     ("phase-walk samples", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 2, 1), 2**23)),
     ("phase-walk g1", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 4097, 0), 1)),

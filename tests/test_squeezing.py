@@ -6,7 +6,7 @@ import pytest
 from ecsim import circle, squeezing
 from ecsim.circle import ecs_to_fock, pair_ladder
 from ecsim.errors import SizingError, ValidationError
-from ecsim.fock import ModeShape, basis_state, embed, fidelity, twirl
+from ecsim.fock import ModeShape, basis_state, fidelity, twirl
 from ecsim.squeezing import (
     approximation_quality,
     exact_three_mode_evolution,
@@ -16,6 +16,7 @@ from ecsim.squeezing import (
     two_mode_squeezed_vac,
 )
 from fock_counts import joint_count_distribution, reduced_ab_density, taylor_pair_state, total_number_distribution
+from fock_helpers import embed
 
 
 def expm_pump_sector(n: int, zeta: complex) -> np.ndarray:
