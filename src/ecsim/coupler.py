@@ -25,8 +25,10 @@ coupler acts only through the sector product U v =
 d * (W (e^{-i theta m} * (W^T (conj(d) * v)))), d the diagonal of D (Feng,
 Wang, Yang & Jin, PRE 92, 043307 (2015)): `apply_sector` on sector vectors,
 `apply_coupler` on each live sector of a state, `coupler_block` on the
-identity. `oracle_block` builds G in its own loop and exponentiates it with
-scipy's `expm`, imported only when the oracle runs; it is the test reference.
+identity. `oracle_block` builds G in its own loop and exponentiates it by
+scaling and squaring on Higham's degree-13 Pade approximant (SIAM J. Matrix
+Anal. Appl. 26, 1179 (2005)), numpy alone and no eigensolver; it is the test
+reference.
 Both routes start from the same sector Hamiltonian, so the sign and phase
 convention is pinned separately by checks that go through
 `heisenberg_matrix`: coherent covariance and the commuting diagram with the
@@ -184,10 +186,34 @@ def apply_sector(params: CouplerParams, vectors: np.ndarray) -> np.ndarray:
     return _sector_product(params, v.shape[-1] - 1, np.atleast_2d(v)).reshape(v.shape)
 
 
-def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
-    """Sector unitary by exponentiating the sector Hamiltonian (test oracle)."""
-    from scipy.linalg import expm  # only the oracle needs scipy
+# Higham's degree-13 Pade coefficients b_0 .. b_13 (SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005)) and the 1-norm up to which that approximant of e^A
+# meets double precision
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
+
+def _pade13(A: np.ndarray) -> np.ndarray:
+    """The degree-13 Pade approximant of e^A, (V - U)^{-1} (V + U) with U and V
+    the odd and even parts of its numerator."""
+    b = _PADE13
+    eye = np.eye(A.shape[0], dtype=A.dtype)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    return np.linalg.solve(V - U, V + U)
+
+
+def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
+    """Sector unitary by exponentiating the sector Hamiltonian (test oracle):
+    scaling and squaring on the degree-13 Pade approximant, G / 2^s with
+    ||G / 2^s||_1 <= _THETA13, then s squarings. No eigensolver is used."""
     _check_sector(N)
     if N == 0:
         return BlockUnitary(0, np.ones((1, 1), dtype=np.complex128))
@@ -198,7 +224,12 @@ def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
             G[k + 1, k] += th * np.exp(-1j * ph) * math.sqrt((k + 1) * (N - k))
         if k - 1 >= 0:
             G[k - 1, k] -= th * np.exp(1j * ph) * math.sqrt(k * (N - k + 1))
-    return BlockUnitary(N, expm(G))
+    norm = float(np.abs(G).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    U = _pade13(G / 2.0**s)
+    for _ in range(s):
+        U = U @ U
+    return BlockUnitary(N, U)
 
 
 def apply_coupler(

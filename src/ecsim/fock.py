@@ -89,15 +89,19 @@ class ModeShape:
         return len(self.cutoffs)
 
     def occupations(self, mode: int) -> np.ndarray:
-        """Occupation number of `mode` for every flattened basis index."""
-        grids = np.indices(self.dims).reshape(self.mode_count, -1)
-        return grids[mode]
+        """Occupation number of `mode` for every flattened basis index: the
+        index's row-major digit for that mode, without an array of one axis
+        per mode, so shapes of any mode count are read alike."""
+        mode = range(self.mode_count)[mode]
+        return np.arange(self.size) // math.prod(self.dims[mode + 1 :]) % self.dims[mode]
 
     def total_occupation(self, modes: Sequence[int] | None = None) -> np.ndarray:
         """Total photon number over `modes` (default all) per flattened index."""
         modes = range(self.mode_count) if modes is None else modes
-        grids = np.indices(self.dims).reshape(self.mode_count, -1)
-        return grids[list(modes)].sum(axis=0)
+        total = np.zeros(self.size, dtype=int)
+        for mode in modes:
+            total += self.occupations(mode)
+        return total
 
 
 def sector_occupations(mode_count: int, total: int) -> np.ndarray:

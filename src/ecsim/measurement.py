@@ -327,8 +327,10 @@ class TrajectoryState:
         peak = mag.max()
         return deltas, mag / peak if peak > 0 else mag
 
-    def cavity_state(self, cutoff: int | None = None) -> FockVector:
-        """Synthesize the conditional two-cavity Fock state from the weight.
+    def sector_amplitudes(self, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The conditional two-cavity state on its D-photon sector, unnormalised:
+        the photon numbers k of cavity A that both cutoffs (default n) admit,
+        and <k, D - k | psi> up to one common factor at each.
 
         <k, D - k | psi> is proportional to w_hat(-k, -(D - k)) / sqrt(k! (D - k)!).
         The coherent radius only scales the whole sector, so the Poisson
@@ -337,11 +339,18 @@ class TrajectoryState:
         n, D = self.n, self.remaining
         cut = n if cutoff is None else min(cutoff, n)
         k = np.arange(max(0, D - cut), min(D, cut) + 1)
-        amps = zeros((cut + 1, cut + 1))
         # k and D - k run over the same range, reversed
         table = poisson_pmf(D / 2.0, k)
-        radial = np.sqrt(table * table[::-1])
-        amps[k, D - k] = radial * self.weight[n - k]
+        return k, np.sqrt(table * table[::-1]) * self.weight[n - k]
+
+    def cavity_state(self, cutoff: int | None = None) -> FockVector:
+        """The conditional two-cavity Fock state: `sector_amplitudes` in a
+        dense (cutoff + 1)^2 array, normalised."""
+        n, D = self.n, self.remaining
+        cut = n if cutoff is None else min(cutoff, n)
+        amps = zeros((cut + 1, cut + 1))
+        k, sector = self.sector_amplitudes(cutoff)
+        amps[k, D - k] = sector
         norm = np.linalg.norm(amps)
         if norm == 0.0:
             raise NumericsError("trajectory weight produced a null cavity state")

@@ -239,6 +239,20 @@ class TestEnvironment:
         assert all(Path(path + ".out", "manifest.json").is_file() for path in configs)
 
 
+    def test_verify_leaves_scipy_unloaded(self):
+        # the coupler oracle is ecsim's own Pade exponential and the
+        # brute-force check reads one sector: the full suite runs on numpy
+        code = (
+            "import json, sys\n"
+            "from ecsim.cli import main\n"
+            "assert main(['verify', '--suite', 'full']) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 class TestRunArtifacts:
     def test_interfere_outputs(self, tmp_path):
         cfg = write_config(

@@ -31,7 +31,7 @@ from ecsim.fock import (
     tensor,
     vacuum,
 )
-from ecsim.verify import check_commuting_diagram
+from ecsim.verify import check_commuting_diagram, check_oracle_agreement
 
 
 def cascade_matrix(cascade: list[tuple[int, int, float]], n_modes: int) -> np.ndarray:
@@ -106,6 +106,37 @@ class TestBlocks:
     def test_nonunitary_block_rejected(self):
         with pytest.raises(ValidationError):
             BlockUnitary(1, np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+def scipy_expm_block(params: CouplerParams, N: int) -> np.ndarray:
+    """Reference for the oracle: scipy's `expm` of the sector generator
+    theta (e^{-i phi} L - e^{i phi} L^T), built from its two off-diagonals."""
+    from scipy.linalg import expm
+
+    k = np.arange(N)
+    off = params.theta * np.sqrt((k + 1.0) * (N - k))
+    return expm(np.diag(np.exp(-1j * params.phi) * off, -1) - np.diag(np.exp(1j * params.phi) * off, 1))
+
+
+class TestPadeOracle:
+    @pytest.mark.parametrize("N", [0, 1, 2, 7, 25, 60, 120, 200, 240])
+    def test_oracle_matches_scipy_expm(self, N):
+        for theta in (math.pi / 8, math.pi / 4, math.pi / 3, 1.4, math.pi / 2):
+            for phi in (0.0, 0.7, 4.0):
+                p = CouplerParams(theta, phi)
+                assert np.abs(oracle_block(p, N).matrix - scipy_expm_block(p, N)).max() <= 1e-13
+
+    def test_dropped_squaring_detected(self, monkeypatch):
+        # scaled for s + 1 squarings but squared s times: the oracle gives e^{G/2}
+        good = coupler_mod._pade13
+        monkeypatch.setattr(coupler_mod, "_pade13", lambda A: good(A / 2.0))
+        assert not check_oracle_agreement(20).passed
+
+    def test_perturbed_pade_coefficient_detected(self, monkeypatch):
+        b = list(coupler_mod._PADE13)
+        b[7] *= 1.0 + 1e-6
+        monkeypatch.setattr(coupler_mod, "_PADE13", tuple(b))
+        assert not check_oracle_agreement(20).passed
 
 
 class TestApplyCoupler:
@@ -413,6 +444,11 @@ class TestEqualSplit:
     def test_vacuum_splits_to_vacuum(self):
         out = equal_multimode_split(vacuum(ModeShape((2,))), 4)
         assert out.probabilities()[(0, 0, 0, 0)] == pytest.approx(1.0, abs=1e-14)
+
+    def test_vacuum_of_64_modes_splits_to_vacuum(self):
+        # the ancilla check reads per-mode occupations of a 64-axis state
+        out = equal_multimode_split(vacuum(ModeShape((0,) * 64)), 64)
+        assert out.shape.mode_count == 64 and out.amplitudes.ravel().tolist() == [1.0]
 
     def test_occupied_ancilla_rejected(self):
         st = tensor(basis_state(ModeShape((2,)), (1,)), basis_state(ModeShape((2,)), (1,)))

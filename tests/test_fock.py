@@ -120,6 +120,25 @@ class TestModeShape:
             with pytest.raises(SizingError, match="65 axes exceed the 64"):
                 call()
 
+    @pytest.mark.parametrize("cutoffs", [(0,), (3,), (2, 3), (1, 0, 2), (3, 2, 4, 1), (1, 0) * 10, (0,) * 63])
+    def test_occupations_are_the_index_grid(self, cutoffs):
+        # reference: numpy's index grid, which takes one axis per mode plus one
+        shape = ModeShape(cutoffs)
+        grids = np.indices(shape.dims).reshape(shape.mode_count, -1)
+        for mode in range(-1, shape.mode_count):
+            occ = shape.occupations(mode)
+            assert occ.dtype == grids.dtype and np.array_equal(occ, grids[mode])
+        for modes in (None, [], [0], list(range(0, shape.mode_count, 2))):
+            every = range(shape.mode_count) if modes is None else modes
+            total = shape.total_occupation(modes)
+            assert total.dtype == grids.dtype and np.array_equal(total, grids[list(every)].sum(axis=0))
+
+    def test_occupations_of_64_modes(self):
+        shape = ModeShape((0,) * 63 + (2,))
+        assert shape.total_occupation().tolist() == [0, 1, 2]
+        assert shape.occupations(0).tolist() == [0, 0, 0] and shape.occupations(63).tolist() == [0, 1, 2]
+        assert ModeShape((0,) * 64).total_occupation().tolist() == [0]
+
     @pytest.mark.parametrize("modes,total", [(1, 0), (1, 3), (3, 0), (3, 2), (4, 3), (11, 2)])
     def test_sector_occupations_list_the_sector(self, modes, total):
         # reference: the dense basis tuples of that total, in row-major order

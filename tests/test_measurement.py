@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ecsim import coupler, measurement
+from ecsim import coupler, measurement, verify
 from ecsim.circle import peak_locations, profile_magnitude, width_fit
 from ecsim.coupler import CouplerParams, apply_coupler
 from ecsim.errors import NumericsError, SizingError, ValidationError
@@ -368,6 +368,34 @@ class TestDeeperBruteForce:
         assert min(coverage) >= 1.0 - 1e-6
 
 
+class TestSectorAmplitudes:
+    """`cavity_state` is `sector_amplitudes` in a dense array, normalised by
+    that array's norm, bit for bit: the state `cavity_state.json` records."""
+
+    @staticmethod
+    def check(traj):
+        n, D = traj.n, traj.remaining
+        k, sector = traj.sector_amplitudes()
+        assert k.tolist() == list(range(max(0, D - n), min(D, n) + 1))
+        dense = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        dense[k, D - k] = sector
+        state = traj.cavity_state().amplitudes
+        assert state[k, D - k].tobytes() == (sector / np.linalg.norm(dense)).tobytes()
+        outside = state.copy()
+        outside[k, D - k] = 0.0
+        assert not outside.any()
+
+    @pytest.mark.parametrize("n,eps,steps,stop", [(2, 0.3, 5, None), (20, 0.05, 200, None), (64, 0.03, 400, 100)])
+    def test_seeded_runs(self, n, eps, steps, stop):
+        for seed in range(5):
+            self.check(run_interference_trajectory(n, eps, steps, seed, stop_after_detections=stop)[1])
+
+    def test_branch_leaves(self):
+        for n in (1, 2, 3, 4):
+            for _, _, traj in trajectory_branches(n, 0.4, 3, floor=1e-6):
+                self.check(traj)
+
+
 class TestBruteForceMutations:
     """The brute-force check must fail when either route it compares is
     corrupted: the phase-route kernel or the coupler under the Fock oracle."""
@@ -391,6 +419,25 @@ class TestBruteForceMutations:
         monkeypatch.setattr(
             coupler, "sector_spectrum", lambda N: coupler.SectorSpectrum(-good(N).eigenvalues, good(N).eigenvectors)
         )
+        assert not check_trajectory_brute_force(2, 2).passed
+
+    def test_oracle_amplitude_outside_the_sector_detected(self, monkeypatch):
+        # the check reads the oracle on the phase route's sector only, but
+        # divides by the oracle's full norm
+        good = verify.exact_trajectory_branches
+
+        def leaky(n, eps, branches):
+            out = {}
+            for seq, (state, p) in good(n, eps, branches).items():
+                if state is not None:
+                    amps = state.amplitudes.copy()
+                    D = 2 * n - sum(a + b for a, b in seq)
+                    amps[(0, 1) if D == 0 else (0, 0)] += 1e-3
+                    state = FockVector(state.shape, amps)
+                out[seq] = (state, p)
+            return out
+
+        monkeypatch.setattr(verify, "exact_trajectory_branches", leaky)
         assert not check_trajectory_brute_force(2, 2).passed
 
 
