@@ -52,18 +52,23 @@ class Experiment:
 
 
 def _write_csv(path: Path, header: list[str], rows, meta: dict) -> None:
-    # written row by row: a phase walk over N modes reports N^2 rows
+    # a phase walk over N modes reports N^2 rows: each row is formatted in one
+    # step, by a %-template per sequence of cell types that writes floats as
+    # `_fmt` does (%.17g) and every other cell as str()
+    templates: dict[tuple[type, ...], str] = {}
+
+    def line(row) -> str:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\n"
+        return template % row
+
     with path.open("w") as f:
         f.writelines(f"# {k}={v}\n" for k, v in sorted(meta.items()))
         f.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, float):
-                    cells.append(_fmt(cell))
-                else:
-                    cells.append(str(cell))
-            f.write(",".join(cells) + "\n")
+        f.writelines(map(line, rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -18,17 +18,23 @@ D = diag(e^{-i phi k} i^k) and T is the real symmetric tridiagonal matrix with
 zero diagonal and off-diagonal sqrt((k+1)(N-k)). T = -S^dag (2 J_y) S with
 S = diag(i^k) and J_y the Schwinger generator, so its spectrum is exactly the
 integers -N, -N+2, ..., N. Neither T nor its eigenvectors depend on (theta,
-phi), so each sector is diagonalised once with numpy's symmetric eigensolver
-(`np.linalg.eigh`): `sector_spectrum` holds the eigenvalues rounded to those
-integers and the real orthogonal W, and every (theta, phi) reads it. A
+phi), so each sector is factorised once: `sector_spectrum` holds the
+eigenvalues rounded to those integers and the real orthogonal W, and every
+(theta, phi) reads it. The factorisation uses two symmetries of T at half
+size. T commutes with the reversal k <-> N - k, so an odd sector is one
+numpy `eigh` of its reversal-even half, the odd half being its negative up
+to the signs (-1)^k. With c, d = (a +- b) / sqrt(2), T = c^dag c - d^dag d,
+so c^dag and d^dag carry sector N - 1's eigenvectors into sector N with the
+eigenvalue raised or lowered by one: an even sector is the lift of the odd
+sector below it, and every sector costs one `eigh` on ceil(N / 2) rows. A
 coupler acts only through the sector product U v =
 d * (W (e^{-i theta m} * (W^T (conj(d) * v)))), d the diagonal of D (Feng,
 Wang, Yang & Jin, PRE 92, 043307 (2015)): `apply_sector` on sector vectors,
 `apply_coupler` on each live sector of a state, `coupler_block` on the
-identity. `oracle_block` builds G in its own loop and exponentiates it by
-scaling and squaring on Higham's degree-13 Pade approximant (SIAM J. Matrix
-Anal. Appl. 26, 1179 (2005)), numpy alone and no eigensolver; it is the test
-reference.
+identity. `oracle_block` builds G from its two off-diagonals and
+exponentiates it by scaling and squaring on Higham's degree-13 Pade
+approximant (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), numpy alone and no
+eigensolver; it is the test reference.
 Both routes start from the same sector Hamiltonian, so the sign and phase
 convention is pinned separately by checks that go through
 `heisenberg_matrix`: coherent covariance and the commuting diagram with the
@@ -108,7 +114,9 @@ class SectorSpectrum:
 
     def __post_init__(self):
         W = self.eigenvectors
-        defect = np.abs(W.T @ W - np.eye(W.shape[0])).max()
+        gram = W.T @ W
+        gram.flat[:: W.shape[0] + 1] -= 1.0
+        defect = np.abs(gram, out=gram).max()
         if defect > 1e-10:
             raise ValidationError(f"eigenvectors not orthogonal: defect {defect:.3e}")
         self.eigenvalues.setflags(write=False)
@@ -121,8 +129,91 @@ def _check_sector(N: int) -> None:
     check_cells((N + 1) ** 2, f"sector {N} matrices")
 
 
-# sector photon number -> its spectrum, least recently read first
-_spectra: dict[int, SectorSpectrum] = {}
+def _reversal_half(N: int, out: np.ndarray) -> np.ndarray:
+    """Rows k < h = (N + 1) / 2 of odd sector N's eigenvectors into `out`
+    (h, N + 1), and all N + 1 eigenvalues, both in ascending order, from one
+    `eigh` of T on the vectors even under the reversal k <-> N - k. There T
+    has off-diagonal sqrt(j (N + 1 - j)), j = 1 .. h - 1, and the corner
+    sqrt(h (N + 1 - h)) = h, where row h - 1 meets its mirror. Column 2j + 1
+    is even, w[k] = w[N - k] = V[k, j] / sqrt(2), for the eigenvalue mu[j].
+    Conjugating by (-1)^k negates the off-diagonal, so the odd half is minus
+    the even half: column 2j is (-1)^k V[k, h - 1 - j] / sqrt(2), negated at
+    N - k, for -mu[h - 1 - j]."""
+    h = (N + 1) // 2
+    j = np.arange(1.0, h)
+    off = np.sqrt(j * (N + 1 - j))
+    half = np.diag(off, 1) + np.diag(off, -1)
+    half[-1, -1] = h
+    mu, V = np.linalg.eigh(half)
+    np.multiply(V, math.sqrt(0.5), out=out[:, 1::2])
+    flip = np.full(h, math.sqrt(0.5))
+    flip[1::2] = -flip[1::2]
+    np.multiply(V[:, ::-1], flip[:, None], out=out[:, 0::2])
+    m = np.empty(N + 1)
+    m[1::2] = np.rint(mu)
+    m[0::2] = -m[:0:-2]
+    return m
+
+
+def _factorise(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sector N's eigenvalues m and eigenvectors W, both in ascending order,
+    from one `eigh` on ceil(N / 2) rows; W is built in place. T commutes
+    with the reversal k <-> N - k, so rows k > N / 2 mirror rows N - k,
+    negated in the columns odd under it. Odd N takes its other rows from
+    `_reversal_half`. Even N lifts the half of sector N - 1, where
+    T = c^dag c - d^dag d with c, d = (a +- b) / sqrt(2):
+    ((a^dag + s b^dag) w)[k] = sqrt(k) w[k - 1] + s sqrt(N - k) w[k] raises
+    an eigenvalue mu >= -1 by one (s = 1) or lowers mu <= -1 by one
+    (s = -1), and each column, of norm^2 N + 1 + s mu >= N, is normalised."""
+    if N == 0:
+        return np.zeros(1), np.ones((1, 1))
+    top, h = N // 2 + 1, (N + 1) // 2
+    W = np.empty((N + 1, N + 1))
+    if N % 2:
+        m = _reversal_half(N, W[:top])
+    else:
+        below = np.empty((h, N))
+        m = _reversal_half(N - 1, below)
+        # column t of sector N - 1, even under the reversal for odd t, is
+        # lowered into column t for t < h and raised into column t + 1 for
+        # t >= h - 1; the middle row reads its mirror w[h] = parity * w[h - 1]
+        parity = np.ones(N)
+        parity[::2] = -1.0
+        k = np.arange(h + 1.0)
+        for s, t, i in ((-1.0, slice(0, h), slice(0, h)), (1.0, slice(h - 1, N), slice(h, N + 1))):
+            w, u = below[:, t], W[:top, i]
+            np.multiply(w, s * np.sqrt(N - k[:h])[:, None], out=u[:h])
+            u[1:h] += np.sqrt(k[1:h])[:, None] * w[:-1]
+            np.multiply(w[-1], math.sqrt(h) * (1.0 + s * parity[t]), out=u[h])
+            u /= np.sqrt(N + 1.0 + s * m[t])
+        m = np.concatenate((m[:h] - 1.0, m[h - 1 :] + 1.0))
+    W[top:] = W[h - 1 :: -1]
+    W[top:, (N + 1) % 2 :: 2] *= -1.0
+    return m, W
+
+
+class _SpectrumCache(dict):
+    """Sector photon number -> its spectrum, least recently read first, with
+    the eigenvector cells it holds kept as a running total."""
+
+    cells = 0
+
+    def __setitem__(self, N, spectrum):
+        self.pop(N, None)
+        super().__setitem__(N, spectrum)
+        self.cells += spectrum.eigenvectors.size
+
+    def pop(self, N, *default):
+        if N in self:
+            self.cells -= self[N].eigenvectors.size
+        return super().pop(N, *default)
+
+    def clear(self):
+        super().clear()
+        self.cells = 0
+
+
+_spectra = _SpectrumCache()
 _spectra_lock = threading.Lock()
 
 
@@ -135,16 +226,10 @@ def sector_spectrum(N: int) -> SectorSpectrum:
     with _spectra_lock:
         spectrum = _spectra.pop(N, None)
         if spectrum is None:
-            k = np.arange(N + 1)
-            off = np.sqrt(k[1:] * (N + 1.0 - k[1:]))
-            m, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-            spectrum = SectorSpectrum(np.rint(m), W)
+            spectrum = SectorSpectrum(*_factorise(N))
         _spectra[N] = spectrum
-        held = sum(s.eigenvectors.size for s in _spectra.values()) - spectrum.eigenvectors.size
-        for old in list(_spectra)[:-1]:
-            if held <= fock.BASIS_SIZE_CAP:
-                break
-            held -= _spectra.pop(old).eigenvectors.size
+        while _spectra.cells - spectrum.eigenvectors.size > fock.BASIS_SIZE_CAP:
+            _spectra.pop(next(iter(_spectra)))
     return spectrum
 
 
@@ -210,6 +295,17 @@ def _pade13(A: np.ndarray) -> np.ndarray:
     return np.linalg.solve(V - U, V + U)
 
 
+def _generator(params: CouplerParams, N: int) -> np.ndarray:
+    """The sector generator theta (e^{-i phi} L - e^{i phi} L^T), from its two
+    off-diagonals theta e^{-+i phi} sqrt((k + 1)(N - k)), k = 0 .. N - 1."""
+    k = np.arange(N)
+    root = np.sqrt(((k + 1) * (N - k)).astype(np.float64))
+    G = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    G[k + 1, k] += params.theta * np.exp(-1j * params.phi) * root
+    G[k, k + 1] -= params.theta * np.exp(1j * params.phi) * root
+    return G
+
+
 def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
     """Sector unitary by exponentiating the sector Hamiltonian (test oracle):
     scaling and squaring on the degree-13 Pade approximant, G / 2^s with
@@ -217,13 +313,7 @@ def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
     _check_sector(N)
     if N == 0:
         return BlockUnitary(0, np.ones((1, 1), dtype=np.complex128))
-    G = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    th, ph = params.theta, params.phi
-    for k in range(N + 1):
-        if k + 1 <= N:
-            G[k + 1, k] += th * np.exp(-1j * ph) * math.sqrt((k + 1) * (N - k))
-        if k - 1 >= 0:
-            G[k - 1, k] -= th * np.exp(1j * ph) * math.sqrt(k * (N - k + 1))
+    G = _generator(params, N)
     norm = float(np.abs(G).sum(axis=0).max())
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
     U = _pade13(G / 2.0**s)

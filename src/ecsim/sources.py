@@ -155,10 +155,12 @@ class PhaseWalkResult:
     reported: np.ndarray
 
     def to_csv_rows(self):
-        """One row per reported (k, l), in row-major order."""
+        """One row per reported (k, l), in row-major order. Each row of g1 is
+        read as Python numbers, whose abs is the same hypot numpy's is."""
         for k in range(self.reported.shape[0]):
+            g1, stderr = self.g1[k].tolist(), self.stderr[k].tolist()
             for l in np.flatnonzero(self.reported[k]).tolist():
-                yield (k, l, self.g1[k, l].real, self.g1[k, l].imag, abs(self.g1[k, l]), self.stderr[k, l])
+                yield (k, l, g1[l].real, g1[l].imag, abs(g1[l]), stderr[l])
 
 
 # complex cells per realization chunk, so that the phase walk's peak memory

@@ -487,3 +487,24 @@ class TestVerifyCommand:
         monkeypatch.setattr(coupler_mod, target, corrupted[target])
         assert main(["verify", "--suite", "fast"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_csv_templates_match_cell_by_cell_formatting(tmp_path):
+    # every row through one %-template per sequence of cell types must give
+    # the text of formatting each cell alone: floats (numpy's float64 too)
+    # as `_fmt`, everything else as str(), also where the types change
+    # from row to row
+    from ecsim.cli import _write_csv
+    from ecsim.fock import _fmt
+
+    rows = [
+        (0, 1, 0.1, np.float64(-0.0), math.inf, -math.nan),
+        (2**70, True, None, "a%sb", np.float32(0.1), 1e-310),
+        (1.0, 2, 3.5, "x", np.int64(-4), np.float64(1e16)),
+        [np.pi, 7],
+    ]
+    _write_csv(tmp_path / "t.csv", ["a", "b"], iter(rows), {"seed": 1})
+    expected = "".join(
+        ",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n" for row in rows
+    )
+    assert (tmp_path / "t.csv").read_text() == "# seed=1\na,b\n" + expected

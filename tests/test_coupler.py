@@ -1,5 +1,7 @@
+import inspect
 import math
 import sys
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -118,7 +120,28 @@ def scipy_expm_block(params: CouplerParams, N: int) -> np.ndarray:
     return expm(np.diag(np.exp(-1j * params.phi) * off, -1) - np.diag(np.exp(1j * params.phi) * off, 1))
 
 
+def loop_generator(params: CouplerParams, N: int) -> np.ndarray:
+    """The oracle's sector generator built entry by entry: the reference its
+    array-built generator must equal bit for bit."""
+    G = np.zeros((N + 1, N + 1), dtype=np.complex128)
+    th, ph = params.theta, params.phi
+    for k in range(N + 1):
+        if k + 1 <= N:
+            G[k + 1, k] += th * np.exp(-1j * ph) * math.sqrt((k + 1) * (N - k))
+        if k - 1 >= 0:
+            G[k - 1, k] -= th * np.exp(1j * ph) * math.sqrt(k * (N - k + 1))
+    return G
+
+
 class TestPadeOracle:
+    @pytest.mark.parametrize("N", [0, 1, 2, 7, 25, 60, 240, 1000])
+    def test_generator_equals_the_loop_bit_for_bit(self, N):
+        # bytes, so that the sign of every zero counts too
+        for theta in (0.0, math.pi / 8, math.pi / 4, 1.4, math.pi / 2):
+            for phi in (0.0, 0.7, math.pi, 4.0):
+                p = CouplerParams(theta, phi)
+                assert coupler_mod._generator(p, N).tobytes() == loop_generator(p, N).tobytes()
+
     @pytest.mark.parametrize("N", [0, 1, 2, 7, 25, 60, 120, 200, 240])
     def test_oracle_matches_scipy_expm(self, N):
         for theta in (math.pi / 8, math.pi / 4, math.pi / 3, 1.4, math.pi / 2):
@@ -240,9 +263,10 @@ class TestSectorSpectrum:
         assert np.array_equal(sector_spectrum(N).eigenvalues, np.arange(-N, N + 1, 2))
 
     def test_non_orthogonal_eigenvectors_rejected(self, monkeypatch):
-        # mutation canary: one column of W scaled by 1 + 1e-8 puts 2e-8 on the
-        # diagonal of W^T W - I; the spectrum is refused before any block or
-        # sector vector reads it
+        # mutation canary: one eigenvector of the half-size solve scaled by
+        # 1 + 1e-8 scales two columns of W and puts 2e-8 on the diagonal of
+        # W^T W - I; the spectrum is refused before any block or sector
+        # vector reads it
         good = np.linalg.eigh
 
         def scaled(matrix):
@@ -278,18 +302,123 @@ class TestSectorSpectrum:
             apply_sector(CouplerParams(0.4), vector)
 
 
+def dense_spectrum(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference factorisation: one `np.linalg.eigh` of the whole (N + 1)^2
+    tridiagonal T, eigenvalues rounded to the integers."""
+    k = np.arange(N + 1)
+    off = np.sqrt(k[1:] * (N + 1.0 - k[1:]))
+    m, W = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return np.rint(m), W
+
+
+def rotation(m: np.ndarray, W: np.ndarray, theta: float) -> np.ndarray:
+    """W diag(e^{-i theta m}) W^T, the sector unitary before the phases D."""
+    z = np.exp(-1j * theta * m)
+    return W @ (z.real[:, None] * W.T) + 1j * (W @ (z.imag[:, None] * W.T))
+
+
+def spectrum_errors(N: int) -> tuple[float, float, float]:
+    """Sector N's spectrum, factorised afresh: |W^T W - I|, the residual
+    |T W - W diag(m)| and the largest gap of W diag(e^{-i theta m}) W^T to
+    the dense reference's over three angles. Eigenvalues must be exact."""
+    coupler_mod._spectra.clear()
+    spectrum = sector_spectrum(N)
+    m, W = spectrum.eigenvalues, spectrum.eigenvectors
+    assert np.array_equal(m, np.arange(-N, N + 1, 2))
+    k = np.arange(1, N + 1)
+    off = np.sqrt(k * (N + 1.0 - k))[:, None]
+    TW = np.zeros_like(W)
+    TW[:-1] += off * W[1:]
+    TW[1:] += off * W[:-1]
+    mr, Wr = dense_spectrum(N)
+    gap = max(np.abs(rotation(m, W, t) - rotation(mr, Wr, t)).max() for t in (0.3, math.pi / 4, 1.4))
+    return float(np.abs(W.T @ W - np.eye(N + 1)).max()), float(np.abs(TW - W * m).max()), float(gap)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.fixture
+def fresh_spectra():
+    """An empty spectrum cache before and after, so that a corrupted
+    factorisation cached by a test serves no later one."""
+    coupler_mod._spectra.clear()
+    yield
+    coupler_mod._spectra.clear()
+
+
+def mutate(monkeypatch, name: str, old: str, new: str) -> None:
+    """Replace coupler.<name> by a copy whose source has `old`, which occurs
+    exactly once, replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(getattr(coupler_mod, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(coupler_mod))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(coupler_mod, name, namespace[name])
+
+
+class TestHalfSizeFactorisation:
+    # measured: |W^T W - I| <= 1.4e-14, residual <= 5.7e-13 and gap to the
+    # dense reference <= 1.5e-14 (all at N = 1000); at N = 200 they are
+    # 6.8e-15, 4.3e-14 and 5.2e-15
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 7, 8, 60, 61, 200, 201, 1000])
+    def test_against_the_dense_reference(self, N, fresh_spectra):
+        orthogonality, residual, gap = spectrum_errors(N)
+        assert orthogonality <= (4 + N / 4) * EPS
+        assert residual <= 8 * (N + 1) * EPS
+        assert gap <= (8 + N / 4) * EPS
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 60, 61, 200, 201, 1000])
+    def test_one_eigensolve_on_half_the_rows(self, N, monkeypatch, fresh_spectra):
+        good, shapes = np.linalg.eigh, []
+
+        def counted(matrix):
+            shapes.append(matrix.shape)
+            return good(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sector_spectrum(N)
+        assert shapes == [((N + 1) // 2, (N + 1) // 2)]
+
+    def test_dropped_reversal_sign_detected(self, monkeypatch, fresh_spectra):
+        # without (-1)^k the odd half of an odd sector is still orthogonal
+        # but no eigenvector, and an even sector lifted from it is refused
+        mutate(monkeypatch, "_reversal_half", "flip[1::2] = -flip[1::2]", "flip[1::2] = flip[1::2]")
+        assert spectrum_errors(7)[1] > 1.0
+        with pytest.raises(ValidationError, match="orthogonal"):
+            spectrum_errors(8)
+        coupler_mod._spectra.clear()
+        with pytest.raises(ValidationError, match="orthogonal"):
+            check_oracle_agreement(20)
+
+    def test_flipped_lift_sign_detected(self, monkeypatch, fresh_spectra):
+        # a^dag - b^dag raising and a^dag + b^dag lowering send two columns of
+        # sector N - 1 onto the one eigenvalue-0 vector: W is singular
+        mutate(
+            monkeypatch,
+            "_factorise",
+            "((-1.0, slice(0, h), slice(0, h)), (1.0, slice(h - 1, N), slice(h, N + 1)))",
+            "((1.0, slice(0, h), slice(0, h)), (-1.0, slice(h - 1, N), slice(h, N + 1)))",
+        )
+        with pytest.raises(ValidationError, match="orthogonal"):
+            spectrum_errors(8)
+        coupler_mod._spectra.clear()
+        with pytest.raises(ValidationError, match="orthogonal"):
+            check_oracle_agreement(20)
+
+
 @pytest.fixture
 def factorised(monkeypatch):
     """The sector photon numbers factorised from here on, in order, starting
     from an empty spectrum cache."""
     coupler_mod._spectra.clear()
-    good, sectors = np.linalg.eigh, []
+    good, sectors = coupler_mod._factorise, []
 
-    def counted(matrix):
-        sectors.append(matrix.shape[0] - 1)
-        return good(matrix)
+    def counted(N):
+        sectors.append(N)
+        return good(N)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(coupler_mod, "_factorise", counted)
     return sectors
 
 
@@ -325,6 +454,15 @@ class TestSpectrumCache:
             spectrum = sector_spectrum(N)
             assert coupler_mod._spectra[N] is spectrum and list(coupler_mod._spectra)[-1] == N
             assert cached_cells_before_newest() <= 200
+
+    def test_running_cell_total_matches_the_cache(self, monkeypatch, factorised):
+        # the eviction reads a running total instead of summing every entry
+        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 200)
+        for N in np.random.default_rng(5).integers(0, 14, size=200).tolist():
+            sector_spectrum(N)
+            assert coupler_mod._spectra.cells == sum(s.eigenvectors.size for s in coupler_mod._spectra.values())
+        coupler_mod._spectra.clear()
+        assert coupler_mod._spectra.cells == 0
 
     def test_concurrent_reads_keep_the_bound(self, monkeypatch, factorised):
         # eight threads on two cores, switching every microsecond, read and

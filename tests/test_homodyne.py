@@ -297,18 +297,18 @@ def counted_spectra(monkeypatch):
     """From an empty spectrum cache on, the sectors factorised and the
     sectors read, in order."""
     coupler_mod._spectra.clear()
-    eigh, read = np.linalg.eigh, coupler_mod.sector_spectrum
+    factorise, read = coupler_mod._factorise, coupler_mod.sector_spectrum
     factorised, reads = [], []
 
-    def counted_eigh(matrix):
-        factorised.append(matrix.shape[0] - 1)
-        return eigh(matrix)
+    def counted_factorise(N):
+        factorised.append(N)
+        return factorise(N)
 
     def counted_read(N):
         reads.append(N)
         return read(N)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(coupler_mod, "_factorise", counted_factorise)
     monkeypatch.setattr(coupler_mod, "sector_spectrum", counted_read)
     return factorised, reads
 
