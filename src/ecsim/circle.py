@@ -3,11 +3,11 @@
 A number state is written as a uniform superposition of coherent states on a
 circle in phase space, weighted by e^{-i n phi}. On a uniform M-point grid the
 circle integral is a discrete quadrature that is *exact* for every integrand
-whose phase dependence is a trigonometric polynomial of degree below M, which
-covers all truncated-Fock content once M >= 2*cutoff + 1. Linear couplers then
-act pointwise on the coherent amplitudes, which is what makes the
-representation worth having: it turns sector-by-sector unitaries into 2x2
-matrix algebra on the grid.
+whose phase dependence is a trigonometric polynomial of degree below M, and
+`PhaseGrid.exact` sizes every grid by that rule. Linear couplers then act
+pointwise on the coherent amplitudes, which is what makes the representation
+worth having: it turns sector-by-sector unitaries into 2x2 matrix algebra on
+the grid.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from . import coupler as _coupler
 from .errors import ValidationError
 from .fock import FockVector, ModeShape, check_cells, coherent_log_amplitudes, poisson_pmf, zeros
 
-DEFAULT_GRID_FACTOR = 4  # default M = 4*cutoff + 4, above the 2*cutoff+1 bound
 # complex cells (16 MiB) per block of the grid tables and sector products, so
 # their temporaries stay small beside the (P, modes, cutoff + 1) tables
 BLOCK_CELLS = 2**20
@@ -44,8 +43,9 @@ class PhaseGrid:
         return 2.0 * math.pi * np.arange(self.size) / self.size
 
     @staticmethod
-    def for_cutoff(cutoff: int) -> "PhaseGrid":
-        return PhaseGrid(DEFAULT_GRID_FACTOR * cutoff + DEFAULT_GRID_FACTOR)
+    def exact(degree: int) -> "PhaseGrid":
+        """degree + 1 points, the fewest exact up to trigonometric degree `degree`."""
+        return PhaseGrid(degree + 1)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def number_state_on_circle(n: int, m_radius: int | None = None, cutoff: int | No
     cut = n if cutoff is None else int(cutoff)
     if cut < n:
         raise ValidationError("cutoff below the represented photon number")
-    grid = PhaseGrid.for_cutoff(cut)
+    grid = PhaseGrid.exact(cut)
     phis = grid.points
     weight = np.exp(-1j * n * phis) / math.sqrt(poisson_pmf(float(m), n))
     amps = (math.sqrt(m) * np.exp(1j * phis))[:, None]
@@ -143,7 +143,7 @@ def two_mode_circle(n: int, n_prime: int, cutoffs: int | tuple[int, int] | None 
     c1, c2 = cutoffs
     if c1 < n or c2 < n_prime:
         raise ValidationError("cutoffs below the represented photon numbers")
-    g1, g2 = PhaseGrid.for_cutoff(c1), PhaseGrid.for_cutoff(c2)
+    g1 = g2 = PhaseGrid.exact(c1 + c2)  # total occupations up to c1 + c2
     amps = zeros((g1.size, g2.size, 2))  # the largest array here, so sized first
     p1, p2 = g1.points, g2.points
     norm = math.sqrt(poisson_pmf(float(n), n) * poisson_pmf(float(n_prime), n_prime))
@@ -183,25 +183,28 @@ def pair_ladder(chis: complex | np.ndarray, cutoff: int) -> np.ndarray:
     return (unit[:, None] ** k) * (np.tanh(r)[:, None] ** k) / np.cosh(r)[:, None]
 
 
-def _quadrature_inputs(ecs: ECSState, shape: ModeShape, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Grid weights (measure included) and the Fock expansions of every
-    coherent amplitude, shape (R, P, coherent modes, largest cutoff + 1), after
-    rejecting grids that alias at `shape`. `stack` holds R amplitude tables
-    shaped like `ecs.amplitudes` that share its grids and weight. Column c of
-    mode `pos` is the same number whatever the other modes' cutoffs, so each
-    mode slices its own."""
-    max_cut = max(shape.cutoffs)
-    required = 2 * max_cut + 1
+    coherent amplitude, shape (R, P, coherent modes, largest occupation + 1),
+    for reading the tuples `occ`. The phase degree at a tuple is its coherent
+    occupations plus, per pair factor, the smaller of its modes' occupations;
+    grids too small for the largest are refused. `stack` holds R amplitude
+    tables like `ecs.amplitudes` that share its grids and weight. Each mode
+    slices its own cutoff's columns, which no other cutoff changes."""
+    columns = occ[:, list(ecs.coherent_modes)]
+    pairs = [np.minimum(occ[:, i], occ[:, j]) for i, j in (pf.modes for pf in ecs.pair_factors)]
+    degree = int((columns.sum(axis=1) + sum(pairs)).max(initial=0))
+    required = PhaseGrid.exact(degree).size
     for g in ecs.grids:
         if g.size < required:
             raise ValidationError(
-                f"grid of {g.size} points aliases content at cutoff {max_cut}; "
+                f"grid of {g.size} points aliases content of total occupation {degree}; "
                 f"need M >= {required}"
             )
     P = int(np.prod(ecs.grid_shape))
     weight_flat = ecs.weight.ravel() * (1.0 / P)
     modes = len(ecs.coherent_modes)
-    cut = max((shape.cutoffs[mode] for mode in ecs.coherent_modes), default=0)
+    cut = int(columns.max(initial=0))
     R = stack.shape[0]
     check_cells(R * P * modes * (cut + 1), f"circle tables ({R} x {P} points, {modes} modes, cutoff {cut})")
     alphas = stack.reshape(R * P * modes)
@@ -212,14 +215,13 @@ def _quadrature_inputs(ecs: ECSState, shape: ModeShape, stack: np.ndarray) -> tu
     return weight_flat, tables.reshape(R, P, modes, cut + 1)
 
 
-def ecs_to_fock(ecs: ECSState, shape: ModeShape | None = None) -> FockVector:
-    """Synthesize the truncated Fock vector by discrete quadrature.
-
-    Exact (to rounding) for all content within the cutoffs provided every grid
-    satisfies M >= 2*cutoff + 1; smaller grids alias and are rejected.
+def ecs_to_fock(ecs: ECSState) -> FockVector:
+    """Synthesize the truncated Fock vector `ecs.shape` by discrete quadrature,
+    exact (to rounding) on the grids `PhaseGrid.exact` gives for the shape's
+    largest total occupation or larger ones; smaller grids are refused.
     """
-    shape = ecs.shape if shape is None else shape
-    weight_flat, (coherent,) = _quadrature_inputs(ecs, shape, ecs.amplitudes[None])
+    shape = ecs.shape
+    weight_flat, (coherent,) = _quadrature_inputs(ecs, np.array([shape.cutoffs]), ecs.amplitudes[None])
     P = weight_flat.size
 
     # one operand per factor: (mode tuple, table of shape (P, dims...))
@@ -301,7 +303,7 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
     stack = np.asarray(amplitudes, dtype=np.complex128)
     if stack.shape[1:] != ecs.amplitudes.shape:
         raise ValidationError(f"amplitude stack needs shape (R, *{ecs.amplitudes.shape}), got {stack.shape}")
-    weight_flat, tables = _quadrature_inputs(ecs, ecs.shape, stack)
+    weight_flat, tables = _quadrature_inputs(ecs, occ, stack)
     R, P, modes = tables.shape[:3]
     columns = occ[:, list(ecs.coherent_modes)]  # (tuples, modes) in table order
     check_cells(R * len(columns), f"sector amplitudes ({R} tables, {len(columns)} tuples)")

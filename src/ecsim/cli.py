@@ -72,7 +72,12 @@ def _write_csv(path: Path, header: list[str], rows, meta: dict) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # JSON has no NaN or Infinity: a non-finite number fails the run
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,8 @@ def _run_interfere(p: dict, seed: int, out: Path) -> list[str]:
     }
     if p["A"] + p["B"] >= 16:
         fit = width_fit(weight)
-        summary["width_sigma"] = fit.sigma
+        # a fit whose slope is not negative has no finite sigma, written as null
+        summary["width_sigma"] = fit.sigma if math.isfinite(fit.sigma) else None
         summary["width_center"] = fit.center
         summary["width_fit_ok"] = fit.ok
     _write_json(out / "results.json", {"config_sha256": p["_hash"], "seed": seed, **summary})
@@ -131,7 +137,7 @@ def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
         summary["peak_formula"] = list(peak_locations(a, b))
     if a + b >= 16 and a > 0 and b > 0:
         fit = width_fit((deltas, mag), A=a, B=b)
-        summary["width_sigma"] = fit.sigma
+        summary["width_sigma"] = fit.sigma if math.isfinite(fit.sigma) else None
     artifacts = ["results.csv", "results.json"]
     if p["fringe"]:
         check_cells(p["fringe_points"], f"fringe scan of {p['fringe_points']} points")

@@ -93,13 +93,13 @@ def multimode_output_coherent(nbar: float, phi: float, n_modes: int, cutoff: int
 def _trace_norm_lowrank(vecs_l, w_l, vecs_r, w_r) -> float:
     """Trace norm of sum_i w_l[i] |l_i><l_i| - sum_j w_r[j] |r_j><r_j|.
 
-    Works in the joint column space so the full matrices never exist.
+    That is V W V^dag, with the vectors as the columns of V = Q R and
+    W = diag(w_l, -w_r); its nonzero eigenvalues are those of R W R^dag, so
+    neither Q nor the full matrices are ever formed.
     """
     V = np.concatenate([vecs_l, vecs_r], axis=0).T  # columns are vectors
-    Q, _ = np.linalg.qr(V)
-    L = Q.conj().T @ vecs_l.T
-    R = Q.conj().T @ vecs_r.T
-    small = (L * w_l) @ L.conj().T - (R * w_r) @ R.conj().T
+    R = np.linalg.qr(V, mode="r")
+    small = (R * np.concatenate([w_l, -w_r])) @ R.conj().T
     eigs = np.linalg.eigvalsh((small + small.conj().T) / 2.0)
     return float(np.abs(eigs).sum())
 
@@ -122,8 +122,8 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
     if nbar < 0:
         raise ValidationError("nbar must be nonnegative")
     m_max = cutoff
-    # exact phase average needs the grid to resolve all total-number coherences
-    M = 2 * n_modes * cutoff + 3
+    # total numbers differ by at most N * cutoff: the degree of the phase average
+    M = PhaseGrid.exact(n_modes * cutoff).size
     check_cells((cutoff + 1 + M) * (cutoff + 1) ** n_modes, "stacked number and coherent vectors")
     number_vecs = []
     number_weights = []
@@ -220,16 +220,13 @@ def phase_walk_correlation(
     if realizations < 1:
         raise ValidationError("need at least one realization")
     N, m = spec.mode_count, spec.photon_number
-    # sized before the grid, the sectors and the pair indices are built: the
-    # circle tables, (2m + 1) points x N modes x (m + 1), then g1 and samples
-    check_cells((2 * m + 1) * N * (m + 1), f"circle tables of {N} modes at {m} photons")
+    # every sector tuple has total occupation m, so the rule's grid is exact there
+    grid = PhaseGrid.exact(m)
+    # sized before the sectors and pair indices: the circle tables, then g1 and samples
+    check_cells(grid.size * N * (m + 1), f"circle tables of {N} modes at {m} photons")
     g1 = zeros((N, N))
     samples = zeros((N * N if pairs is None else len(pairs), realizations))
     ks, ls = np.divmod(np.arange(N * N), N) if pairs is None else np.array(pairs, dtype=int).reshape(-1, 2).T
-    # at the sector tuples the weight e^{-i m phi} cancels the phase of every
-    # term, so the integrand is constant in phi and the smallest grid the
-    # alias check accepts is exact
-    grid = PhaseGrid(2 * m + 1)
     phis = grid.points
     weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m)) if m > 0 else np.ones(grid.size)
     base_amp = math.sqrt(m / N) if N > 0 else 0.0

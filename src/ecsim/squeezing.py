@@ -95,17 +95,16 @@ def pump_entangled_squeezed(n: int, zeta_t: complex, pair_cutoff: int | None = N
 
     Each pump phase point carries the coherent pump amplitude sqrt(n) e^{i phi}
     together with a pair state of parameter chi(phi) = sqrt(n) zeta_t e^{i phi};
-    the synthesized state has definite pump-plus-pair number n. The circle is
-    sized to that sector: pump cutoff n, since pump + pair = n, and
-    2 max(n, pair cutoff) + 1 points, the smallest grid the alias check
-    accepts. At every sector tuple the weight e^{-i n phi} cancels the phase of
-    the integrand, so that grid is exact.
+    the synthesized state has definite pump-plus-pair number n. The circle has
+    pump cutoff n, since pump + pair = n, and the grid `PhaseGrid.exact` gives
+    for its shape's largest total occupation, n + pair cutoff, so that
+    `ecs_to_fock` reads it exactly too.
     """
     if n < 1:
         raise ValidationError("the classical-pump replacement needs n >= 1")
     chi_mag = math.sqrt(n) * abs(zeta_t)
     pair_cut = required_pair_cutoff(chi_mag) + 2 if pair_cutoff is None else pair_cutoff
-    grid = PhaseGrid(2 * max(n, pair_cut) + 1)
+    grid = PhaseGrid.exact(n + pair_cut)
     phis = grid.points
     weight = np.exp(-1j * n * phis) / math.sqrt(poisson_pmf(float(n), n))
     amps = (math.sqrt(n) * np.exp(1j * phis))[:, None]
@@ -137,9 +136,8 @@ def approximation_quality(
     points = []
     for n in pump_ns:
         pair_cut = required_pair_cutoff(scale) + 2 if pair_cutoff is None else pair_cutoff
-        # the circle table, (2 max(n, pair cutoff) + 1) points x (n + 1), is
-        # the largest array; the n + 1 square eigensolve is smaller
-        check_cells((2 * max(n, pair_cut) + 1) * (n + 1), f"pump circle tables at {n} photons")
+        # the circle table is the largest array; the n + 1 square eigensolve is smaller
+        check_cells(PhaseGrid.exact(n + pair_cut).size * (n + 1), f"pump circle tables at {n} photons")
         zeta = scale / math.sqrt(n)
         k = np.arange(min(n, pair_cut) + 1)
         synth = ecs_sector_amplitudes(pump_entangled_squeezed(n, zeta, pair_cut), np.stack([n - k, k, k], axis=1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ecsim import circle
+from ecsim import circle, verify
 from ecsim.circle import (
     ECSState,
     PhaseGrid,
@@ -65,6 +65,14 @@ class TestCircleSynthesis:
             amplitudes=(2.0 * np.exp(1j * phis))[:, None],
         )
         assert np.abs(ecs_to_fock(big).amplitudes - small.amplitudes).max() <= 1e-12
+
+    def test_rule_one_point_short_fails_verify(self, monkeypatch):
+        # mutation canary: with degree points, not degree + 1, the rule sizes
+        # every grid and the refusal alike, so only a larger grid catches it
+        monkeypatch.setattr(PhaseGrid, "exact", staticmethod(lambda degree: PhaseGrid(degree)))
+        result = verify.check_quadrature_exactness()
+        assert number_state_on_circle(4, cutoff=4).grid_shape == (4,)
+        assert not result.passed and result.measured > 0.1
 
     def test_undersized_grid_rejected(self):
         st = number_state_on_circle(3, cutoff=3)

@@ -154,7 +154,7 @@ class TestConfigValidation:
             ({"experiment": "ecs-verify", "phis": []}, "phis"),
             ({"experiment": "phase-walk", "photons": 0}, "photons"),
             ({"experiment": "laser-equivalence", "modes": 1, "cutoff": 4000, "exit": 3}, "cap"),
-            ({"experiment": "squeeze", "pumps": [2896], "exit": 3}, "cap"),
+            ({"experiment": "squeeze", "pumps": [4092], "exit": 3}, "cap"),
             ({"experiment": "ecs-verify", "n_max": 100, "exit": 3}, "cap"),
             ({"experiment": "squeeze", "pair_cutoff": 2**24, "exit": 3}, "cap"),
             ({"profile_points": 2**24 + 1, "exit": 3}, "profile"),
@@ -277,6 +277,31 @@ class TestRunArtifacts:
         assert peak == pytest.approx(math.pi / 4, abs=math.pi / 256)
         summary = json.loads((out / "results.json").read_text())
         assert summary["width_sigma"] == pytest.approx(math.sqrt(2 / 128), rel=0.1)
+
+    def test_unfitted_width_written_as_null(self, tmp_path):
+        # 10^7 counts against 3 leave the fit a slope >= 0 and so an infinite
+        # sigma, which JSON has no number for
+        params = {"A": 10**7, "B": 3, "eps": 0.5, "n": 5}
+        cfg = write_config(tmp_path, {"experiment": "interfere", "parameters": params})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise AssertionError(f"results.json holds {name}")
+
+        summary = json.loads((out / "results.json").read_text(), parse_constant=refuse)
+        assert summary["width_sigma"] is None and summary["width_fit_ok"] is False
+
+    def test_non_finite_json_number_exits_4(self, tmp_path, capsys, monkeypatch):
+        from ecsim import cli
+
+        monkeypatch.setattr(cli, "peak_locations", lambda A, B: (-math.inf, math.nan))
+        cfg = write_config(tmp_path, {"experiment": "interfere", "parameters": VALID_PARAMETERS["interfere"]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerics error: results.json")
+        assert not out.exists()
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = write_config(

@@ -56,12 +56,12 @@ MIB = 2**20
 
 def _split_circle(m: int, modes: int) -> ECSState:
     """m photons spread over `modes` coherent modes on one small circle."""
-    grid = PhaseGrid.for_cutoff(m)
+    grid = PhaseGrid.exact(modes * m)
     amps = np.repeat(np.exp(1j * grid.points)[:, None], modes, axis=1)
     return ECSState((grid,), np.ones(grid.size), tuple(range(modes)), amps, ModeShape.uniform(modes, m))
 
 
-_circle3 = number_state_on_circle(3)  # 16 grid points, cutoff 3
+_circle3 = number_state_on_circle(3)  # 4 grid points, cutoff 3
 
 
 def _trajectory(n: int):
@@ -85,13 +85,13 @@ OVER_CAP = [
     ("two_mode_squeezed_vac", lambda: two_mode_squeezed_vac(0.1, 4096)),
     ("pump sector", lambda: pump_sector_evolution(4096, 0.1)),
     ("exact three-mode embedding", lambda: exact_three_mode_evolution(256, 0.1)),
-    # (2n + 1)(n + 1) circle cells first pass 2^24 at n = 2896
-    ("squeeze pump circle", lambda: approximation_quality([2896], 0.2)),
-    ("circle tables", lambda: ecs_to_fock(number_state_on_circle(2100))),
-    ("sector circle tables", lambda: ecs_sector_amplitudes(number_state_on_circle(2100), np.array([[2100]]))),
-    ("sector table stack", lambda: sector_amplitude_stack(_circle3, np.broadcast_to(_circle3.amplitudes, (2**22, 16, 1)), np.array([[3]]))),
+    # (n + 8)(n + 1) circle cells (pair cutoff 7) first pass 2^24 at n = 4092
+    ("squeeze pump circle", lambda: approximation_quality([4092], 0.2)),
+    ("circle tables", lambda: ecs_to_fock(number_state_on_circle(4096))),
+    ("sector circle tables", lambda: ecs_sector_amplitudes(number_state_on_circle(4096), np.array([[4096]]))),
+    ("sector table stack", lambda: sector_amplitude_stack(_circle3, np.broadcast_to(_circle3.amplitudes, (2**22, 4, 1)), np.array([[3]]))),
     ("synthesis output", lambda: ecs_to_fock(_split_circle(7, 9))),
-    ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=210))),
+    ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=226))),
     ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=4097)),
     ("cavity_state", lambda: _trajectory(4100).cavity_state()),
     ("weight_table", lambda: weight_table(_trajectory(4), 4097)),
@@ -100,8 +100,8 @@ OVER_CAP = [
     ("phase-walk g1", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 4097, 0), 1)),
     ("phase-walk tables, 1 mode", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 1, 2**24), 1)),
     ("phase-walk tables, 2 modes", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 2, 2**21), 1)),
-    ("two_mode_circle", lambda: two_mode_circle(0, 0, cutoffs=800)),
-    ("commuting-diagram sweep", lambda: check_commuting_diagram(40)),
+    ("two_mode_circle", lambda: two_mode_circle(0, 0, cutoffs=1448)),
+    ("commuting-diagram sweep", lambda: check_commuting_diagram(64)),
     ("commuting-diagram circles", lambda: check_commuting_diagram(10**9)),
     ("circle delta_profile", lambda: delta_profile(conditional_weight(1, 1, 0.1, 4, grid=16), points=2**24 + 1)),
     ("trajectory delta_profile", lambda: _trajectory(4).delta_profile(2**24 + 1)),

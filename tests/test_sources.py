@@ -29,12 +29,13 @@ from ecsim.sources import (
 from fock_counts import total_number_distribution
 
 
-def multimode_output_number(m: int, n_modes: int) -> ECSState:
+def multimode_output_number(m: int, n_modes: int, grid: PhaseGrid | None = None) -> ECSState:
     """Circle representation of m photons split equally over n_modes: every
     grid point carries sqrt(m / n_modes) e^{i phi} in each mode, and the
     weight e^{-i m phi} selects the m-photon sector. The cascade split of |m>
-    is the independent route it is checked against."""
-    grid = PhaseGrid.for_cutoff(m)
+    is the independent route it is checked against. The grid defaults to the
+    rule's, exact up to total occupation n_modes * m."""
+    grid = PhaseGrid.exact(n_modes * m) if grid is None else grid
     phis = grid.points
     weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m))
     amps = np.repeat(math.sqrt(m / n_modes) * np.exp(1j * phis)[:, None], n_modes, axis=1)
@@ -99,7 +100,7 @@ def walk_closed_form(spec, realizations):
 
 # (modes, photons, seed, realizations, chunk budget): each budget splits the
 # realizations into at least 3 chunks, the last one short where it can be
-WALK_CASES = [(2, 2, 9, 7, 60), (4, 2, 1, 13, 300), (3, 5, 4, 5, 500), (6, 3, 2, 10, 1200), (11, 2, 7, 11, 1000)]
+WALK_CASES = [(2, 2, 9, 7, 60), (4, 2, 1, 13, 180), (3, 5, 4, 5, 252), (6, 3, 2, 10, 672), (11, 2, 7, 11, 1000)]
 
 
 def walk_deviation(monkeypatch, modes, photons, seed, realizations, budget):
@@ -149,6 +150,20 @@ class TestMultimodeNumber:
         tot = total_number_distribution(st.normalize())
         assert tot[3] == pytest.approx(1.0, abs=1e-10)
         assert tot[:3].max() <= 1e-20
+
+    def test_grid_below_total_occupation_refused(self):
+        # 4 modes of cutoff 2 hold total occupations up to 8; the 5 points of
+        # 2 cutoff + 1 leave 0.022 of amplitude outside the 2-photon sector
+        with pytest.raises(ValidationError, match="need M >="):
+            ecs_to_fock(multimode_output_number(2, 4, PhaseGrid(5)))
+
+    def test_rule_grid_matches_larger_grid(self):
+        st = ecs_to_fock(multimode_output_number(2, 4))
+        large = ecs_to_fock(multimode_output_number(2, 4, PhaseGrid(2 * 4 * 2 + 3)))
+        assert multimode_output_number(2, 4).grid_shape == (9,)
+        assert np.abs(st.amplitudes - large.amplitudes).max() <= 1e-12
+        off_sector = st.shape.total_occupation() != 2
+        assert np.abs(st.amplitudes.ravel()[off_sector]).max() <= 1e-15
 
     def test_laser_output_two_photons_two_modes(self):
         st = ecs_to_fock(multimode_output_number(2, 2))

@@ -127,9 +127,10 @@ class TestExactThreeMode:
         monkeypatch.setattr(squeezing, "pump_entangled_squeezed", refuse)
         monkeypatch.setattr(squeezing, "ecs_sector_amplitudes", refuse)
         monkeypatch.setattr(squeezing, "pump_sector_evolution", refuse)
-        # the (2n + 1)(n + 1) circle table first passes 2^24 cells at n = 2896
+        # the (n + 8)(n + 1) circle table (pair cutoff 7) first passes 2^24
+        # cells at n = 4092
         with pytest.raises(SizingError, match="cap"):
-            approximation_quality([2896], 0.2)
+            approximation_quality([4092], 0.2)
 
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.3 * np.exp(0.7j), 0.05j, -0.2])
     def test_sector_matches_expm(self, zeta):
