@@ -178,7 +178,10 @@ def pair_ladder(chis: complex | np.ndarray, cutoff: int) -> np.ndarray:
     chis = np.asarray(chis, dtype=np.complex128).ravel()
     check_cells(chis.size * (cutoff + 1), f"pair ladder of {chis.size} x {cutoff + 1}")
     r = np.abs(chis)
-    unit = np.divide(-chis, r, out=np.ones_like(chis), where=r > 0)
+    # complex division multiplies by 1 / |chi|, which overflows for a subnormal
+    # |chi|: scale those chis by 2^64 first, which is exact and leaves -chi/|chi|
+    big = np.where(r < np.finfo(np.float64).tiny, 2.0**64, 1.0)
+    unit = np.divide(-chis * big, r * big, out=np.ones_like(chis), where=r > 0)
     k = np.arange(cutoff + 1)
     return (unit[:, None] ** k) * (np.tanh(r)[:, None] ** k) / np.cosh(r)[:, None]
 

@@ -98,6 +98,9 @@ def _check_interfere(p: dict) -> None:
         raise ConfigError(f"parameter grid must be >= 2 when B > 0, got {p['grid']}")
     if A > 0 and B > 0 and p["grid"] < 3:
         raise ConfigError(f"parameter grid must be >= 3 when A > 0 and B > 0, got {p['grid']}")
+    # the one profile point is Delta = 0, where |sin Delta|^B vanishes: no peak to normalise by
+    if B > 0 and p["profile_points"] < 2:
+        raise ConfigError(f"parameter profile_points must be >= 2 when B > 0, got {p['profile_points']}")
 
 
 def _run_interfere(p: dict, seed: int, out: Path) -> list[str]:
@@ -451,6 +454,9 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
                 value = float(value)
             if typ is int and isinstance(value, float) and value.is_integer():
                 value = int(value)
+            # a JSON number is a double, exact as an integer only up to 2^53
+            if typ is int and isinstance(value, int) and abs(value) > 2**53:
+                raise ConfigError(f"parameter {key} must be an integer of magnitude at most 2^53, got {value:.6g}")
             # null stands for a parameter's default only where that default is None
             if not isinstance(value, typ) and not (value is None and default is None):
                 raise ConfigError(f"parameter {key} must be {typ.__name__}")

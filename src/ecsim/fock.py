@@ -41,6 +41,17 @@ def check_cells(cells: int, what: str = "array") -> None:
         raise SizingError(f"{what}: {count} cells exceed the cap of {BASIS_SIZE_CAP}")
 
 
+def check_power(base: int, exponent: int, what: str, factor: int = 1) -> None:
+    """`check_cells` for factor * base ** exponent, compared by its base-2
+    logarithm before it is formed: (cutoff + 1) ** modes at 10^15 modes has
+    too many digits to ever finish forming."""
+    if factor > 0 and base > 0:
+        bits = math.log2(factor) + exponent * math.log2(base)
+        if bits >= 64:
+            raise SizingError(f"{what}: over 2^{math.floor(bits)} cells exceed the cap of {BASIS_SIZE_CAP}")
+    check_cells(factor * base**exponent, what)
+
+
 def check_dense(axes: int, cells: int, what: str = "array") -> None:
     """`check_cells` for a dense array of `axes` axes, one per mode of a
     state; numpy arrays hold at most 64 axes, so more raise SizingError too."""

@@ -153,72 +153,81 @@ def _start(n: int, eps: float) -> np.ndarray:
     return v
 
 
-def _shells(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> Iterator[tuple[np.ndarray, float]]:
+def _shells(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Exact Born probabilities of one step's count pairs, one outcome shell
-    a + b = s at a time, in `_pair` order.
+    a + b = s at a time, in `_pair` order, for one weight vector `v` or for
+    each row of a stack of them that share `remaining` and `r2`.
 
     `v` is scaled so that Q(v; r^2, remaining) = 1. Shell s is one
-    (s + 1, width) array, width <= 2n + 1 the columns the shells can reach,
-    whose row i holds u_{s-i, i}, built by
+    (..., s + 1, width) array, width <= 2n + 1 the columns the shells can
+    reach, whose row i holds u_{s-i, i}, built by
         u_{a+1,0} = -c/sqrt(a+1) (x + 1) u_{a,0},
         u_{a,b+1} =  c/sqrt(b+1) (x - 1) u_{a,b},
     c = sqrt(eps r^2 / 2), from u_{0,0} = e^{-eps r^2} v, so that
     P(a, b) = Q(u_{a,b}; rho^2, remaining - s) with rho^2 = (1 - eps) r^2.
-    The step's total count is Binomial(remaining, eps) whatever the weight,
-    so each shell must sum to its binomial weight: a shell that misses it by
-    more than STEP_TAIL_TOLERANCE raises NumericsError. Yields
-    (probabilities of shell s, |sum - binomial weight|) up to the shell
-    `_deepest_shell` bounds; callers stop reading when they have what they
-    need.
+    Every operation acts on each vector alone, so a row of a stack gets the
+    numbers it gets alone. The step's total count is Binomial(remaining, eps)
+    whatever the weight, so each shell must sum to its binomial weight: a
+    shell that misses it by more than STEP_TAIL_TOLERANCE in any row raises
+    NumericsError. Yields (probabilities of shell s, |sum - binomial weight|
+    per vector) up to the shell `_deepest_shell` bounds; callers stop reading
+    when they have what they need.
     """
     last = _deepest_shell(remaining, eps)
     # v vanishes above f1 = detected - n, and the shells reach `last` higher
-    width = min(v.size, 2 * n - remaining + last + 1)
+    width = min(v.shape[-1], 2 * n - remaining + last + 1)
     c = math.sqrt(eps * r2 / 2.0)
     lam = poisson_pmf((1.0 - eps) * r2, np.arange(remaining + 1))
-    shell = math.exp(-eps * r2) * v[None, :width]
+    shell = math.exp(-eps * r2) * v[..., None, :width]
     log_weight, log_odds = remaining * math.log1p(-eps), math.log(eps / (1.0 - eps))
     s = 0
     while True:
         p = _quadform(shell, n, remaining - s, lam)
-        total = float(p.sum())
+        total = p.sum(axis=-1)
         deviation = abs(total - math.exp(log_weight))
-        if not deviation <= STEP_TAIL_TOLERANCE:
+        # the worst row decides (max and argmax pick a NaN first); one vector needs no reduction
+        worst = deviation.max() if deviation.shape else deviation
+        if not worst <= STEP_TAIL_TOLERANCE:
             raise NumericsError(
-                f"outcome shell a + b = {s} of {remaining} photons sums to {total:.12g}, "
-                f"{deviation:.2e} off its binomial weight (tolerance {STEP_TAIL_TOLERANCE})"
+                f"outcome shell a + b = {s} of {remaining} photons sums to {np.ravel(total)[np.argmax(deviation)]:.12g}, "
+                f"{worst:.2e} off its binomial weight (tolerance {STEP_TAIL_TOLERANCE})"
             )
         yield p, deviation
         if s >= last:
             return
         s += 1
         log_weight += log_odds + math.log((remaining - s + 1) / s)
-        nxt = np.empty((s + 1, width), dtype=np.complex128)
-        nxt[0] = (-c / math.sqrt(s)) * _times(shell[0], 1.0)
-        nxt[1:] = (c / np.sqrt(np.arange(1.0, s + 1)))[:, None] * _times(shell, -1.0)
+        nxt = np.empty(shell.shape[:-2] + (s + 1, width), dtype=np.complex128)
+        nxt[..., 0, :] = (-c / math.sqrt(s)) * _times(shell[..., 0, :], 1.0)
+        nxt[..., 1:, :] = (c / np.sqrt(np.arange(1.0, s + 1)))[:, None] * _times(shell, -1.0)
         shell = nxt
 
 
-def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple[np.ndarray, float]:
-    """Every outcome of one step: (probabilities in `_pair` order, worst
-    shell deviation from its binomial weight).
+def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome of one step, for one weight vector or each row of a
+    stack: (probabilities in `_pair` order, worst deviation of a shell it
+    read from its binomial weight), with the leading axes of `v`.
 
-    Reads `_shells` until the enumerated outcomes carry all but 1e-12 of the
-    probability, or to the last shell; the leftover tail then measures the
-    rounding of the probabilities, which at n in the thousands reaches a few
-    1e-12, and a tail of STEP_TAIL_TOLERANCE or more raises NumericsError.
+    Each vector reads `_shells` until its enumerated outcomes carry all but
+    1e-12 of the probability, or to the last shell; the leftover tail then
+    measures the rounding of the probabilities, which at n in the thousands
+    reaches a few 1e-12, and a tail of STEP_TAIL_TOLERANCE or more in any
+    row raises NumericsError. A stack reads as deep as its deepest row, and
+    a row's outcomes past its own last shell are 0.
     """
-    probs, worst, covered = [], 0.0, 0.0
+    lead = v.shape[:-1]
+    probs, worst, covered, live = [], np.zeros(lead), np.zeros(lead), np.ones(lead, dtype=bool)
     for p, deviation in _shells(v, n, remaining, r2, eps):
-        probs.append(p)
-        worst = max(worst, deviation)
-        covered += float(p.sum())
-        if 1.0 - covered < 1e-12:
+        probs.append(np.where(live[..., None], p, 0.0))
+        worst = np.where(live, np.maximum(worst, deviation), worst)
+        covered = np.where(live, covered + p.sum(axis=-1), covered)
+        live &= 1.0 - covered >= 1e-12
+        if not live.any():
             break
-    tail = max(0.0, 1.0 - covered)
+    tail = float(np.max(np.maximum(0.0, 1.0 - covered)))
     if tail >= STEP_TAIL_TOLERANCE:
         raise NumericsError(f"unenumerated outcome probability {tail:.2e} exceeds {STEP_TAIL_TOLERANCE}")
-    return np.concatenate(probs), worst
+    return np.concatenate(probs, axis=-1), worst
 
 
 def _choice_index(p: np.ndarray, u: float) -> int:
@@ -241,7 +250,7 @@ def _draw(v: np.ndarray, n: int, remaining: int, r2: float, eps: float, u: float
     """
     worst, below, offset = 0.0, 0.0, 0
     for p, deviation in _shells(v, n, remaining, r2, eps):
-        worst = max(worst, deviation)
+        worst = max(worst, float(deviation))
         edges = below + p.cumsum()
         k = int(edges.searchsorted(u, side="right"))
         if k < p.size:
@@ -251,19 +260,21 @@ def _draw(v: np.ndarray, n: int, remaining: int, r2: float, eps: float, u: float
         below, offset = float(edges[-1]), offset + p.size
     probs, deviation = _step(v, n, remaining, r2, eps)
     pick = _choice_index(probs, u)
-    return pick, float(probs[pick]), max(worst, deviation)
+    return pick, float(probs[pick]), max(worst, float(deviation))
 
 
-def _collapse(v: np.ndarray, r2: float, eps: float, a: int, b: int, p: float) -> np.ndarray:
+def _collapse(v: np.ndarray, r2: float, eps: float, a: int, b: int, p) -> np.ndarray:
     """u_{a,b} of `_shells` rebuilt by the same recursion and divided by sqrt(P),
-    so that Q = 1 at the next step's radius and remaining total."""
+    so that Q = 1 at the next step's radius and remaining total. `v` may be a
+    stack of vectors, each with its own P."""
     c = math.sqrt(eps * r2 / 2.0)
     u = math.exp(-eps * r2) * v
     for k in range(1, a + 1):
         u = (-c / math.sqrt(k)) * _times(u, 1.0)
     for k in range(1, b + 1):
         u = (c / math.sqrt(k)) * _times(u, -1.0)
-    return u / math.sqrt(p)
+    # one vector takes its P as a number, a stack one P per row
+    return u / (np.sqrt(p)[:, None] if isinstance(p, np.ndarray) else math.sqrt(p))
 
 
 def _psi_samples(weight: np.ndarray, n: int, M: int) -> np.ndarray:
@@ -271,6 +282,26 @@ def _psi_samples(weight: np.ndarray, n: int, M: int) -> np.ndarray:
     w(phi, phi') = e^{-i D phi'} h(phi - phi'). Needs M >= 2n + 1."""
     l = np.arange(M)
     return ifft(weight, M) * M * np.exp(-2j * math.pi * ((n * l) % M) / M)
+
+
+def sector_amplitudes(
+    n: int, remaining: int, weights: np.ndarray, cutoff: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The conditional two-cavity state of one weight vector, or of each row
+    of a stack, on its D-photon sector, D = remaining, unnormalised: the
+    photon numbers k of cavity A that both cutoffs (default n) admit, and
+    <k, D - k | psi> up to one common factor per vector at each.
+
+    <k, D - k | psi> is proportional to w_hat(-k, -(D - k)) / sqrt(k! (D - k)!).
+    The coherent radius only scales the whole sector, so the Poisson
+    factors use radius^2 = D / 2, which keeps them clear of underflow; a
+    stack shares them.
+    """
+    cut = n if cutoff is None else min(cutoff, n)
+    k = np.arange(max(0, remaining - cut), min(remaining, cut) + 1)
+    # k and D - k run over the same range, reversed
+    table = poisson_pmf(remaining / 2.0, k)
+    return k, np.sqrt(table * table[::-1]) * weights[..., n - k]
 
 
 @dataclass(frozen=True)
@@ -328,20 +359,9 @@ class TrajectoryState:
         return deltas, mag / peak if peak > 0 else mag
 
     def sector_amplitudes(self, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The conditional two-cavity state on its D-photon sector, unnormalised:
-        the photon numbers k of cavity A that both cutoffs (default n) admit,
-        and <k, D - k | psi> up to one common factor at each.
-
-        <k, D - k | psi> is proportional to w_hat(-k, -(D - k)) / sqrt(k! (D - k)!).
-        The coherent radius only scales the whole sector, so the Poisson
-        factors use radius^2 = D / 2, which keeps them clear of underflow.
-        """
-        n, D = self.n, self.remaining
-        cut = n if cutoff is None else min(cutoff, n)
-        k = np.arange(max(0, D - cut), min(D, cut) + 1)
-        # k and D - k run over the same range, reversed
-        table = poisson_pmf(D / 2.0, k)
-        return k, np.sqrt(table * table[::-1]) * self.weight[n - k]
+        """The conditional two-cavity state on its D-photon sector,
+        unnormalised (`sector_amplitudes` of this weight)."""
+        return sector_amplitudes(self.n, self.remaining, self.weight, cutoff)
 
     def cavity_state(self, cutoff: int | None = None) -> FockVector:
         """The conditional two-cavity Fock state: `sector_amplitudes` in a
@@ -397,34 +417,55 @@ def run_interference_trajectory(
 
 
 def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
-    """Walk the outcome tree of the first `depth` steps once, depth first in
-    the sampler's outcome order, pruning every branch whose probability falls
-    below `floor`. Yields (outcomes, probability, TrajectoryState) per branch.
+    """Walk the outcome tree of the first `depth` steps, pruning every branch
+    whose probability falls below `floor` > 0. Yields (outcomes, probability,
+    TrajectoryState) per branch, depth first in the sampler's outcome order.
+
+    The tree is walked one level at a time. The live branches of a level are
+    grouped by their remaining photon number D, which with the level fixes
+    every parameter of a step, and each group takes one stacked `_step`; the
+    kept children of each outcome (a, b) come from one stacked `_collapse`.
+    Each row gets the numbers it gets alone, and the children are ordered by
+    parent, then outcome, so the leaves come out as a depth-first walk gives
+    them.
     """
-    v0 = _start(n, eps_step)
-
-    def walk(v, remaining, r2, outcomes, prob, worst):
-        if len(outcomes) == depth:
-            totals = (sum(o[0] for o in outcomes), sum(o[1] for o in outcomes))
-            yield outcomes, prob, TrajectoryState(
-                n, eps_step, v, remaining, r2, totals, depth, worst
-            )
+    if not floor > 0.0:
+        raise ValidationError(f"floor must be positive, got {floor}")
+    # every outcome a step can read: the shells up to the first step's deepest
+    last = _deepest_shell(2 * n, eps_step)
+    pairs = [_pair(i) for i in range((last + 1) * (last + 2) // 2)]
+    table = np.array(pairs, dtype=np.int64)
+    weights, prob, worst = _start(n, eps_step)[None], np.ones(1), np.zeros(1)
+    paths = np.zeros((1, 0), dtype=np.int64)  # outcome indices in `_pair` order
+    counts = np.zeros((1, 2), dtype=np.int64)
+    r2 = float(n)
+    for _ in range(depth):
+        remaining = 2 * n - counts.sum(axis=1)
+        parent, index, p, child_worst = [], [], [], []
+        for D in sorted(set(remaining.tolist())):
+            rows = np.flatnonzero(remaining == D)
+            probs, deviation = _step(weights[rows], n, D, r2, eps_step)
+            kept, i = np.nonzero(prob[rows, None] * probs >= floor)
+            parent.append(rows[kept])
+            index.append(i)
+            p.append(probs[kept, i])
+            child_worst.append(np.maximum(worst[rows], deviation)[kept])
+        if not parent:
             return
-        probs, deviation = _step(v, n, remaining, r2, eps_step)
-        for index, p in enumerate(probs.tolist()):
-            if prob * p < floor:
-                continue
-            a, b = _pair(index)
-            yield from walk(
-                _collapse(v, r2, eps_step, a, b, p),
-                remaining - a - b,
-                r2 * (1.0 - eps_step),
-                outcomes + ((a, b),),
-                prob * p,
-                max(worst, deviation),
-            )
-
-    yield from walk(v0, 2 * n, float(n), (), 1.0, 0.0)
+        order = np.lexsort((np.concatenate(index), np.concatenate(parent)))
+        parent, index, p, worst = (np.concatenate(x)[order] for x in (parent, index, p, child_worst))
+        children = np.empty((index.size, weights.shape[1]), dtype=np.complex128)
+        for i in sorted(set(index.tolist())):
+            sel = np.flatnonzero(index == i)
+            children[sel] = _collapse(weights[parent[sel]], r2, eps_step, *pairs[i], p[sel])
+        weights, prob = children, prob[parent] * p
+        paths, counts = np.column_stack([paths[parent], index]), counts[parent] + table[index]
+        r2 *= 1.0 - eps_step
+    rows = zip(paths.tolist(), prob.tolist(), counts.tolist(), worst.tolist())
+    for row, (path, p, (a, b), bound) in enumerate(rows):
+        yield tuple(map(pairs.__getitem__, path)), p, TrajectoryState(
+            n, eps_step, weights[row], 2 * n - a - b, r2, (a, b), depth, bound
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +565,13 @@ def exact_trajectory_branches(
     every branch in `branches` and every prefix of one, keyed by the outcomes
     as a tuple of (a, b) int pairs. Every step applies the same Kraus
     operators K_ab (`_detection_kraus`), built once per call and kept by no
-    cache. The branches are merged into their prefix tree and walked depth
-    first; each parent takes one matmul against the table, which gives every
-    outcome's unnormalised child as a column, whose squared norm is the
-    outcome's probability. A branch that passes through an impossible outcome
-    (more counts than photons left, or a probability of exactly 0.0) maps to
-    (None, 0.0).
+    cache. The branches are merged into their prefix tree and walked one
+    level at a time: the parents of a level that ask for outcome (a, b) take
+    one stacked product against K_ab, each parent a (1, cav) @ K_ab of its
+    own, so a child does not depend on which branches share its level. A
+    child's squared norm is its outcome's probability. A branch that passes
+    through an impossible outcome (more counts than photons left, or a
+    probability of exactly 0.0) maps to (None, 0.0).
     """
     tree: dict = {}
     for outcomes in branches:
@@ -538,23 +580,30 @@ def exact_trajectory_branches(
             if a < 0 or b < 0:
                 raise ValidationError(f"counts must be nonnegative, got {(a, b)}")
             node = node.setdefault((int(a), int(b)), {})
-    side = 2 * n + 1
-    kraus = _detection_kraus(n, eps_step)
+    side, cav = 2 * n + 1, (n + 1) ** 2
+    kraus = _detection_kraus(n, eps_step).reshape(cav, cav, side, side)
     shape = ModeShape((n, n))
-    results = {}
-
-    def walk(node, prefix, cavities, probability, remaining):
-        results[prefix] = (cavities, probability)
-        if cavities is not None and node:
-            children = (cavities.amplitudes.ravel() @ kraus).reshape(-1, side * side)
-        for (a, b), child in node.items():
-            state, p = None, 0.0
-            if cavities is not None and a + b <= remaining:
-                column = children[:, a * side + b]
-                p = float(np.sum(column.real**2 + column.imag**2))
-                if p > 0.0:
-                    state = FockVector(shape, (column / math.sqrt(p)).reshape(shape.dims))
-            walk(child, prefix + ((a, b),), state, probability * p, remaining - a - b)
-
-    walk(tree, (), basis_state(shape, (n, n)), 1.0, 2 * n)
+    start = basis_state(shape, (n, n))
+    results = {(): (start, 1.0)}
+    # (prefix, subtree, photons left, probability, normalised cavity amplitudes or None)
+    level = [((), tree, 2 * n, 1.0, start.amplitudes.ravel())]
+    while level:
+        nxt, asked = [], {}
+        for prefix, node, remaining, probability, state in level:
+            for (a, b), child in node.items():
+                entry = (prefix + ((a, b),), child, remaining - a - b, probability)
+                if state is None or a + b > remaining:
+                    nxt.append(entry + (None,))
+                    results[entry[0]] = (None, 0.0)
+                else:
+                    asked.setdefault((a, b), []).append((entry, state))
+        for (a, b), rows in asked.items():
+            columns = np.matmul(np.stack([state for _, state in rows])[:, None, :], kraus[:, :, a, b])[:, 0]
+            ps = np.sum(columns.real**2 + columns.imag**2, axis=-1)
+            states = np.divide(columns, np.sqrt(ps)[:, None], out=np.zeros_like(columns), where=ps[:, None] > 0.0)
+            for ((prefix, child, remaining, probability), _), state, p in zip(rows, states, ps.tolist()):
+                state = state if p > 0.0 else None
+                nxt.append((prefix, child, remaining, probability * p, state))
+                results[prefix] = (None if state is None else FockVector(shape, state.reshape(shape.dims)), probability * p)
+        level = nxt
     return results

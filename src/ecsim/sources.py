@@ -25,6 +25,7 @@ from .fock import (
     basis_state,
     check_cells,
     check_dense,
+    check_power,
     coherent_log_amplitudes,
     poisson_pmf,
     poisson_tail,
@@ -124,7 +125,7 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
     m_max = cutoff
     # total numbers differ by at most N * cutoff: the degree of the phase average
     M = PhaseGrid.exact(n_modes * cutoff).size
-    check_cells((cutoff + 1 + M) * (cutoff + 1) ** n_modes, "stacked number and coherent vectors")
+    check_power(cutoff + 1, n_modes, "stacked number and coherent vectors", factor=cutoff + 1 + M)
     number_vecs = []
     number_weights = []
     for m in range(m_max + 1):

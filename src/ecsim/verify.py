@@ -27,7 +27,7 @@ from .fock import (
     to_density,
     twirl,
 )
-from .measurement import exact_trajectory_branches, trajectory_branches
+from .measurement import exact_trajectory_branches, sector_amplitudes, trajectory_branches
 from .sources import LaserSpec, decomposition_equivalence_check, laser_density
 from .squeezing import approximation_quality
 
@@ -164,21 +164,26 @@ def check_phase_shift_covariance() -> CheckResult:
 def check_trajectory_brute_force(n_max: int, steps: int) -> CheckResult:
     """Every branch of the phase route's outcome tree against the exact Fock
     oracle: branch probabilities, and the conditional cavity states compared
-    on the phase route's D-photon sector. The oracle's norm is its full norm,
-    so any amplitude it holds outside that sector counts against it."""
+    on the phase route's D-photon sector, one stacked comparison per D. The
+    oracle's norm is its full norm, so any amplitude it holds outside that
+    sector counts against it."""
     worst = 0.0
     for n in range(1, n_max + 1):
         eps = 0.4
         branches = list(trajectory_branches(n, eps, steps, floor=1e-6))
         fock = exact_trajectory_branches(n, eps, [seq for seq, _, _ in branches])
+        groups: dict[int, list] = {}
         for seq, p_phase, traj in branches:
             fock_state, p_fock = fock[seq]
             worst = max(worst, abs(p_fock - p_phase))
             if p_fock > 1e-8:
-                k, sector = traj.sector_amplitudes()
-                overlap = complex(np.vdot(fock_state.amplitudes[k, traj.remaining - k], sector))
-                norms = fock_state.norm2 * float(np.vdot(sector, sector).real)
-                worst = max(worst, 1.0 - abs(overlap) ** 2 / norms)
+                groups.setdefault(traj.remaining, []).append((traj.weight, fock_state.amplitudes))
+        for D, rows in groups.items():
+            k, sector = sector_amplitudes(n, D, np.stack([weight for weight, _ in rows]))
+            states = np.stack([amplitudes for _, amplitudes in rows])
+            overlap = np.sum(states[:, k, D - k].conj() * sector, axis=-1)
+            norms = np.sum(np.abs(states) ** 2, axis=(1, 2)) * np.sum(np.abs(sector) ** 2, axis=-1)
+            worst = max(worst, float(np.max(1.0 - np.abs(overlap) ** 2 / norms)))
     return CheckResult(f"trajectory-brute-force-n{n_max}", worst, 1e-8)
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,14 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Pa
     return path
 
 
-def run_python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def run_python(code: str, *args: str, env: dict | None = None, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run `code` in a fresh interpreter that finds this checkout's ecsim."""
     import ecsim
 
     env = dict(os.environ if env is None else env)
     src = str(Path(ecsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestConfigValidation:
@@ -113,6 +114,27 @@ class TestConfigValidation:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_huge_mode_count_refused_before_its_size_is_formed(self, tmp_path):
+        # (cutoff + 1) ** modes at 10^15 modes has too many digits to form, so
+        # the size check compares its logarithm; the run goes to a child with
+        # a time limit and an address-space cap, so a run that forms the
+        # number fails here instead of hanging or filling memory
+        params = {"nbar": 1.0, "modes": 1e15, "cutoff": 3}
+        cfg = write_config(tmp_path, {"experiment": "laser-equivalence", "parameters": params})
+        out = tmp_path / "out"
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from ecsim.cli import main\n"
+            "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        done = run_python(code, str(cfg), str(out), env=env, timeout=60)
+        assert done.returncode == 3, done.stderr
+        err = done.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("sizing error: stacked number and coherent vectors: over 2^")
+        assert not out.exists()
+
     def test_null_stands_for_a_null_default_only(self, tmp_path):
         # homodyne's theta defaults to None, so null picks that default; the
         # typed parameters without one are rows of the malformed-config table
@@ -166,6 +188,10 @@ class TestConfigValidation:
             ({"experiment": "phase-walk", "modes": None}, "modes"),
             ({"experiment": "squeeze", "pumps": []}, "pumps"),
             ({"experiment": "laser-equivalence", "nbar": 0.5, "modes": 70, "cutoff": 0, "exit": 3}, "axes"),
+            ({"experiment": "interfere", "A": 1e300}, "A"),
+            ({"experiment": "interfere", "B": 10**300}, "B"),
+            ({"experiment": "homodyne", "n": 2**53 + 1}, "n"),
+            ({"experiment": "interfere", "A": 3, "B": 2, "eps": 0.1, "n": 5, "profile_points": 1}, "profile_points"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
@@ -371,6 +397,20 @@ class TestRunArtifacts:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         res = json.loads((out / "results.json").read_text())
         assert res["fidelities"]["4"] >= res["fidelities"]["2"] - 1e-12
+
+    def test_subnormal_squeeze_scale_runs_quietly(self, tmp_path, capsys):
+        # a pair ladder at |chi| = 5e-324 once divided by it through an
+        # infinite reciprocal: NaN ladders, RuntimeWarnings and exit 4
+        cfg = write_config(tmp_path, {"experiment": "squeeze", "parameters": {"scale": 5e-324}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        res = json.loads((out / "results.json").read_text())
+        assert all(f == pytest.approx(1.0, abs=1e-12) for f in res["fidelities"].values())
+        # (-chi/|chi| tanh|chi|)^k / cosh|chi| at chi = 5e-324: 1, -chi, then underflow
+        assert res["idealized_schmidt"][:3] == [["1", "0"], ["-4.9406564584124654e-324", "0"], ["0", "0"]]
 
     def test_squeeze_pair_cutoff_past_pump(self, tmp_path):
         # the pump circle is sized by max(n, pair cutoff), so a pair cutoff far

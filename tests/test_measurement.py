@@ -396,6 +396,37 @@ class TestSectorAmplitudes:
                 self.check(traj)
 
 
+class TestWalkerMatchesSampler:
+    """The level walker stacks branches that the sampler steps one at a
+    time, through the same `_shells` and `_collapse`: a seeded run whose
+    outcomes the walker keeps must end on that leaf's numbers, bit for bit."""
+
+    def test_seeded_runs_land_on_their_leaves(self):
+        matched = 0
+        for n in (1, 2, 3, 4):
+            leaves = {seq: (p, traj) for seq, p, traj in trajectory_branches(n, 0.4, 3, floor=1e-6)}
+            for seed in range(60):
+                record, run = run_interference_trajectory(n, 0.4, 3, seed)
+                seq = tuple(s.counts for s in record.steps)
+                if seq not in leaves:
+                    continue
+                p, traj = leaves[seq]
+                product = 1.0
+                for step in record.steps:
+                    product *= step.probability
+                assert product == p
+                assert run.weight.tobytes() == traj.weight.tobytes()
+                assert (run.remaining, run.radius2, run.counts) == (traj.remaining, traj.radius2, traj.counts)
+                matched += 1
+        assert matched >= 200
+
+    def test_floor_must_be_positive(self):
+        # a stacked step pads each row's unread outcomes with 0, which only a
+        # positive floor prunes
+        with pytest.raises(ValidationError, match="floor"):
+            list(trajectory_branches(2, 0.4, 1, floor=0.0))
+
+
 class TestBruteForceMutations:
     """The brute-force check must fail when either route it compares is
     corrupted: the phase-route kernel or the coupler under the Fock oracle."""
