@@ -490,11 +490,13 @@ def width_fit(
         window &= deltas > 0
     x = 2.0 * (deltas[window] - center)  # full-difference coordinate
     y = np.log(mag[window] / peak_val)
-    coeffs = np.polyfit(x * x, y, 1)
-    slope = coeffs[0]
-    if slope >= 0:
+    xx = x * x
+    # a line needs 2 distinct abscissae: a window of 1 point, or of 2 points
+    # at +-x, is unfitted, as a slope >= 0 is
+    coeffs = np.polyfit(xx, y, 1) if xx.size and xx.max() > xx.min() else None
+    if coeffs is None or coeffs[0] >= 0:
         return WidthFit(math.inf, center, math.inf, False)
-    sigma = math.sqrt(-1.0 / (2.0 * slope))
+    sigma = math.sqrt(-1.0 / (2.0 * coeffs[0]))
     fitted = coeffs[0] * x * x + coeffs[1]
     residual = float(np.max(np.abs(fitted - y)))
     return WidthFit(sigma, float(center), residual, residual <= 0.1)

@@ -18,23 +18,22 @@ D = diag(e^{-i phi k} i^k) and T is the real symmetric tridiagonal matrix with
 zero diagonal and off-diagonal sqrt((k+1)(N-k)). T = -S^dag (2 J_y) S with
 S = diag(i^k) and J_y the Schwinger generator, so its spectrum is exactly the
 integers -N, -N+2, ..., N. Neither T nor its eigenvectors depend on (theta,
-phi), so each sector is factorised once: `sector_spectrum` holds the
-eigenvalues rounded to those integers and the real orthogonal W, and every
-(theta, phi) reads it. The factorisation uses two symmetries of T at half
-size. T commutes with the reversal k <-> N - k, so an odd sector is one
-numpy `eigh` of its reversal-even half, the odd half being its negative up
-to the signs (-1)^k. With c, d = (a +- b) / sqrt(2), T = c^dag c - d^dag d,
-so c^dag and d^dag carry sector N - 1's eigenvectors into sector N with the
-eigenvalue raised or lowered by one: an even sector is the lift of the odd
-sector below it, and every sector costs one `eigh` on ceil(N / 2) rows. A
-coupler acts only through the sector product U v =
-d * (W (e^{-i theta m} * (W^T (conj(d) * v)))), d the diagonal of D (Feng,
-Wang, Yang & Jin, PRE 92, 043307 (2015)): `apply_sector` on sector vectors,
-`apply_coupler` on each live sector of a state, `coupler_block` on the
-identity. `oracle_block` builds G from its two off-diagonals and
-exponentiates it by scaling and squaring on Higham's degree-13 Pade
-approximant (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), numpy alone and no
-eigensolver; it is the test reference.
+phi), so each sector is factorised once: `sector_spectrum` holds those
+eigenvalues and the real orthogonal W, and every (theta, phi) reads it. No
+eigensolver runs. Each eigenvector obeys the three-term recursion
+b_k w[k+1] = m w[k] - b_{k-1} w[k-1], b_k = sqrt((k+1)(N-k)), of the Wigner
+d(pi/2) matrix (Risbo, J. Geodesy 70, 383 (1996)), run from k = 0 to the
+middle row, where every column's allowed band is centred, so that it only
+ever grows into that band. T commutes with the reversal k <-> N - k, which
+gives the other rows: column t of ascending m has parity (-1)^(N - t), the
+alternation of a persymmetric Jacobi matrix. A coupler acts only through the
+sector product U v = d * (W (e^{-i theta m} * (W^T (conj(d) * v)))), d the
+diagonal of D (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)): `apply_sector`
+on sector vectors, `apply_coupler` on each live sector of a state,
+`coupler_block` on the identity. `oracle_block` builds G from its two
+off-diagonals and exponentiates it by scaling and squaring on Higham's
+degree-13 Pade approximant (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),
+numpy alone and no eigensolver; it is the test reference.
 Both routes start from the same sector Hamiltonian, so the sign and phase
 convention is pinned separately by checks that go through
 `heisenberg_matrix`: coherent covariance and the commuting diagram with the
@@ -102,22 +101,30 @@ def heisenberg_matrix(params: CouplerParams) -> np.ndarray:
 
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# columns or rows of W per block where a whole-matrix temporary would double
+# its memory: 8 MiB of Gram rows at N = 4095
+_PANEL = 256
 
 
 @dataclass(frozen=True)
 class SectorSpectrum:
-    """T = W diag(m) W^T on the N-photon sector: eigenvalues m rounded to the
-    integers -N, -N+2, ..., N and real orthogonal eigenvectors W."""
+    """T = W diag(m) W^T on the N-photon sector: eigenvalues m, the integers
+    -N, -N+2, ..., N, and real orthogonal eigenvectors W. W^T W - I is checked
+    _PANEL rows at a time, each from its diagonal rightwards (the matrix is
+    symmetric), so no (N + 1)^2 array is formed beside W."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
         W = self.eigenvectors
-        gram = W.T @ W
-        gram.flat[:: W.shape[0] + 1] -= 1.0
-        defect = np.abs(gram, out=gram).max()
-        if defect > 1e-10:
+        defect = 0.0
+        for i in range(0, W.shape[1], _PANEL):
+            gram = W[:, i : i + _PANEL].T @ W[:, i:]
+            gram.flat[:: gram.shape[1] + 1] -= 1.0
+            # np.maximum keeps a NaN, which the test below then refuses
+            defect = np.maximum(defect, np.abs(gram, out=gram).max())
+        if not defect <= 1e-10:
             raise ValidationError(f"eigenvectors not orthogonal: defect {defect:.3e}")
         self.eigenvalues.setflags(write=False)
         W.setflags(write=False)
@@ -129,64 +136,44 @@ def _check_sector(N: int) -> None:
     check_cells((N + 1) ** 2, f"sector {N} matrices")
 
 
-def _reversal_half(N: int, out: np.ndarray) -> np.ndarray:
-    """Rows k < h = (N + 1) / 2 of odd sector N's eigenvectors into `out`
-    (h, N + 1), and all N + 1 eigenvalues, both in ascending order, from one
-    `eigh` of T on the vectors even under the reversal k <-> N - k. There T
-    has off-diagonal sqrt(j (N + 1 - j)), j = 1 .. h - 1, and the corner
-    sqrt(h (N + 1 - h)) = h, where row h - 1 meets its mirror. Column 2j + 1
-    is even, w[k] = w[N - k] = V[k, j] / sqrt(2), for the eigenvalue mu[j].
-    Conjugating by (-1)^k negates the off-diagonal, so the odd half is minus
-    the even half: column 2j is (-1)^k V[k, h - 1 - j] / sqrt(2), negated at
-    N - k, for -mu[h - 1 - j]."""
-    h = (N + 1) // 2
-    j = np.arange(1.0, h)
-    off = np.sqrt(j * (N + 1 - j))
-    half = np.diag(off, 1) + np.diag(off, -1)
-    half[-1, -1] = h
-    mu, V = np.linalg.eigh(half)
-    np.multiply(V, math.sqrt(0.5), out=out[:, 1::2])
-    flip = np.full(h, math.sqrt(0.5))
-    flip[1::2] = -flip[1::2]
-    np.multiply(V[:, ::-1], flip[:, None], out=out[:, 0::2])
-    m = np.empty(N + 1)
-    m[1::2] = np.rint(mu)
-    m[0::2] = -m[:0:-2]
-    return m
+# entries past this are scaled down by its inverse while the recursion runs
+_RESCALE = 1e150
+# normalised entries below this are zeroed, so that a product of two entries
+# is never subnormal: subnormal products slow every matmul with W about 1.5 fold
+_FLUSH = 2.0**-511
 
 
 def _factorise(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sector N's eigenvalues m and eigenvectors W, both in ascending order,
-    from one `eigh` on ceil(N / 2) rows; W is built in place. T commutes
-    with the reversal k <-> N - k, so rows k > N / 2 mirror rows N - k,
-    negated in the columns odd under it. Odd N takes its other rows from
-    `_reversal_half`. Even N lifts the half of sector N - 1, where
-    T = c^dag c - d^dag d with c, d = (a +- b) / sqrt(2):
-    ((a^dag + s b^dag) w)[k] = sqrt(k) w[k - 1] + s sqrt(N - k) w[k] raises
-    an eigenvalue mu >= -1 by one (s = 1) or lowers mu <= -1 by one
-    (s = -1), and each column, of norm^2 N + 1 + s mu >= N, is normalised."""
-    if N == 0:
-        return np.zeros(1), np.ones((1, 1))
+    """Sector N's eigenvalues m = -N, -N+2, ..., N and eigenvectors W, column t
+    for m[t], by one recursion over all columns at once; W is built in place.
+    Rows 0 .. N // 2 run b_k W[k+1] = m W[k] - b_{k-1} W[k-1] from W[0] = 1,
+    a column scaled down wherever it passes _RESCALE, and are normalised from
+    the half they hold of each column's norm, a panel of rows at a time. Rows
+    k > N / 2 mirror rows N - k, negated in the columns t with N - t odd, the
+    ones odd under the reversal, so no parity is read from entries that may
+    vanish."""
+    m = np.arange(-N, N + 1.0, 2.0)
     top, h = N // 2 + 1, (N + 1) // 2
+    k = np.arange(1.0, top)
+    b = np.sqrt(k * (N + 1.0 - k))
     W = np.empty((N + 1, N + 1))
-    if N % 2:
-        m = _reversal_half(N, W[:top])
-    else:
-        below = np.empty((h, N))
-        m = _reversal_half(N - 1, below)
-        # column t of sector N - 1, even under the reversal for odd t, is
-        # lowered into column t for t < h and raised into column t + 1 for
-        # t >= h - 1; the middle row reads its mirror w[h] = parity * w[h - 1]
-        parity = np.ones(N)
-        parity[::2] = -1.0
-        k = np.arange(h + 1.0)
-        for s, t, i in ((-1.0, slice(0, h), slice(0, h)), (1.0, slice(h - 1, N), slice(h, N + 1))):
-            w, u = below[:, t], W[:top, i]
-            np.multiply(w, s * np.sqrt(N - k[:h])[:, None], out=u[:h])
-            u[1:h] += np.sqrt(k[1:h])[:, None] * w[:-1]
-            np.multiply(w[-1], math.sqrt(h) * (1.0 + s * parity[t]), out=u[h])
-            u /= np.sqrt(N + 1.0 + s * m[t])
-        m = np.concatenate((m[:h] - 1.0, m[h - 1 :] + 1.0))
+    W[0] = 1.0
+    for j in range(top - 1):
+        row = np.multiply(m, W[j], out=W[j + 1])
+        if j:
+            row -= b[j - 1] * W[j - 1]
+        row /= b[j]
+        big = np.flatnonzero(np.abs(row) > _RESCALE)
+        if big.size:
+            W[: j + 2, big] *= 1.0 / _RESCALE
+    # each row k < h stands for itself and its mirror; an even N's middle row once
+    norm2 = 2.0 * np.einsum("kt,kt->t", W[:h], W[:h])
+    norm2 += W[h] ** 2 if N % 2 == 0 else 0.0
+    norm = np.sqrt(norm2)
+    for i in range(0, top, _PANEL):
+        rows = W[i : i + _PANEL]
+        rows /= norm
+        rows[np.abs(rows) < _FLUSH] = 0.0
     W[top:] = W[h - 1 :: -1]
     W[top:, (N + 1) % 2 :: 2] *= -1.0
     return m, W

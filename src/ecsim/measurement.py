@@ -392,6 +392,7 @@ def run_interference_trajectory(
     """
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
+    check_cells(steps, "trajectory step records")
     v = _start(n, eps_step)
     rng = default_rng(seed)
     remaining = 2 * n

@@ -287,6 +287,14 @@ class TestPeaksAndWidths:
         fit = width_fit(conditional_weight(4, 4, eps=0.2, n=40), min_counts=8)
         assert fit.sigma == pytest.approx(math.sqrt(2.0 / 8.0), rel=0.2)
 
+    # 10^7 counts against 3 leave one point in the window; 10^15 against 0
+    # leave two at +-x, one abscissa of x^2: neither fits a line or warns
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A, B", [(10**7, 3), (10**15, 0)])
+    def test_window_of_one_abscissa_unfitted(self, A, B):
+        fit = width_fit(conditional_weight(A, B, eps=0.5, n=5))
+        assert fit.sigma == math.inf and not fit.ok
+
     def test_low_count_regime_guarded(self):
         with pytest.raises(ValidationError):
             width_fit(conditional_weight(1, 1, eps=0.2, n=10))

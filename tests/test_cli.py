@@ -192,6 +192,7 @@ class TestConfigValidation:
             ({"experiment": "interfere", "B": 10**300}, "B"),
             ({"experiment": "homodyne", "n": 2**53 + 1}, "n"),
             ({"experiment": "interfere", "A": 3, "B": 2, "eps": 0.1, "n": 5, "profile_points": 1}, "profile_points"),
+            ({"steps": 1e15, "exit": 3}, "cap"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
@@ -304,9 +305,10 @@ class TestRunArtifacts:
         summary = json.loads((out / "results.json").read_text())
         assert summary["width_sigma"] == pytest.approx(math.sqrt(2 / 128), rel=0.1)
 
+    @pytest.mark.filterwarnings("error")
     def test_unfitted_width_written_as_null(self, tmp_path):
-        # 10^7 counts against 3 leave the fit a slope >= 0 and so an infinite
-        # sigma, which JSON has no number for
+        # 10^7 counts against 3 leave one point in the fit window, so no fit
+        # and an infinite sigma, which JSON has no number for; no warning
         params = {"A": 10**7, "B": 3, "eps": 0.5, "n": 5}
         cfg = write_config(tmp_path, {"experiment": "interfere", "parameters": params})
         out = tmp_path / "out"
