@@ -78,7 +78,6 @@ from .sources import (
     phase_walk_correlation,
 )
 from .squeezing import (
-    exact_three_mode_evolution,
     pump_entangled_squeezed,
     two_mode_squeezed_vac,
 )

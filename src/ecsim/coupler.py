@@ -18,9 +18,11 @@ D = diag(e^{-i phi k} i^k) and T is the real symmetric tridiagonal matrix with
 zero diagonal and off-diagonal sqrt((k+1)(N-k)). T = -S^dag (2 J_y) S with
 S = diag(i^k) and J_y the Schwinger generator, so its spectrum is exactly the
 integers -N, -N+2, ..., N. Neither T nor its eigenvectors depend on (theta,
-phi), so each sector is factorised once: `sector_spectrum` holds those
-eigenvalues and the real orthogonal W, and every (theta, phi) reads it. No
-eigensolver runs. Each eigenvector obeys the three-term recursion
+phi), so one factorisation serves every coupler on the sector:
+`sector_spectrum` gives those eigenvalues and the real orthogonal W, and
+keeps the sector last read, since each caller reads one photon-number sector
+several times in a row. No eigensolver runs. Each eigenvector obeys the
+three-term recursion
 b_k w[k+1] = m w[k] - b_{k-1} w[k-1], b_k = sqrt((k+1)(N-k)), of the Wigner
 d(pi/2) matrix (Risbo, J. Geodesy 70, 383 (1996)), run from k = 0 to the
 middle row, where every column's allowed band is centred, so that it only
@@ -43,12 +45,11 @@ phase-circle route.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import fock
 from .errors import ValidationError
 from .fock import FockVector, ModeShape, check_cells, tensor, vacuum
 
@@ -179,45 +180,14 @@ def _factorise(N: int) -> tuple[np.ndarray, np.ndarray]:
     return m, W
 
 
-class _SpectrumCache(dict):
-    """Sector photon number -> its spectrum, least recently read first, with
-    the eigenvector cells it holds kept as a running total."""
-
-    cells = 0
-
-    def __setitem__(self, N, spectrum):
-        self.pop(N, None)
-        super().__setitem__(N, spectrum)
-        self.cells += spectrum.eigenvectors.size
-
-    def pop(self, N, *default):
-        if N in self:
-            self.cells -= self[N].eigenvectors.size
-        return super().pop(N, *default)
-
-    def clear(self):
-        super().clear()
-        self.cells = 0
-
-
-_spectra = _SpectrumCache()
-_spectra_lock = threading.Lock()
-
-
+@lru_cache(maxsize=1)
 def sector_spectrum(N: int) -> SectorSpectrum:
-    """The one factorisation of sector N that every (theta, phi) reads. Read
-    spectra are kept, the least recently read dropped first while all but the
-    one just read hold more than `fock.BASIS_SIZE_CAP` eigenvector cells."""
+    """The factorisation of sector N that every (theta, phi) reads. Each
+    reader reads one sector several times in a row, so only the spectrum
+    last read is kept; `_check_sector` bounds it to `fock.BASIS_SIZE_CAP`
+    cells."""
     _check_sector(N)
-    N = int(N)
-    with _spectra_lock:
-        spectrum = _spectra.pop(N, None)
-        if spectrum is None:
-            spectrum = SectorSpectrum(*_factorise(N))
-        _spectra[N] = spectrum
-        while _spectra.cells - spectrum.eigenvectors.size > fock.BASIS_SIZE_CAP:
-            _spectra.pop(next(iter(_spectra)))
-    return spectrum
+    return SectorSpectrum(*_factorise(int(N)))
 
 
 def _real_matmul(W: np.ndarray, z: np.ndarray) -> np.ndarray:

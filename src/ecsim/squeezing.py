@@ -79,17 +79,6 @@ def pump_sector_evolution(n: int, zeta_t: complex) -> np.ndarray:
     return _I_POWERS[-k % 4] * np.exp(1j * np.angle(zeta_t) * k) * rotated
 
 
-def exact_three_mode_evolution(pump_n: int, zeta_t: complex, cutoff: int | None = None) -> FockVector:
-    """`pump_sector_evolution` embedded in the dense three-mode basis, pump
-    cutoff pump_n and pair cutoffs `cutoff` (default pump_n)."""
-    pair_cut = pump_n if cutoff is None else min(cutoff, pump_n)
-    shape = ModeShape((pump_n, pair_cut, pair_cut))
-    amps = zeros(shape.dims)
-    k = np.arange(pair_cut + 1)
-    amps[pump_n - k, k, k] = pump_sector_evolution(pump_n, zeta_t)[k]
-    return FockVector(shape, amps)
-
-
 def pump_entangled_squeezed(n: int, zeta_t: complex, pair_cutoff: int | None = None) -> ECSState:
     """Circle representation of squeezing pumped by the number state |n>.
 

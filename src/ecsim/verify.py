@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import circle as _circle
-from .circle import ecs_apply_coupler, ecs_to_fock, two_mode_circle
-from .coupler import CouplerParams, apply_coupler, coupler_block, oracle_block
+from .circle import ecs_apply_coupler, ecs_sector_amplitudes, ecs_to_fock, two_mode_circle
+from .coupler import CouplerParams, apply_sector, coupler_block, oracle_block
 from .fock import (
     DensityMatrix,
     ModeShape,
@@ -108,25 +108,30 @@ def check_commuting_diagram(
     thetas: Sequence[float] = (math.pi / 8, math.pi / 4, math.pi / 3),
     phis: Sequence[float] = (0.0, math.pi / 2),
 ) -> CheckResult:
-    """Synthesize-then-couple against couple-then-synthesize on the circle
-    states |n, 0> and |n, n>, n <= n_max, for every (theta, phi).
-
-    The uncoupled state and its dense synthesis do not depend on (theta, phi),
-    so each (n, n') builds them once and every coupler reuses that reference;
-    the comparisons, and so the reported maximum, are the same as building
-    them per coupler."""
+    """Couple-then-synthesize against synthesize-then-couple on the circle
+    states |n, 0> and |n, n>, n <= n_max, for every (theta, phi), compared
+    on the one sector a coupler leaves them in: the N + 1 tuples (k, N - k),
+    N = n + n'. The circle side reads the coupled circle state there with
+    `ecs_sector_amplitudes`; the Fock side is `coupler.apply_sector` on the
+    uncoupled state's amplitudes there. The uncoupled amplitudes do not
+    depend on (theta, phi), so each (n, n') reads them once. Amplitude a
+    route puts outside the sector is not seen here; `ecs_to_fock` against
+    `apply_coupler` on the dense basis is tested separately."""
     worst = 0.0
     params = [CouplerParams(theta, phi) for theta in thetas for phi in phis]
     # largest case first, so a sweep too large for the size cap is refused at once
     for n in range(n_max, -1, -1):
         for nprime in sorted({0, n}, reverse=True):
-            cut = max(n + nprime, 1)
-            ecs = two_mode_circle(n, nprime, cutoffs=(cut, cut))
-            reference = ecs_to_fock(ecs)
+            N = n + nprime
+            ecs = two_mode_circle(n, nprime, cutoffs=N)
+            k = np.arange(N + 1)
+            tuples = np.stack([k, N - k], axis=1)
+            reference = ecs_sector_amplitudes(ecs, tuples)
             for coupler in params:
-                via_ecs = ecs_to_fock(ecs_apply_coupler(ecs, (0, 1), coupler))
-                via_fock = apply_coupler(reference, (0, 1), coupler)
-                worst = max(worst, 1.0 - fidelity(via_ecs, via_fock))
+                via_ecs = ecs_sector_amplitudes(ecs_apply_coupler(ecs, (0, 1), coupler), tuples)
+                via_fock = apply_sector(coupler, reference)
+                norms = np.vdot(via_ecs, via_ecs).real * np.vdot(via_fock, via_fock).real
+                worst = max(worst, float(1.0 - abs(np.vdot(via_ecs, via_fock)) ** 2 / norms))
     return CheckResult(f"commuting-diagram-n{n_max}", worst, 1e-10)
 
 

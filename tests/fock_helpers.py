@@ -1,6 +1,7 @@
 """Dense truncated-Fock helpers that only the tests use: cutoffs for a
 Poisson source, zero-padding, partial traces, number-diagonal reads,
-projective count collapse and the trajectory's full phase-pair table."""
+projective count collapse, the trajectory's full phase-pair table and the
+squeezing pump sector in the dense three-mode basis."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 from ecsim.errors import ValidationError
 from ecsim.fock import DensityMatrix, FockVector, ModeShape, NumberDiagonalDensity, check_cells, zeros
 from ecsim.measurement import TrajectoryState, _psi_samples
+from ecsim.squeezing import pump_sector_evolution
 
 
 def default_cutoff(nbar: float) -> int:
@@ -100,3 +102,14 @@ def weight_table(traj: TrajectoryState, grid_points: int | None = None) -> np.nd
     l = np.arange(M)
     phase_b = np.exp(-2j * math.pi * ((traj.remaining * l) % M) / M)  # e^{-i D phi'}
     return h[(l[:, None] - l[None, :]) % M] * phase_b[None, :]
+
+
+def exact_three_mode_evolution(pump_n: int, zeta_t: complex, cutoff: int | None = None) -> FockVector:
+    """`squeezing.pump_sector_evolution` embedded in the dense three-mode
+    basis, pump cutoff pump_n and pair cutoffs `cutoff` (default pump_n)."""
+    pair_cut = pump_n if cutoff is None else min(cutoff, pump_n)
+    shape = ModeShape((pump_n, pair_cut, pair_cut))
+    amps = zeros(shape.dims)
+    k = np.arange(pair_cut + 1)
+    amps[pump_n - k, k, k] = pump_sector_evolution(pump_n, zeta_t)[k]
+    return FockVector(shape, amps)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ecsim import circle, verify
+from ecsim import circle, coupler, verify
 from ecsim.circle import (
     ECSState,
     PhaseGrid,
@@ -118,6 +118,17 @@ class TestCommutingDiagram:
             via_ecs = ecs_to_fock(ecs_apply_coupler(ecs, (0, 1), params))
             via_fock = apply_coupler(ecs_to_fock(ecs), (0, 1), params)
             assert fidelity(via_ecs, via_fock) >= 1.0 - 1e-10
+
+    def test_check_reads_the_coupled_sector_alone(self, monkeypatch):
+        # the verify check runs neither dense route; the test above keeps
+        # the dense comparison
+        def refuse(*args):
+            raise AssertionError("a dense route ran")
+
+        for module, name in ((verify, "ecs_to_fock"), (circle, "ecs_to_fock"), (coupler, "apply_coupler")):
+            monkeypatch.setattr(module, name, refuse)
+        result = verify.check_commuting_diagram(4)
+        assert result.passed and type(result.measured) is float
 
     def test_identity_coupler_is_noop(self):
         ecs = two_mode_circle(2, 1, cutoffs=(3, 3))

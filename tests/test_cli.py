@@ -521,7 +521,7 @@ class TestVerifyCommand:
     def test_json_document_reports_failure(self, monkeypatch, capsys):
         import ecsim.coupler as coupler_mod
 
-        coupler_mod._spectra.clear()
+        coupler_mod.sector_spectrum.cache_clear()
         good = coupler_mod.sector_spectrum
         inverse = lambda N: coupler_mod.SectorSpectrum(-good(N).eigenvalues, good(N).eigenvectors)
         monkeypatch.setattr(coupler_mod, "sector_spectrum", inverse)
@@ -538,7 +538,7 @@ class TestVerifyCommand:
         # inverse rotation U(-theta) (still unitary) on every route
         import ecsim.coupler as coupler_mod
 
-        coupler_mod._spectra.clear()
+        coupler_mod.sector_spectrum.cache_clear()
         good = getattr(coupler_mod, target)
 
         def corrupted_mixing(params):
@@ -553,7 +553,10 @@ class TestVerifyCommand:
         corrupted = {"heisenberg_matrix": corrupted_mixing, "sector_spectrum": corrupted_spectrum}
         monkeypatch.setattr(coupler_mod, target, corrupted[target])
         assert main(["verify", "--suite", "fast"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        failed = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        # the commuting diagram compares on the coupled sector alone, and
+        # still catches both
+        assert "commuting-diagram-n4" in failed
 
 
 def test_csv_templates_match_cell_by_cell_formatting(tmp_path):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import ecsim.coupler as coupler_mod
-import ecsim.fock as fock_mod
 from ecsim.coupler import (
     BlockUnitary,
     CouplerParams,
@@ -325,7 +324,7 @@ def spectrum_errors(N: int) -> tuple[float, float, float]:
     """Sector N's spectrum, factorised afresh: |W^T W - I|, the residual
     |T W - W diag(m)| and the largest gap of W diag(e^{-i theta m}) W^T to
     the dense reference's over three angles. Eigenvalues must be exact."""
-    coupler_mod._spectra.clear()
+    coupler_mod.sector_spectrum.cache_clear()
     spectrum = sector_spectrum(N)
     m, W = spectrum.eigenvalues, spectrum.eigenvectors
     assert np.array_equal(m, np.arange(-N, N + 1, 2))
@@ -346,9 +345,9 @@ EPS = np.finfo(np.float64).eps
 def fresh_spectra():
     """An empty spectrum cache before and after, so that a corrupted
     factorisation cached by a test serves no later one."""
-    coupler_mod._spectra.clear()
+    coupler_mod.sector_spectrum.cache_clear()
     yield
-    coupler_mod._spectra.clear()
+    coupler_mod.sector_spectrum.cache_clear()
 
 
 def mutate(monkeypatch, name: str, old: str, new: str) -> None:
@@ -389,7 +388,7 @@ class TestHalfSizeFactorisation:
         for N in (7, 8):
             with pytest.raises(ValidationError, match="orthogonal"):
                 spectrum_errors(N)
-        coupler_mod._spectra.clear()
+        coupler_mod.sector_spectrum.cache_clear()
         with pytest.raises(ValidationError, match="orthogonal"):
             check_oracle_agreement(20)
 
@@ -400,7 +399,7 @@ class TestHalfSizeFactorisation:
         for N in (7, 8):
             with pytest.raises(ValidationError, match="orthogonal"):
                 spectrum_errors(N)
-        coupler_mod._spectra.clear()
+        coupler_mod.sector_spectrum.cache_clear()
         with pytest.raises(ValidationError, match="orthogonal"):
             check_oracle_agreement(20)
 
@@ -409,7 +408,7 @@ class TestHalfSizeFactorisation:
 def factorised(monkeypatch):
     """The sector photon numbers factorised from here on, in order, starting
     from an empty spectrum cache."""
-    coupler_mod._spectra.clear()
+    coupler_mod.sector_spectrum.cache_clear()
     good, sectors = coupler_mod._factorise, []
 
     def counted(N):
@@ -420,59 +419,23 @@ def factorised(monkeypatch):
     return sectors
 
 
-def cached_cells_before_newest():
-    """Eigenvector cells the spectrum cache holds apart from its newest entry."""
-    return sum(s.eigenvectors.size for s in list(coupler_mod._spectra.values())[:-1])
-
-
 class TestSpectrumCache:
     def test_sweep_factorises_each_sector_once(self, factorised):
-        # sectors 0 .. 32 of the cutoff-16 pairs, each read by six couplers
+        # once per (n, n') case, from (8, 8) down to (0, 0), however many of
+        # the six couplers read its sector n + n'; only the last is kept, so
+        # sectors 8, 6 and 4 come twice, but the consecutive cases (2, 0)
+        # and (1, 1) share sector 2
         check_commuting_diagram(8)
-        assert sorted(factorised) == list(range(33))
+        assert factorised == [16, 8, 14, 7, 12, 6, 10, 5, 8, 4, 6, 3, 4, 2, 1, 0]
 
-    def test_least_recently_read_dropped_past_the_cap(self, monkeypatch, factorised):
-        # 16 + 25 + 36 + 169 cells fit 200 beside the newest; reading sector
-        # 13 (196 cells) drops the oldest until the rest fit, and a reread
-        # moves a spectrum to the newest place without factorising it again
-        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 200)
-        for N in (3, 4, 5, 12):
-            sector_spectrum(N)
-        assert list(coupler_mod._spectra) == [3, 4, 5, 12]
-        sector_spectrum(13)
-        assert list(coupler_mod._spectra) == [12, 13]
-        sector_spectrum(12)
-        assert list(coupler_mod._spectra) == [13, 12]
-        assert factorised == [3, 4, 5, 12, 13]
-
-    def test_cached_cells_never_exceed_the_cap_beside_the_newest(self, monkeypatch, factorised):
-        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 200)
-        # sector 13 is the largest under the cap: 14^2 = 196 cells
-        for N in np.random.default_rng(3).integers(0, 14, size=300).tolist():
-            spectrum = sector_spectrum(N)
-            assert coupler_mod._spectra[N] is spectrum and list(coupler_mod._spectra)[-1] == N
-            assert cached_cells_before_newest() <= 200
-
-    def test_running_cell_total_matches_the_cache(self, monkeypatch, factorised):
-        # the eviction reads a running total instead of summing every entry
-        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 200)
-        for N in np.random.default_rng(5).integers(0, 14, size=200).tolist():
-            sector_spectrum(N)
-            assert coupler_mod._spectra.cells == sum(s.eigenvectors.size for s in coupler_mod._spectra.values())
-        coupler_mod._spectra.clear()
-        assert coupler_mod._spectra.cells == 0
-
-    def test_concurrent_reads_keep_the_bound(self, monkeypatch, factorised):
-        # eight threads on two cores, switching every microsecond, read and
-        # evict in one cache (sector 5 alone fills the 36-cell cap); each read
-        # returns its own sector's spectrum. Without the cache's lock this
-        # test failed in 3 of 5 runs ("dictionary changed size during
-        # iteration")
-        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 36)
-
+    def test_concurrent_reads_keep_the_bound(self, factorised):
+        # eight threads on two cores, switching every microsecond, read
+        # sectors 0 .. 5 in one cache: each read returns its own sector's
+        # spectrum, and the cache never holds more than one
         def reads(seed):
             for N in np.random.default_rng(seed).integers(0, 6, size=1000).tolist():
                 assert np.array_equal(sector_spectrum(N).eigenvalues, np.arange(-N, N + 1, 2))
+                assert sector_spectrum.cache_info().currsize <= 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -483,7 +446,7 @@ class TestSpectrumCache:
                     future.result(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-        assert cached_cells_before_newest() <= 36
+        assert sector_spectrum.cache_info().currsize == 1
 
 
 def dense_pair_unitary(params, ci, cj):

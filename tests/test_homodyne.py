@@ -141,7 +141,7 @@ class TestDifferenceStats:
     def test_binomial_check_catches_wrong_coupling_angle(self, monkeypatch):
         # mutation canary: the shared sector factorisation with its eigenvalues
         # scaled by 0.9 turns every coupler angle into 0.9 theta, still unitary
-        coupler_mod._spectra.clear()
+        coupler_mod.sector_spectrum.cache_clear()
         good = coupler_mod.sector_spectrum
 
         def scaled(N):
@@ -208,10 +208,9 @@ class TestTomographyScan:
         assert factorised == [37] and reads == [37, 37]
 
     def test_largest_sector_is_kept_for_its_next_read(self, monkeypatch):
-        # under a 64-cell cap sector 7 is the largest (8^2 cells): a scan at
-        # n = 7 after smaller sectors filled the cache still factorises once,
-        # in 6 chunks of 4 points, and the sector stays for the next reader
-        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 64)
+        # after reads of sectors 0 .. 6, a scan at n = 7 in 6 chunks of 4
+        # points factorises its own sector once, and the sector stays for
+        # the next reader
         monkeypatch.setattr(homodyne_mod, "SCAN_CELLS", 60)
         factorised, reads = counted_spectra(monkeypatch)
         for N in range(7):
@@ -219,7 +218,6 @@ class TestTomographyScan:
         process_tomography_scan(HomodyneConfig(7, PhaseShiftProcess(0.2)), self.GRID)
         coupler_mod.sector_spectrum(7)
         assert factorised == list(range(8)) and reads[7:] == [7] * 8
-        assert list(coupler_mod._spectra)[-1] == 7
 
     def test_scan_materialises_no_block(self, monkeypatch):
         def refuse(*args):
@@ -296,7 +294,7 @@ class TestTomographyScan:
 def counted_spectra(monkeypatch):
     """From an empty spectrum cache on, the sectors factorised and the
     sectors read, in order."""
-    coupler_mod._spectra.clear()
+    coupler_mod.sector_spectrum.cache_clear()
     factorise, read = coupler_mod._factorise, coupler_mod.sector_spectrum
     factorised, reads = [], []
 

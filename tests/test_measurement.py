@@ -445,7 +445,7 @@ class TestBruteForceMutations:
 
     def test_corrupted_coupler_detected(self, monkeypatch):
         # negated eigenvalues: every coupler the inverse rotation U(-theta)
-        coupler._spectra.clear()
+        coupler.sector_spectrum.cache_clear()
         good = coupler.sector_spectrum
         monkeypatch.setattr(
             coupler, "sector_spectrum", lambda N: coupler.SectorSpectrum(-good(N).eigenvalues, good(N).eigenvectors)

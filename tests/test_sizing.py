@@ -43,7 +43,6 @@ from ecsim.sources import (
 )
 from ecsim.squeezing import (
     approximation_quality,
-    exact_three_mode_evolution,
     pump_entangled_squeezed,
     pump_sector_evolution,
     two_mode_squeezed_vac,
@@ -84,7 +83,6 @@ OVER_CAP = [
     ("pair ladder", lambda: pair_ladder(0.1, 2**24)),
     ("two_mode_squeezed_vac", lambda: two_mode_squeezed_vac(0.1, 4096)),
     ("pump sector", lambda: pump_sector_evolution(4096, 0.1)),
-    ("exact three-mode embedding", lambda: exact_three_mode_evolution(256, 0.1)),
     # (n + 8)(n + 1) circle cells (pair cutoff 7) first pass 2^24 at n = 4092
     ("squeeze pump circle", lambda: approximation_quality([4092], 0.2)),
     ("circle tables", lambda: ecs_to_fock(number_state_on_circle(4096))),

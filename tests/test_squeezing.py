@@ -9,14 +9,13 @@ from ecsim.errors import SizingError, ValidationError
 from ecsim.fock import ModeShape, basis_state, fidelity, twirl
 from ecsim.squeezing import (
     approximation_quality,
-    exact_three_mode_evolution,
     pump_entangled_squeezed,
     pump_sector_evolution,
     required_pair_cutoff,
     two_mode_squeezed_vac,
 )
 from fock_counts import joint_count_distribution, reduced_ab_density, taylor_pair_state, total_number_distribution
-from fock_helpers import embed
+from fock_helpers import embed, exact_three_mode_evolution
 
 
 def expm_pump_sector(n: int, zeta: complex) -> np.ndarray:
