@@ -20,9 +20,11 @@ S = diag(i^k) and J_y the Schwinger generator, so its spectrum is exactly the
 integers -N, -N+2, ..., N. Neither T nor its eigenvectors depend on (theta,
 phi), so one factorisation serves every coupler on the sector:
 `sector_spectrum` gives those eigenvalues and the real orthogonal W, and
-keeps the sector last read, since each caller reads one photon-number sector
-several times in a row. No eigensolver runs. Each eigenvector obeys the
-three-term recursion
+keeps the sector last read. `apply_sector` and `coupler_block` callers read
+one photon-number sector several times in a row; `apply_coupler` reads every
+live sector of its mode pair once per call, so a cascade of c couplers
+factorises each of those sectors up to c times. No eigensolver runs.
+Each eigenvector obeys the three-term recursion
 b_k w[k+1] = m w[k] - b_{k-1} w[k-1], b_k = sqrt((k+1)(N-k)), of the Wigner
 d(pi/2) matrix (Risbo, J. Geodesy 70, 383 (1996)), run from k = 0 to the
 middle row, where every column's allowed band is centred, so that it only
@@ -172,7 +174,8 @@ def _factorise(N: int) -> tuple[np.ndarray, np.ndarray]:
     norm2 += W[h] ** 2 if N % 2 == 0 else 0.0
     norm = np.sqrt(norm2)
     for i in range(0, top, _PANEL):
-        rows = W[i : i + _PANEL]
+        # rows from top on are unwritten until the mirror below fills them
+        rows = W[i : min(i + _PANEL, top)]
         rows /= norm
         rows[np.abs(rows) < _FLUSH] = 0.0
     W[top:] = W[h - 1 :: -1]
@@ -182,10 +185,10 @@ def _factorise(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=1)
 def sector_spectrum(N: int) -> SectorSpectrum:
-    """The factorisation of sector N that every (theta, phi) reads. Each
-    reader reads one sector several times in a row, so only the spectrum
-    last read is kept; `_check_sector` bounds it to `fock.BASIS_SIZE_CAP`
-    cells."""
+    """The factorisation of sector N that every (theta, phi) reads. Only the
+    spectrum last read is kept, which serves the readers of one sector at a
+    time but not `apply_coupler`, which walks every live sector per call;
+    `_check_sector` bounds it to `fock.BASIS_SIZE_CAP` cells."""
     _check_sector(N)
     return SectorSpectrum(*_factorise(int(N)))
 

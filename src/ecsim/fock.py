@@ -306,6 +306,15 @@ def fidelity(a: FockVector, b: FockVector) -> float:
     return float(abs(overlap) ** 2 / norms)
 
 
+def vector_fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`fidelity` of raw amplitude vectors: one value per pair of vectors
+    along the last axis, leading axes broadcast."""
+    norms = np.sum(np.abs(a) ** 2, axis=-1) * np.sum(np.abs(b) ** 2, axis=-1)
+    if np.any(norms == 0.0):
+        raise ValidationError("cannot normalize the zero vector")
+    return np.abs(np.sum(a.conj() * b, axis=-1)) ** 2 / norms
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Complex matrix over the flattened multimode number basis."""

@@ -22,7 +22,6 @@ from .fock import (
     FockVector,
     ModeShape,
     NumberDiagonalDensity,
-    basis_state,
     check_cells,
     check_dense,
     check_power,
@@ -126,17 +125,17 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
     # total numbers differ by at most N * cutoff: the degree of the phase average
     M = PhaseGrid.exact(n_modes * cutoff).size
     check_power(cutoff + 1, n_modes, "stacked number and coherent vectors", factor=cutoff + 1 + M)
-    number_vecs = []
-    number_weights = []
-    for m in range(m_max + 1):
-        split = equal_multimode_split(basis_state(ModeShape((cutoff,)), (m,)), n_modes)
-        number_vecs.append(split.amplitudes.ravel())
-        number_weights.append(poisson_pmf(nbar, m))
+    # the cascade keeps total photon number, so one split of sum_m |m> holds
+    # the split of each |m> on its own total-number sector
+    m = np.arange(m_max + 1)
+    split = equal_multimode_split(FockVector(ModeShape((cutoff,)), np.ones(m.size, dtype=np.complex128)), n_modes)
+    number_vecs = np.where(split.shape.total_occupation() == m[:, None], split.amplitudes.ravel(), 0.0)
+    number_weights = [poisson_pmf(nbar, i) for i in range(m_max + 1)]
     coherent_vecs = []
     for phi in 2.0 * math.pi * np.arange(M) / M:
         coherent_vecs.append(multimode_output_coherent(nbar, phi, n_modes, cutoff).amplitudes.ravel())
     distance = _trace_norm_lowrank(
-        np.array(number_vecs),
+        number_vecs,
         np.array(number_weights),
         np.array(coherent_vecs),
         np.full(M, 1.0 / M),

@@ -26,6 +26,7 @@ from .fock import (
     phase_shift,
     to_density,
     twirl,
+    vector_fidelity,
 )
 from .measurement import exact_trajectory_branches, sector_amplitudes, trajectory_branches
 from .sources import LaserSpec, decomposition_equivalence_check, laser_density
@@ -130,8 +131,7 @@ def check_commuting_diagram(
             for coupler in params:
                 via_ecs = ecs_sector_amplitudes(ecs_apply_coupler(ecs, (0, 1), coupler), tuples)
                 via_fock = apply_sector(coupler, reference)
-                norms = np.vdot(via_ecs, via_ecs).real * np.vdot(via_fock, via_fock).real
-                worst = max(worst, float(1.0 - abs(np.vdot(via_ecs, via_fock)) ** 2 / norms))
+                worst = max(worst, 1.0 - float(vector_fidelity(via_ecs, via_fock)))
     return CheckResult(f"commuting-diagram-n{n_max}", worst, 1e-10)
 
 
@@ -186,9 +186,10 @@ def check_trajectory_brute_force(n_max: int, steps: int) -> CheckResult:
         for D, rows in groups.items():
             k, sector = sector_amplitudes(n, D, np.stack([weight for weight, _ in rows]))
             states = np.stack([amplitudes for _, amplitudes in rows])
-            overlap = np.sum(states[:, k, D - k].conj() * sector, axis=-1)
-            norms = np.sum(np.abs(states) ** 2, axis=(1, 2)) * np.sum(np.abs(sector) ** 2, axis=-1)
-            worst = max(worst, float(np.max(1.0 - np.abs(overlap) ** 2 / norms)))
+            embedded = np.zeros_like(states)
+            embedded[:, k, D - k] = sector
+            fidelities = vector_fidelity(states.reshape(len(rows), -1), embedded.reshape(len(rows), -1))
+            worst = max(worst, float(np.max(1.0 - fidelities)))
     return CheckResult(f"trajectory-brute-force-n{n_max}", worst, 1e-8)
 
 

@@ -32,6 +32,7 @@ from ecsim.fock import (
     tensor,
     vacuum,
 )
+from ecsim.sources import decomposition_equivalence_check
 from ecsim.verify import check_commuting_diagram, check_oracle_agreement
 
 
@@ -381,6 +382,18 @@ class TestHalfSizeFactorisation:
             monkeypatch.setattr(np.linalg, name, refuse)
         assert np.array_equal(sector_spectrum(N).eigenvalues, np.arange(-N, N + 1, 2))
 
+    def test_rows_past_the_middle_are_only_mirrored(self, monkeypatch):
+        # np.empty may hand back any bits, signalling NaNs among them: rows
+        # past the middle are unwritten until the mirror fills them, so the
+        # normalisation must not divide them
+        def signalling_nan(shape):
+            return np.full(shape, 0x7FF0000000000001, dtype=np.uint64).view(np.float64)
+
+        monkeypatch.setattr(np, "empty", signalling_nan)
+        with np.errstate(invalid="raise"):
+            for N in (1, 2, 7, 8, 240, 241, 1000):
+                assert np.isfinite(coupler_mod._factorise(N)[1]).all()
+
     def test_dropped_reversal_sign_detected(self, monkeypatch, fresh_spectra):
         # without the parity sign every column is even under the reversal,
         # N + 1 columns in a space of N // 2 + 1 dimensions: W is refused
@@ -427,6 +440,13 @@ class TestSpectrumCache:
         # and (1, 1) share sector 2
         check_commuting_diagram(8)
         assert factorised == [16, 8, 14, 7, 12, 6, 10, 5, 8, 4, 6, 3, 4, 2, 1, 0]
+
+    def test_cascade_factorises_each_sector_once_per_coupler(self, factorised):
+        # apply_coupler walks every live sector of its pair, so the laser
+        # check's one cascade of n_modes - 1 couplers over sum_m |m>, m <= 5,
+        # reads sectors 0 .. 5 once per coupler
+        decomposition_equivalence_check(1.0, 3, 5)
+        assert factorised == [0, 1, 2, 3, 4, 5] * 2
 
     def test_concurrent_reads_keep_the_bound(self, factorised):
         # eight threads on two cores, switching every microsecond, read

@@ -24,6 +24,7 @@ from ecsim.fock import (
     to_density,
     twirl,
     vacuum,
+    vector_fidelity,
 )
 from ecsim.sources import multimode_output_coherent
 from fock_helpers import default_cutoff, embed, from_density, reduced_density
@@ -326,6 +327,21 @@ class TestLinearAlgebra:
         assert fidelity(FockVector(s, 3j * a.amplitudes), a) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValidationError):
             fidelity(a, FockVector(s, np.zeros(s.dims)))
+
+    def test_vector_fidelity_is_fidelity_per_row(self):
+        rng = np.random.default_rng(6)
+        s = ModeShape((2, 3))
+        a = rng.normal(size=(4, s.size)) + 1j * rng.normal(size=(4, s.size))
+        b = rng.normal(size=(4, s.size)) + 1j * rng.normal(size=(4, s.size))
+        rows = vector_fidelity(a, b)
+        assert rows.shape == (4,)
+        for ai, bi, value in zip(a, b, rows):
+            lone = fidelity(FockVector(s, ai.reshape(s.dims)), FockVector(s, bi.reshape(s.dims)))
+            assert value == pytest.approx(lone, rel=1e-14)
+        assert vector_fidelity(a[0], 2j * a[0]) == pytest.approx(1.0, abs=1e-15)
+        b[2] = 0.0
+        with pytest.raises(ValidationError):
+            vector_fidelity(a, b)
 
     def test_partial_trace_bell_like(self):
         s = ModeShape((1, 1))

@@ -219,6 +219,24 @@ class TestDecompositionEquivalence:
         rep = decomposition_equivalence_check(nbar, n_modes, cutoff)
         assert rep.trace_distance <= 1e-8 + rep.tail_bound
 
+    @pytest.mark.parametrize("n_modes,cutoff", [(1, 3), (2, 6), (3, 5), (4, 3)])
+    def test_one_cascade_splits_every_number_state(self, monkeypatch, n_modes, cutoff):
+        # the check splits sum_m |m> once and reads each |m> back from its
+        # total-number sector: the vectors equal splitting each |m> alone
+        stacks, good = [], sources._trace_norm_lowrank
+
+        def recorded(number_vecs, *rest):
+            stacks.append(number_vecs)
+            return good(number_vecs, *rest)
+
+        monkeypatch.setattr(sources, "_trace_norm_lowrank", recorded)
+        decomposition_equivalence_check(1.0, n_modes, cutoff)
+        alone = [
+            equal_multimode_split(basis_state(ModeShape((cutoff,)), (m,)), n_modes).amplitudes.ravel()
+            for m in range(cutoff + 1)
+        ]
+        assert np.array_equal(stacks[0], np.array(alone))
+
 
 class TestPhaseWalk:
     def test_zero_variance_fully_coherent(self):
