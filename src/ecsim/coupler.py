@@ -34,10 +34,13 @@ alternation of a persymmetric Jacobi matrix. A coupler acts only through the
 sector product U v = d * (W (e^{-i theta m} * (W^T (conj(d) * v)))), d the
 diagonal of D (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)): `apply_sector`
 on sector vectors, `apply_coupler` on each live sector of a state,
-`coupler_block` on the identity. `oracle_block` builds G from its two
-off-diagonals and exponentiates it by scaling and squaring on Higham's
+`coupler_block` on the identity. `oracle_block`, the test reference, uses
+G = D G_r D^dag with D = diag(e^{-i phi k}) and the real antisymmetric
+G_r = theta (L - L^T): it builds G_r from its two off-diagonals,
+exponentiates it in real arithmetic by scaling and squaring on Higham's
 degree-13 Pade approximant (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),
-numpy alone and no eigensolver; it is the test reference.
+numpy alone and no eigensolver, and returns D e^{G_r} D^dag, its own
+phases.
 Both routes start from the same sector Hamiltonian, so the sign and phase
 convention is pinned separately by checks that go through
 `heisenberg_matrix`: coherent covariance and the commuting diagram with the
@@ -79,14 +82,15 @@ class CouplerParams:
 
 @dataclass(frozen=True)
 class BlockUnitary:
-    """Unitary on the span of {|k, N-k>, k = 0..N}, indexed by k."""
+    """Unitary on the span of {|k, N-k>, k = 0..N}, indexed by k. The matrix
+    is a read-only private copy, so the caller's array stays its own."""
 
     total_photon_number: int
     matrix: np.ndarray
 
     def __post_init__(self):
         N = self.total_photon_number
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)
         if m.shape != (N + 1, N + 1):
             raise ValidationError("block matrix has wrong dimension")
         defect = np.abs(m.conj().T @ m - np.eye(N + 1)).max()
@@ -256,30 +260,34 @@ def _pade13(A: np.ndarray) -> np.ndarray:
 
 
 def _generator(params: CouplerParams, N: int) -> np.ndarray:
-    """The sector generator theta (e^{-i phi} L - e^{i phi} L^T), from its two
-    off-diagonals theta e^{-+i phi} sqrt((k + 1)(N - k)), k = 0 .. N - 1."""
+    """The real sector generator theta (L - L^T), from its two off-diagonals
+    +-theta sqrt((k + 1)(N - k)), k = 0 .. N - 1."""
     k = np.arange(N)
     root = np.sqrt(((k + 1) * (N - k)).astype(np.float64))
-    G = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    G[k + 1, k] += params.theta * np.exp(-1j * params.phi) * root
-    G[k, k + 1] -= params.theta * np.exp(1j * params.phi) * root
+    G = np.zeros((N + 1, N + 1))
+    G[k + 1, k] += params.theta * root
+    G[k, k + 1] -= params.theta * root
     return G
 
 
 def oracle_block(params: CouplerParams, N: int) -> BlockUnitary:
-    """Sector unitary by exponentiating the sector Hamiltonian (test oracle):
-    scaling and squaring on the degree-13 Pade approximant, G / 2^s with
-    ||G / 2^s||_1 <= _THETA13, then s squarings. No eigensolver is used."""
+    """Sector unitary by exponentiating the sector Hamiltonian (test oracle).
+    G = D G_r D^dag with D = diag(e^{-i phi k}) and G_r = theta (L - L^T)
+    real, so e^G = D e^{G_r} D^dag: e^{G_r} by scaling and squaring on the
+    degree-13 Pade approximant in real arithmetic, G_r / 2^s with
+    ||G_r / 2^s||_1 <= _THETA13, then s squarings, and the phases put back
+    entry by entry. No eigensolver is used."""
     _check_sector(N)
     if N == 0:
         return BlockUnitary(0, np.ones((1, 1), dtype=np.complex128))
     G = _generator(params, N)
     norm = float(np.abs(G).sum(axis=0).max())
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
-    U = _pade13(G / 2.0**s)
+    E = _pade13(G / 2.0**s)
     for _ in range(s):
-        U = U @ U
-    return BlockUnitary(N, U)
+        E = E @ E
+    d = np.exp(-1j * params.phi * np.arange(N + 1))
+    return BlockUnitary(N, d[:, None] * E * d.conj())
 
 
 def apply_coupler(

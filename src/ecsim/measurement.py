@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.fft import fft, ifft
@@ -47,7 +47,7 @@ from numpy.random import default_rng
 
 from .coupler import CouplerParams, apply_coupler
 from .errors import NumericsError, SizingError, ValidationError
-from .fock import FockVector, ModeShape, basis_state, check_cells, poisson_pmf, zeros
+from .fock import FockVector, ModeShape, check_cells, poisson_pmf, zeros
 
 RNG_NAME = "numpy-pcg64"
 STEP_TAIL_TOLERANCE = 1e-10
@@ -417,10 +417,23 @@ def run_interference_trajectory(
     return DetectionRecord(tuple(records), seed), traj
 
 
-def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
+class TrajectoryLeaves(NamedTuple):
+    """The leaves of a walked outcome tree, one row each, depth first in the
+    sampler's outcome order; row i is the branch `trajectory_branches` yields
+    i-th."""
+
+    outcomes: np.ndarray  # (leaves, depth, 2) int: the counts (a, b) of each step
+    probabilities: np.ndarray  # (leaves,)
+    weights: np.ndarray  # (leaves, 2n + 1): `TrajectoryState.weight`
+    remaining: np.ndarray  # (leaves,) int: photons left in the cavities, D
+    overflow_bounds: np.ndarray  # (leaves,): `TrajectoryState.overflow_bound`
+    radius2: float  # every leaf's, after `depth` steps
+
+
+def trajectory_leaves(n: int, eps_step: float, depth: int, floor: float) -> TrajectoryLeaves:
     """Walk the outcome tree of the first `depth` steps, pruning every branch
-    whose probability falls below `floor` > 0. Yields (outcomes, probability,
-    TrajectoryState) per branch, depth first in the sampler's outcome order.
+    whose probability falls below `floor` > 0, and return its leaves as
+    arrays.
 
     The tree is walked one level at a time. The live branches of a level are
     grouped by their remaining photon number D, which with the level fixes
@@ -434,14 +447,12 @@ def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
         raise ValidationError(f"floor must be positive, got {floor}")
     # every outcome a step can read: the shells up to the first step's deepest
     last = _deepest_shell(2 * n, eps_step)
-    pairs = [_pair(i) for i in range((last + 1) * (last + 2) // 2)]
-    table = np.array(pairs, dtype=np.int64)
+    table = np.array([_pair(i) for i in range((last + 1) * (last + 2) // 2)], dtype=np.int64)
     weights, prob, worst = _start(n, eps_step)[None], np.ones(1), np.zeros(1)
     paths = np.zeros((1, 0), dtype=np.int64)  # outcome indices in `_pair` order
-    counts = np.zeros((1, 2), dtype=np.int64)
+    remaining = np.full(1, 2 * n)
     r2 = float(n)
     for _ in range(depth):
-        remaining = 2 * n - counts.sum(axis=1)
         parent, index, p, child_worst = [], [], [], []
         for D in sorted(set(remaining.tolist())):
             rows = np.flatnonzero(remaining == D)
@@ -452,20 +463,28 @@ def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
             p.append(probs[kept, i])
             child_worst.append(np.maximum(worst[rows], deviation)[kept])
         if not parent:
-            return
+            break
         order = np.lexsort((np.concatenate(index), np.concatenate(parent)))
         parent, index, p, worst = (np.concatenate(x)[order] for x in (parent, index, p, child_worst))
         children = np.empty((index.size, weights.shape[1]), dtype=np.complex128)
         for i in sorted(set(index.tolist())):
             sel = np.flatnonzero(index == i)
-            children[sel] = _collapse(weights[parent[sel]], r2, eps_step, *pairs[i], p[sel])
+            children[sel] = _collapse(weights[parent[sel]], r2, eps_step, *table[i].tolist(), p[sel])
         weights, prob = children, prob[parent] * p
-        paths, counts = np.column_stack([paths[parent], index]), counts[parent] + table[index]
+        paths, remaining = np.column_stack([paths[parent], index]), remaining[parent] - table[index].sum(axis=1)
         r2 *= 1.0 - eps_step
-    rows = zip(paths.tolist(), prob.tolist(), counts.tolist(), worst.tolist())
-    for row, (path, p, (a, b), bound) in enumerate(rows):
-        yield tuple(map(pairs.__getitem__, path)), p, TrajectoryState(
-            n, eps_step, weights[row], 2 * n - a - b, r2, (a, b), depth, bound
+    return TrajectoryLeaves(table[paths], prob, weights, remaining, worst, r2)
+
+
+def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
+    """The leaves of `trajectory_leaves`, one (outcomes, probability,
+    TrajectoryState) per branch, outcomes a tuple of (a, b) pairs."""
+    leaves = trajectory_leaves(n, eps_step, depth, floor)
+    totals = leaves.outcomes.sum(axis=1)
+    rows = zip(leaves.outcomes.tolist(), totals.tolist(), leaves.probabilities.tolist(), leaves.overflow_bounds.tolist())
+    for row, (path, (a, b), p, bound) in enumerate(rows):
+        yield tuple(map(tuple, path)), p, TrajectoryState(
+            n, eps_step, leaves.weights[row], 2 * n - a - b, leaves.radius2, (a, b), depth, bound
         )
 
 
@@ -556,55 +575,49 @@ def _detection_kraus(n: int, eps_step: float) -> np.ndarray:
     return psi.amplitudes.reshape(cav, -1)
 
 
-def exact_trajectory_branches(
-    n: int, eps_step: float, branches: Iterable[Sequence[tuple[int, int]]]
-) -> dict[tuple[tuple[int, int], ...], tuple[FockVector | None, float]]:
+def exact_trajectory_leaves(n: int, eps_step: float, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact-Fock evolution of the two-cavity experiment along fixed branches
     of count outcomes. Small n only; used to validate the phase representation.
 
-    Returns {outcomes: (conditional cavity state, branch probability)} for
-    every branch in `branches` and every prefix of one, keyed by the outcomes
-    as a tuple of (a, b) int pairs. Every step applies the same Kraus
-    operators K_ab (`_detection_kraus`), built once per call and kept by no
-    cache. The branches are merged into their prefix tree and walked one
-    level at a time: the parents of a level that ask for outcome (a, b) take
-    one stacked product against K_ab, each parent a (1, cav) @ K_ab of its
-    own, so a child does not depend on which branches share its level. A
-    child's squared norm is its outcome's probability. A branch that passes
-    through an impossible outcome (more counts than photons left, or a
-    probability of exactly 0.0) maps to (None, 0.0).
+    `outcomes` holds one branch per row, a (leaves, depth, 2) integer array of
+    the counts (a, b) of each step (`TrajectoryLeaves.outcomes`). Returns each
+    leaf's normalised conditional cavity state, a (leaves, n + 1, n + 1)
+    array, and its probability, in leaf order. Every step applies the same
+    Kraus operators K_ab (`_detection_kraus`), built once per call and kept
+    by no cache. The leaves' unique prefixes are walked one level at a time:
+    the parents of a level that ask for outcome (a, b) take one stacked
+    product against K_ab, each parent a (1, cav) @ K_ab of its own, so a child
+    does not depend on which branches share its level. A child's squared norm
+    is its outcome's probability. A branch that passes through an impossible
+    outcome (more counts than photons left, or a probability of exactly 0.0)
+    gets a zero state and probability 0.0.
     """
-    tree: dict = {}
-    for outcomes in branches:
-        node = tree
-        for a, b in outcomes:
-            if a < 0 or b < 0:
-                raise ValidationError(f"counts must be nonnegative, got {(a, b)}")
-            node = node.setdefault((int(a), int(b)), {})
+    counts = np.asarray(outcomes)
+    if counts.ndim != 3 or counts.shape[2] != 2 or not np.issubdtype(counts.dtype, np.integer):
+        raise ValidationError(f"outcomes must be a (leaves, depth, 2) integer array, got {counts.dtype} {counts.shape}")
+    if (counts < 0).any():
+        raise ValidationError("counts must be nonnegative")
     side, cav = 2 * n + 1, (n + 1) ** 2
     kraus = _detection_kraus(n, eps_step).reshape(cav, cav, side, side)
-    shape = ModeShape((n, n))
-    start = basis_state(shape, (n, n))
-    results = {(): (start, 1.0)}
-    # (prefix, subtree, photons left, probability, normalised cavity amplitudes or None)
-    level = [((), tree, 2 * n, 1.0, start.amplitudes.ravel())]
-    while level:
-        nxt, asked = [], {}
-        for prefix, node, remaining, probability, state in level:
-            for (a, b), child in node.items():
-                entry = (prefix + ((a, b),), child, remaining - a - b, probability)
-                if state is None or a + b > remaining:
-                    nxt.append(entry + (None,))
-                    results[entry[0]] = (None, 0.0)
-                else:
-                    asked.setdefault((a, b), []).append((entry, state))
-        for (a, b), rows in asked.items():
-            columns = np.matmul(np.stack([state for _, state in rows])[:, None, :], kraus[:, :, a, b])[:, 0]
+    # the level's prefixes: normalised cavity amplitudes, probability, photons left
+    states = np.zeros((1, cav), dtype=np.complex128)
+    states[0, n * (n + 1) + n] = 1.0  # |n, n>
+    prob, remaining = np.ones(1), np.full(1, 2 * n)
+    # outcome (a, b) as the code a (side + 1) + b, a count past 2n as side
+    base = side + 1
+    codes = np.minimum(counts, side) @ np.array([base, 1])
+    node = np.zeros(counts.shape[0], dtype=np.int64)  # each leaf's prefix at the level
+    for step in range(counts.shape[1]):
+        unique, node = np.unique(node * base**2 + codes[:, step], return_inverse=True)
+        parent, code = np.divmod(unique, base**2)
+        remaining = remaining[parent] - code // base - code % base
+        live = (remaining >= 0) & (prob[parent] > 0.0)
+        children, child_prob = np.zeros((parent.size, cav), dtype=np.complex128), np.zeros(parent.size)
+        for c in np.unique(code[live]).tolist():
+            sel = np.flatnonzero(live & (code == c))
+            columns = np.matmul(states[parent[sel]][:, None, :], kraus[:, :, c // base, c % base])[:, 0]
             ps = np.sum(columns.real**2 + columns.imag**2, axis=-1)
-            states = np.divide(columns, np.sqrt(ps)[:, None], out=np.zeros_like(columns), where=ps[:, None] > 0.0)
-            for ((prefix, child, remaining, probability), _), state, p in zip(rows, states, ps.tolist()):
-                state = state if p > 0.0 else None
-                nxt.append((prefix, child, remaining, probability * p, state))
-                results[prefix] = (None if state is None else FockVector(shape, state.reshape(shape.dims)), probability * p)
-        level = nxt
-    return results
+            children[sel] = np.divide(columns, np.sqrt(ps)[:, None], out=np.zeros_like(columns), where=ps[:, None] > 0.0)
+            child_prob[sel] = prob[parent[sel]] * ps
+        states, prob = children, child_prob
+    return states[node].reshape(-1, n + 1, n + 1), prob[node]

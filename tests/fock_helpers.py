@@ -1,18 +1,19 @@
 """Dense truncated-Fock helpers that only the tests use: cutoffs for a
 Poisson source, zero-padding, partial traces, number-diagonal reads,
-projective count collapse, the trajectory's full phase-pair table and the
-squeezing pump sector in the dense three-mode basis."""
+projective count collapse, the trajectory's full phase-pair table, the
+trajectory's Fock oracle keyed by outcome sequence and the squeezing pump
+sector in the dense three-mode basis."""
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ecsim.errors import ValidationError
 from ecsim.fock import DensityMatrix, FockVector, ModeShape, NumberDiagonalDensity, check_cells, zeros
-from ecsim.measurement import TrajectoryState, _psi_samples
+from ecsim.measurement import TrajectoryState, _psi_samples, exact_trajectory_leaves
 from ecsim.squeezing import pump_sector_evolution
 
 
@@ -102,6 +103,29 @@ def weight_table(traj: TrajectoryState, grid_points: int | None = None) -> np.nd
     l = np.arange(M)
     phase_b = np.exp(-2j * math.pi * ((traj.remaining * l) % M) / M)  # e^{-i D phi'}
     return h[(l[:, None] - l[None, :]) % M] * phase_b[None, :]
+
+
+def exact_trajectory_branches(
+    n: int, eps_step: float, branches: Iterable[Sequence[tuple[int, int]]]
+) -> dict[tuple[tuple[int, int], ...], tuple[FockVector | None, float]]:
+    """`measurement.exact_trajectory_leaves` keyed by outcomes: {outcomes:
+    (conditional cavity state, branch probability)} for every branch in
+    `branches` and every prefix of one, keyed as a tuple of (a, b) int pairs.
+    The prefixes of each length go to the oracle together; a child does not
+    depend on which branches share its level, so each prefix gets the numbers
+    it gets in any other call. A branch that passes through an impossible
+    outcome maps to (None, 0.0)."""
+    prefixes = {
+        tuple((int(a), int(b)) for a, b in seq[:depth]) for seq in branches for depth in range(len(seq) + 1)
+    }
+    shape = ModeShape((n, n))
+    results = {}
+    for depth in sorted({len(seq) for seq in prefixes}):
+        level = sorted(seq for seq in prefixes if len(seq) == depth)
+        states, probs = exact_trajectory_leaves(n, eps_step, np.array(level, dtype=np.int64).reshape(len(level), depth, 2))
+        for seq, state, p in zip(level, states, probs.tolist()):
+            results[seq] = (FockVector(shape, state), p) if p > 0.0 else (None, 0.0)
+    return results
 
 
 def exact_three_mode_evolution(pump_n: int, zeta_t: complex, cutoff: int | None = None) -> FockVector:

@@ -23,7 +23,6 @@ from ecsim.fock import (
     twirl,
 )
 from ecsim.measurement import (
-    exact_trajectory_branches,
     fringe_scan,
     run_interference_trajectory,
     trajectory_branches,
@@ -38,6 +37,7 @@ from ecsim.sources import (
 from ecsim.squeezing import approximation_quality, pump_entangled_squeezed
 from ecsim.verify import check_commuting_diagram
 from fock_counts import reduced_ab_density, taylor_pair_state
+from fock_helpers import exact_trajectory_branches
 
 
 def report(number: int, text: str) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ecsim.coupler as coupler_mod
+import ecsim.verify as verify_mod
 from ecsim.coupler import (
     BlockUnitary,
     CouplerParams,
@@ -109,6 +110,13 @@ class TestBlocks:
         with pytest.raises(ValidationError):
             BlockUnitary(1, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    def test_block_freezes_a_private_copy(self):
+        given = np.eye(2, dtype=np.complex128)
+        block = BlockUnitary(1, given)
+        assert given.flags.writeable and not block.matrix.flags.writeable
+        given[0, 0] = 5.0
+        assert block.matrix[0, 0] == 1.0
+
 
 def scipy_expm_block(params: CouplerParams, N: int) -> np.ndarray:
     """Reference for the oracle: scipy's `expm` of the sector generator
@@ -121,15 +129,15 @@ def scipy_expm_block(params: CouplerParams, N: int) -> np.ndarray:
 
 
 def loop_generator(params: CouplerParams, N: int) -> np.ndarray:
-    """The oracle's sector generator built entry by entry: the reference its
-    array-built generator must equal bit for bit."""
-    G = np.zeros((N + 1, N + 1), dtype=np.complex128)
-    th, ph = params.theta, params.phi
+    """The oracle's real sector generator theta (L - L^T) built entry by
+    entry: the reference its array-built generator must equal bit for bit."""
+    G = np.zeros((N + 1, N + 1))
+    th = params.theta
     for k in range(N + 1):
         if k + 1 <= N:
-            G[k + 1, k] += th * np.exp(-1j * ph) * math.sqrt((k + 1) * (N - k))
+            G[k + 1, k] += th * math.sqrt((k + 1) * (N - k))
         if k - 1 >= 0:
-            G[k - 1, k] -= th * np.exp(1j * ph) * math.sqrt(k * (N - k + 1))
+            G[k - 1, k] -= th * math.sqrt(k * (N - k + 1))
     return G
 
 
@@ -153,6 +161,12 @@ class TestPadeOracle:
         # scaled for s + 1 squarings but squared s times: the oracle gives e^{G/2}
         good = coupler_mod._pade13
         monkeypatch.setattr(coupler_mod, "_pade13", lambda A: good(A / 2.0))
+        assert not check_oracle_agreement(20).passed
+
+    def test_wrong_way_gauge_detected(self, monkeypatch):
+        # D^dag e^{G_r} D in place of D e^{G_r} D^dag is the oracle of -phi
+        good = coupler_mod.oracle_block
+        monkeypatch.setattr(verify_mod, "oracle_block", lambda p, N: good(CouplerParams(p.theta, -p.phi), N))
         assert not check_oracle_agreement(20).passed
 
     def test_perturbed_pade_coefficient_detected(self, monkeypatch):

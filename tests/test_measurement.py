@@ -23,14 +23,13 @@ from ecsim.fock import (
 from ecsim.measurement import (
     FRINGE_BRANCHES,
     TrajectoryState,
-    exact_trajectory_branches,
     fringe_scan,
     run_interference_trajectory,
     trajectory_branches,
 )
 from ecsim.verify import check_trajectory_brute_force
 from fock_counts import joint_count_distribution, total_number_distribution
-from fock_helpers import project_counts, weight_table
+from fock_helpers import exact_trajectory_branches, project_counts, weight_table
 
 
 class TestCountDistribution:
@@ -455,21 +454,44 @@ class TestBruteForceMutations:
     def test_oracle_amplitude_outside_the_sector_detected(self, monkeypatch):
         # the check reads the oracle on the phase route's sector only, but
         # divides by the oracle's full norm
-        good = verify.exact_trajectory_branches
+        good = verify.exact_trajectory_leaves
 
-        def leaky(n, eps, branches):
-            out = {}
-            for seq, (state, p) in good(n, eps, branches).items():
-                if state is not None:
-                    amps = state.amplitudes.copy()
-                    D = 2 * n - sum(a + b for a, b in seq)
-                    amps[(0, 1) if D == 0 else (0, 0)] += 1e-3
-                    state = FockVector(state.shape, amps)
-                out[seq] = (state, p)
-            return out
+        def leaky(n, eps, outcomes):
+            states, probs = good(n, eps, outcomes)
+            states = states.copy()
+            for leaf, D in enumerate((2 * n - outcomes.sum(axis=(1, 2))).tolist()):
+                states[leaf][(0, 1) if D == 0 else (0, 0)] += 1e-3
+            return states, probs
 
-        monkeypatch.setattr(verify, "exact_trajectory_branches", leaky)
+        monkeypatch.setattr(verify, "exact_trajectory_leaves", leaky)
         assert not check_trajectory_brute_force(2, 2).passed
+
+
+class TestBruteForceCoverage:
+    def test_check_compares_every_leaf(self, monkeypatch):
+        # the oracle is asked for exactly the walker's leaves, in leaf order,
+        # and every leaf's state takes part in one fidelity comparison
+        asked, compared = [], []
+        good, fidelities = verify.exact_trajectory_leaves, verify.vector_fidelity
+
+        def spy(n, eps, outcomes):
+            asked.append((n, outcomes))
+            return good(n, eps, outcomes)
+
+        def counted(a, b):
+            compared.append(len(a))
+            return fidelities(a, b)
+
+        monkeypatch.setattr(verify, "exact_trajectory_leaves", spy)
+        monkeypatch.setattr(verify, "vector_fidelity", counted)
+        assert check_trajectory_brute_force(4, 3).passed
+        assert [n for n, _ in asked] == [1, 2, 3, 4]
+        total = 0
+        for n, outcomes in asked:
+            walked = [seq for seq, _, _ in trajectory_branches(n, 0.4, 3, floor=1e-6)]
+            assert outcomes.tolist() == [[list(pair) for pair in seq] for seq in walked]
+            total += len(walked)
+        assert total == sum(compared) == 3172
 
 
 def _kraus_completeness_defect(n, eps):
@@ -567,6 +589,11 @@ class TestOracleTree:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             exact_trajectory_branches(2, self.EPS, [((1, -1),)])
+
+    @pytest.mark.parametrize("outcomes", [np.zeros((3, 2), dtype=np.int64), np.zeros((3, 1, 2)), np.zeros((3, 1, 3), dtype=np.int64)])
+    def test_outcomes_must_be_a_leaves_depth_pair_integer_array(self, outcomes):
+        with pytest.raises(ValidationError, match="integer array"):
+            measurement.exact_trajectory_leaves(2, self.EPS, outcomes)
 
     def test_concurrent_calls_match_serial(self):
         # the oracle keeps no state between calls, so threads cannot corrupt
