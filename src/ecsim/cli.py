@@ -8,6 +8,12 @@ optionally `seed` and `output_dir` (command-line flags win). Unknown keys are
 rejected. Every run writes a manifest echoing the fully resolved config, its
 hash, and the artifact list; reruns with the same config and seed produce
 byte-identical outputs. Set ECSIM_THREADS to pin the BLAS thread count.
+
+An experiment's runner maps (parameters, seed) to {artifact name: payload},
+a `.csv` payload being (header, rows), its rows read once, and a `.json`
+payload a dict; it writes nothing. `cmd_run` alone stamps the config hash and seed into every
+artifact (CSV comment lines; JSON keys, over any the payload holds), writes
+them and the manifest, and lists them there.
 """
 
 from __future__ import annotations
@@ -46,12 +52,13 @@ _REQUIRED = object()
 class Experiment:
     name: str
     schema: dict[str, tuple[type, Any]]
-    runner: Callable[[dict, int, Path], list[str]]
+    # (parameters, seed) -> {artifact name: payload}; cmd_run stamps and writes them
+    runner: Callable[[dict, int], dict[str, Any]]
     # range checks on the typed parameters, run before any output exists
     check: Callable[[dict], None]
 
 
-def _write_csv(path: Path, header: list[str], rows, meta: dict) -> None:
+def _write_csv(path: Path, header: list[str], rows, stamp: dict) -> None:
     # a phase walk over N modes reports N^2 rows: each row is formatted in one
     # step, by a %-template per sequence of cell types that writes floats as
     # `_fmt` does (%.17g) and every other cell as str()
@@ -66,7 +73,7 @@ def _write_csv(path: Path, header: list[str], rows, meta: dict) -> None:
         return template % row
 
     with path.open("w") as f:
-        f.writelines(f"# {k}={v}\n" for k, v in sorted(meta.items()))
+        f.writelines(f"# {k}={v}\n" for k, v in sorted(stamp.items()))
         f.write(",".join(header) + "\n")
         f.writelines(map(line, rows))
 
@@ -103,11 +110,9 @@ def _check_interfere(p: dict) -> None:
         raise ConfigError(f"parameter profile_points must be >= 2 when B > 0, got {p['profile_points']}")
 
 
-def _run_interfere(p: dict, seed: int, out: Path) -> list[str]:
+def _run_interfere(p: dict, seed: int) -> dict[str, Any]:
     weight = conditional_weight(p["A"], p["B"], p["eps"], p["n"], grid=p["grid"])
     deltas, mag = delta_profile(weight, points=p["profile_points"])
-    meta = {"config_sha256": p["_hash"], "seed": seed}
-    _write_csv(out / "results.csv", ["delta", "magnitude"], zip(deltas.tolist(), mag.tolist()), meta)
     summary: dict[str, Any] = {
         "peaks": list(peak_locations(p["A"], p["B"])),
         "argmax_delta": float(deltas[int(np.argmax(mag))]),
@@ -119,17 +124,14 @@ def _run_interfere(p: dict, seed: int, out: Path) -> list[str]:
         summary["width_sigma"] = fit.sigma if math.isfinite(fit.sigma) else None
         summary["width_center"] = fit.center
         summary["width_fit_ok"] = fit.ok
-    _write_json(out / "results.json", {"config_sha256": p["_hash"], "seed": seed, **summary})
-    return ["results.csv", "results.json"]
+    return {"results.csv": (["delta", "magnitude"], zip(deltas.tolist(), mag.tolist())), "results.json": summary}
 
 
-def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
+def _run_trajectory(p: dict, seed: int) -> dict[str, Any]:
     record, traj = run_interference_trajectory(
         p["n"], p["eps_step"], p["steps"], seed, p["stop_after_detections"] or None
     )
     deltas, mag = traj.delta_profile(p["profile_points"])
-    meta = {"config_sha256": p["_hash"], "seed": seed}
-    _write_csv(out / "results.csv", ["delta", "magnitude"], zip(deltas.tolist(), mag.tolist()), meta)
     a, b = record.totals
     summary: dict[str, Any] = {
         "record": record.to_json_dict(),
@@ -141,21 +143,15 @@ def _run_trajectory(p: dict, seed: int, out: Path) -> list[str]:
     if a + b >= 16 and a > 0 and b > 0:
         fit = width_fit((deltas, mag), A=a, B=b)
         summary["width_sigma"] = fit.sigma if math.isfinite(fit.sigma) else None
-    artifacts = ["results.csv", "results.json"]
+    artifacts = {"results.csv": (["delta", "magnitude"], zip(deltas.tolist(), mag.tolist())), "results.json": summary}
     if p["fringe"]:
         check_cells(p["fringe_points"], f"fringe scan of {p['fringe_points']} points")
         gammas = 2.0 * math.pi * np.arange(p["fringe_points"]) / p["fringe_points"]
         scan = fringe_scan(traj, gammas, branch=p["fringe_branch"])
-        _write_csv(out / "fringe.csv", ["gamma", "intensity"],
-                   zip(scan.gammas.tolist(), scan.intensity.tolist()), meta)
+        artifacts["fringe.csv"] = (["gamma", "intensity"], zip(scan.gammas.tolist(), scan.intensity.tolist()))
         summary["visibility"] = scan.visibility
-        artifacts.append("fringe.csv")
     if p["export_state"]:
-        envelope = to_json_dict(traj.cavity_state())
-        envelope.update(config_sha256=p["_hash"], seed=seed)
-        _write_json(out / "cavity_state.json", envelope)
-        artifacts.append("cavity_state.json")
-    _write_json(out / "results.json", {"config_sha256": p["_hash"], "seed": seed, **summary})
+        artifacts["cavity_state.json"] = to_json_dict(traj.cavity_state())
     return artifacts
 
 
@@ -184,25 +180,15 @@ def _check_trajectory(p: dict) -> None:
         )
 
 
-def _run_laser_equivalence(p: dict, seed: int, out: Path) -> list[str]:
+def _run_laser_equivalence(p: dict, seed: int) -> dict[str, Any]:
     rep = decomposition_equivalence_check(p["nbar"], p["modes"], p["cutoff"])
     tolerance = 1e-8 + rep.tail_bound
     if rep.trace_distance > tolerance:
         raise NumericsError(
             f"decomposition equivalence violated: {rep.trace_distance:.3e} > {tolerance:.3e}"
         )
-    _write_json(
-        out / "results.json",
-        {
-            "config_sha256": p["_hash"],
-            "seed": seed,
-            "trace_distance": rep.trace_distance,
-            "tail_bound": rep.tail_bound,
-            "tolerance": tolerance,
-            "m_max": rep.m_max,
-        },
-    )
-    return ["results.json"]
+    return {"results.json": {"trace_distance": rep.trace_distance, "tail_bound": rep.tail_bound,
+                             "tolerance": tolerance, "m_max": rep.m_max}}
 
 
 def _check_laser_equivalence(p: dict) -> None:
@@ -215,24 +201,17 @@ def _check_phase_walk(p: dict) -> None:
     _numbers_within(p, "lags", 0, p["modes"] - 1, integer=True)
 
 
-def _run_phase_walk(p: dict, seed: int, out: Path) -> list[str]:
+def _run_phase_walk(p: dict, seed: int) -> dict[str, Any]:
     spec = PhaseWalkSpec(p["step_variance"], p["modes"], p["photons"], seed)
     pairs = None
     if p["lags"]:
         pairs = [(0, lag) for lag in p["lags"]] + [(0, 0)]
     res = phase_walk_correlation(spec, p["realizations"], pairs=pairs)
-    meta = {"config_sha256": p["_hash"], "seed": seed}
-    _write_csv(out / "results.csv", ["k", "l", "re", "im", "abs", "stderr"], res.to_csv_rows(), meta)
-    summary = {
-        "config_sha256": p["_hash"],
-        "seed": seed,
-        "realizations": res.realizations,
-        "prediction": {
-            str(lag): math.exp(-p["step_variance"] * lag / 2.0) for lag in (p["lags"] or [])
-        },
+    prediction = {str(lag): math.exp(-p["step_variance"] * lag / 2.0) for lag in (p["lags"] or [])}
+    return {
+        "results.csv": (["k", "l", "re", "im", "abs", "stderr"], res.to_csv_rows()),
+        "results.json": {"realizations": res.realizations, "prediction": prediction},
     }
-    _write_json(out / "results.json", summary)
-    return ["results.csv", "results.json"]
 
 
 def _check_homodyne(p: dict) -> None:
@@ -248,30 +227,15 @@ def _check_homodyne(p: dict) -> None:
         )
 
 
-def _run_homodyne(p: dict, seed: int, out: Path) -> list[str]:
+def _run_homodyne(p: dict, seed: int) -> dict[str, Any]:
     theta = p["theta"] if p["theta"] is not None else math.acos(0.95)
     config = HomodyneConfig(p["n"], PhaseShiftProcess(p["offset"]), theta)
     check_cells(p["points"], f"tomography scan of {p['points']} points")
     gammas = 2.0 * math.pi * np.arange(p["points"]) / p["points"]
     scan = process_tomography_scan(config, gammas)
-    meta = {"config_sha256": p["_hash"], "seed": seed}
-    _write_csv(
-        out / "results.csv",
-        ["gamma", "mean", "variance"],
-        zip(scan.gammas.tolist(), scan.means.tolist(), scan.variances.tolist()),
-        meta,
-    )
-    _write_json(
-        out / "results.json",
-        {
-            "config_sha256": p["_hash"],
-            "seed": seed,
-            "recovered_offset": scan.recovered_offset,
-            "injected_offset": p["offset"],
-            "amplitude": scan.amplitude,
-        },
-    )
-    return ["results.csv", "results.json"]
+    rows = zip(scan.gammas.tolist(), scan.means.tolist(), scan.variances.tolist())
+    summary = {"recovered_offset": scan.recovered_offset, "injected_offset": p["offset"], "amplitude": scan.amplitude}
+    return {"results.csv": (["gamma", "mean", "variance"], rows), "results.json": summary}
 
 
 def _check_squeeze(p: dict) -> None:
@@ -282,27 +246,18 @@ def _check_squeeze(p: dict) -> None:
     _numbers_within(p, "pumps", 1, math.inf, integer=True)
 
 
-def _run_squeeze(p: dict, seed: int, out: Path) -> list[str]:
+def _run_squeeze(p: dict, seed: int) -> dict[str, Any]:
     points = approximation_quality(p["pumps"], p["scale"], p["pair_cutoff"] or None)
-    meta = {"config_sha256": p["_hash"], "seed": seed}
-    _write_csv(
-        out / "results.csv",
-        ["pump_n", "fidelity", "norm_deficit"],
-        [(pt.pump_n, pt.fidelity, pt.norm_deficit) for pt in points],
-        meta,
-    )
     cut = required_pair_cutoff(p["scale"]) + 4
     ladder = pair_ladder(p["scale"], cut)[0]
-    _write_json(
-        out / "results.json",
-        {
-            "config_sha256": p["_hash"],
-            "seed": seed,
+    rows = [(pt.pump_n, pt.fidelity, pt.norm_deficit) for pt in points]
+    return {
+        "results.csv": (["pump_n", "fidelity", "norm_deficit"], rows),
+        "results.json": {
             "fidelities": {str(pt.pump_n): pt.fidelity for pt in points},
             "idealized_schmidt": [[_fmt(c.real), _fmt(c.imag)] for c in ladder],
         },
-    )
-    return ["results.csv", "results.json"]
+    }
 
 
 def _check_ecs_verify(p: dict) -> None:
@@ -315,7 +270,7 @@ def _check_ecs_verify(p: dict) -> None:
     _numbers_within(p, "phis", -math.inf, math.inf)
 
 
-def _run_ecs_verify(p: dict, seed: int, out: Path) -> list[str]:
+def _run_ecs_verify(p: dict, seed: int) -> dict[str, Any]:
     from .verify import check_commuting_diagram  # loaded on demand, as in cmd_verify
 
     result = check_commuting_diagram(p["n_max"], p["thetas"], p["phis"])
@@ -323,11 +278,7 @@ def _run_ecs_verify(p: dict, seed: int, out: Path) -> list[str]:
         raise NumericsError(f"commuting diagram violated: deficit {result.measured:.3e}")
     # each (theta, phi) pair sweeps (0, 0) and (n, 0), (n, n) for n = 1..n_max
     cases = len(p["thetas"]) * len(p["phis"]) * (2 * p["n_max"] + 1)
-    _write_json(
-        out / "results.json",
-        {"config_sha256": p["_hash"], "seed": seed, "cases": cases, "worst_infidelity": result.measured},
-    )
-    return ["results.json"]
+    return {"results.json": {"cases": cases, "worst_infidelity": result.measured}}
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -469,7 +420,10 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    outdir = Path(out_override or raw.get("output_dir", "."))
+    outdir = out_override or raw.get("output_dir", ".")
+    if not isinstance(outdir, str):
+        raise ConfigError(f"output_dir must be a string, got {outdir!r}")
+    outdir = Path(outdir)
     if outdir.exists() and not outdir.is_dir():
         raise ConfigError(f"output path {outdir} exists and is not a directory")
     return exp, params, seed, outdir
@@ -504,31 +458,36 @@ def _publish(staging: Path, outdir: Path, names: list[str]) -> None:
         staging.rename(outdir)
 
 
+def _write_artifacts(directory: Path, payloads: dict[str, Any], stamp: dict) -> None:
+    """Write each payload as a `.csv` (header, rows) under the stamp's comment
+    lines, or as a JSON dict with the stamp's keys merged over its own."""
+    for name, payload in payloads.items():
+        if name.endswith(".csv"):
+            _write_csv(directory / name, *payload, stamp)
+        else:
+            _write_json(directory / name, {**payload, **stamp})
+
+
 def cmd_run(args) -> int:
     exp, params, seed, outdir = load_config(Path(args.config), args.seed, args.out)
-    digest = config_hash(exp, params, seed)
-    run_params = dict(params)
-    run_params["_hash"] = digest
+    stamp = {"config_sha256": config_hash(exp, params, seed), "seed": seed}
     # a run that fails leaves neither a new output directory nor partial files
     staging = _staging_dir(outdir)
     try:
-        artifacts = exp.runner(run_params, seed, staging)
-        _write_json(
-            staging / "manifest.json",
-            {
-                "experiment": exp.name,
-                "parameters": params,
-                "seed": seed,
-                "config_sha256": digest,
-                "rng": "numpy-pcg64",
-                "package_version": __version__,
-                "artifacts": sorted(artifacts),
-            },
-        )
-        _publish(staging, outdir, artifacts + ["manifest.json"])
+        payloads = exp.runner(params, seed)
+        artifacts = sorted(payloads)
+        payloads["manifest.json"] = {
+            "experiment": exp.name,
+            "parameters": params,
+            "rng": "numpy-pcg64",
+            "package_version": __version__,
+            "artifacts": artifacts,
+        }
+        _write_artifacts(staging, payloads, stamp)
+        _publish(staging, outdir, list(payloads))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    print(f"{exp.name}: wrote {', '.join(sorted(artifacts) + ['manifest.json'])} to {outdir}")
+    print(f"{exp.name}: wrote {', '.join(artifacts + ['manifest.json'])} to {outdir}")
     return 0
 
 

@@ -94,7 +94,8 @@ class BlockUnitary:
         if m.shape != (N + 1, N + 1):
             raise ValidationError("block matrix has wrong dimension")
         defect = np.abs(m.conj().T @ m - np.eye(N + 1)).max()
-        if defect > 1e-10:
+        # `not <=`, so that a NaN defect fails
+        if not defect <= 1e-10:
             raise ValidationError(f"block not unitary: defect {defect:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -114,6 +114,17 @@ class TestConfigValidation:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("output_dir", [5, None, True, ["a"]], ids=["number", "null", "true", "list"])
+    def test_non_string_output_dir_rejected(self, tmp_path, capsys, monkeypatch, output_dir):
+        # the malformed-config table passes --out, which the config's output_dir yields to
+        monkeypatch.chdir(tmp_path)
+        payload = {"experiment": "interfere", "parameters": VALID_PARAMETERS["interfere"], "output_dir": output_dir}
+        cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "output_dir" in err[0].split()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_huge_mode_count_refused_before_its_size_is_formed(self, tmp_path):
         # (cutoff + 1) ** modes at 10^15 modes has too many digits to form, so
         # the size check compares its logarithm; the run goes to a child with
@@ -330,6 +341,36 @@ class TestRunArtifacts:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerics error: results.json")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            *VALID_PARAMETERS.items(),
+            ("trajectory", {**VALID_PARAMETERS["trajectory"], "fringe": True, "export_state": True}),
+        ],
+        ids=[*VALID_PARAMETERS, "trajectory-fringe-export"],
+    )
+    def test_every_artifact_carries_the_envelope(self, tmp_path, name, params):
+        """Every CSV's comment lines and every JSON artifact hold the
+        manifest's hash and seed, the manifest lists exactly the other files,
+        and a rerun writes the same bytes to every file."""
+        cfg = write_config(tmp_path, {"experiment": name, "parameters": params, "seed": 5})
+        first, second = tmp_path / "a", tmp_path / "b"
+        for out in (first, second):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        stamp = {"config_sha256": manifest["config_sha256"], "seed": 5}
+        assert manifest["seed"] == 5 and len(stamp["config_sha256"]) == 64
+        assert manifest["artifacts"] == sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+        for artifact in manifest["artifacts"]:
+            text = (first / artifact).read_text()
+            if artifact.endswith(".csv"):
+                comments = [line[2:].split("=", 1) for line in text.splitlines() if line.startswith("#")]
+                assert dict(comments) == {key: str(value) for key, value in stamp.items()}
+            else:
+                payload = json.loads(text)
+                assert {key: payload[key] for key in stamp} == stamp
+        assert {p.name: p.read_bytes() for p in second.iterdir()} == {p.name: p.read_bytes() for p in first.iterdir()}
 
     def test_deterministic_reruns(self, tmp_path):
         cfg = write_config(

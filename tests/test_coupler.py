@@ -110,6 +110,11 @@ class TestBlocks:
         with pytest.raises(ValidationError):
             BlockUnitary(1, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
+    def test_nan_block_rejected(self):
+        # NaN > 1e-10 is False: a defect test written that way admits NaN
+        with pytest.raises(ValidationError):
+            BlockUnitary(2, np.full((3, 3), np.nan))
+
     def test_block_freezes_a_private_copy(self):
         given = np.eye(2, dtype=np.complex128)
         block = BlockUnitary(1, given)
