@@ -4,10 +4,14 @@
     ecsim verify --suite fast|full [--json]
 
 A config file is a JSON object with keys `experiment`, `parameters`, and
-optionally `seed` and `output_dir` (command-line flags win). Unknown keys are
-rejected. Every run writes a manifest echoing the fully resolved config, its
-hash, and the artifact list; reruns with the same config and seed produce
-byte-identical outputs. Set ECSIM_THREADS to pin the BLAS thread count.
+optionally `seed` and `output_dir` (command-line flags win, but the config's
+own values are checked all the same). Unknown keys are rejected, and each
+value is typed and bounded by its `Param` in `EXPERIMENTS` or `SETTINGS`.
+Every run writes a manifest echoing the fully resolved config, its hash, and
+the artifact list; reruns with the same config and seed produce
+byte-identical outputs at a fixed BLAS thread count and numpy/BLAS build
+(other thread counts may change the last digits). Set ECSIM_THREADS to pin
+the BLAS thread count.
 
 An experiment's runner maps (parameters, seed) to {artifact name: payload},
 a `.csv` payload being (header, rows), its rows read once, and a `.json`
@@ -23,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import shutil
 import sys
 import tempfile
@@ -49,13 +54,28 @@ _REQUIRED = object()
 
 
 @dataclass(frozen=True)
+class Param:
+    """A config value's type, default and range: the value, or each item of a
+    list, lies in [low, high], or in (low, high) when `open`."""
+
+    kind: type  # int, float, bool or str: of the value, or of each item of a list
+    default: Any = _REQUIRED
+    low: float = -math.inf
+    high: float = math.inf
+    open: bool = False
+    items: bool = False  # a list of `kind` values
+    nonempty: bool = False
+    choices: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class Experiment:
     name: str
-    schema: dict[str, tuple[type, Any]]
+    schema: dict[str, Param]
     # (parameters, seed) -> {artifact name: payload}; cmd_run stamps and writes them
     runner: Callable[[dict, int], dict[str, Any]]
-    # range checks on the typed parameters, run before any output exists
-    check: Callable[[dict], None]
+    # the rules that join two typed parameters, run before any output exists
+    check: Callable[[dict], None] = lambda p: None
 
 
 def _write_csv(path: Path, header: list[str], rows, stamp: dict) -> None:
@@ -88,14 +108,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners and their range checks
+# Experiment runners and their cross-key rules
 # ---------------------------------------------------------------------------
 
 
 def _check_interfere(p: dict) -> None:
-    _at_least(p, {"A": 0, "B": 0, "n": 0, "grid": 1, "profile_points": 1})
-    if not 0.0 < p["eps"] < 1.0:
-        raise ConfigError(f"parameter eps must lie in (0, 1), got {p['eps']}")
     # counts on a field that vanishes at every grid point leave log|C| = -inf
     # everywhere: alpha_a = 0 where phi - phi' = pi, alpha_b = 0 where phi = phi'
     A, B = p["A"], p["B"]
@@ -155,31 +172,6 @@ def _run_trajectory(p: dict, seed: int) -> dict[str, Any]:
     return artifacts
 
 
-def _at_least(p: dict, lower: dict[str, float]) -> None:
-    for key, low in lower.items():
-        if p[key] < low:
-            raise ConfigError(f"parameter {key} must be >= {low}, got {p[key]}")
-
-
-def _numbers_within(p: dict, key: str, low: float, high: float, integer: bool = False) -> None:
-    """Check every element of the list parameter `key` (JSON numbers only)."""
-    kinds = int if integer else (int, float)
-    for value in p[key]:
-        if isinstance(value, bool) or not isinstance(value, kinds) or not low <= value <= high:
-            what = "integers" if integer else "numbers"
-            raise ConfigError(f"parameter {key} must hold {what} in [{low:g}, {high:g}], got {value!r}")
-
-
-def _check_trajectory(p: dict) -> None:
-    _at_least(p, {"n": 0, "steps": 0, "stop_after_detections": 0, "profile_points": 1, "fringe_points": 1})
-    if not 0.0 < p["eps_step"] < 1.0:
-        raise ConfigError(f"parameter eps_step must lie in (0, 1), got {p['eps_step']}")
-    if p["fringe_branch"] not in FRINGE_BRANCHES:
-        raise ConfigError(
-            f"parameter fringe_branch must be one of {list(FRINGE_BRANCHES)}, got {p['fringe_branch']!r}"
-        )
-
-
 def _run_laser_equivalence(p: dict, seed: int) -> dict[str, Any]:
     rep = decomposition_equivalence_check(p["nbar"], p["modes"], p["cutoff"])
     tolerance = 1e-8 + rep.tail_bound
@@ -191,14 +183,10 @@ def _run_laser_equivalence(p: dict, seed: int) -> dict[str, Any]:
                              "tolerance": tolerance, "m_max": rep.m_max}}
 
 
-def _check_laser_equivalence(p: dict) -> None:
-    _at_least(p, {"nbar": 0.0, "modes": 1, "cutoff": 0})
-
-
 def _check_phase_walk(p: dict) -> None:
-    # with no photons g1 is 0/0: the walk has no field to correlate
-    _at_least(p, {"step_variance": 0.0, "modes": 1, "photons": 1, "realizations": 1})
-    _numbers_within(p, "lags", 0, p["modes"] - 1, integer=True)
+    for lag in p["lags"]:
+        if lag >= p["modes"]:
+            raise ConfigError(f"each item of parameter lags must be an integer in [0, {p['modes'] - 1}], got {lag!r}")
 
 
 def _run_phase_walk(p: dict, seed: int) -> dict[str, Any]:
@@ -214,19 +202,6 @@ def _run_phase_walk(p: dict, seed: int) -> dict[str, Any]:
     }
 
 
-def _check_homodyne(p: dict) -> None:
-    # the offset is read off the first Fourier component of a fringe of
-    # amplitude n sin 2 theta: it takes 3 grid points, a photon and two lit
-    # branches, or it is read from aliasing or rounding noise
-    _at_least(p, {"n": 1, "points": 3})
-    if p["theta"] is not None and not 0.0 <= p["theta"] <= math.pi / 2:
-        raise ConfigError(f"parameter theta must lie in [0, pi/2], got {p['theta']}")
-    if p["theta"] is not None and math.sin(2.0 * p["theta"]) <= 1e-12:
-        raise ConfigError(
-            f"parameter theta must leave sin(2 theta) > 1e-12 so that both branches are lit, got {p['theta']}"
-        )
-
-
 def _run_homodyne(p: dict, seed: int) -> dict[str, Any]:
     theta = p["theta"] if p["theta"] is not None else math.acos(0.95)
     config = HomodyneConfig(p["n"], PhaseShiftProcess(p["offset"]), theta)
@@ -236,14 +211,6 @@ def _run_homodyne(p: dict, seed: int) -> dict[str, Any]:
     rows = zip(scan.gammas.tolist(), scan.means.tolist(), scan.variances.tolist())
     summary = {"recovered_offset": scan.recovered_offset, "injected_offset": p["offset"], "amplitude": scan.amplitude}
     return {"results.csv": (["gamma", "mean", "variance"], rows), "results.json": summary}
-
-
-def _check_squeeze(p: dict) -> None:
-    _at_least(p, {"pair_cutoff": 0})
-    if not p["pumps"]:
-        # no pump compares nothing and would write a header-only table
-        raise ConfigError("parameter pumps must hold at least one pump photon number, got []")
-    _numbers_within(p, "pumps", 1, math.inf, integer=True)
 
 
 def _run_squeeze(p: dict, seed: int) -> dict[str, Any]:
@@ -260,16 +227,6 @@ def _run_squeeze(p: dict, seed: int) -> dict[str, Any]:
     }
 
 
-def _check_ecs_verify(p: dict) -> None:
-    _at_least(p, {"n_max": 0})
-    for key in ("thetas", "phis"):
-        if not p[key]:
-            # an empty sweep compares nothing and would report a worst infidelity of 0
-            raise ConfigError(f"parameter {key} must hold at least one angle, got []")
-    _numbers_within(p, "thetas", 0.0, math.pi / 2)
-    _numbers_within(p, "phis", -math.inf, math.inf)
-
-
 def _run_ecs_verify(p: dict, seed: int) -> dict[str, Any]:
     from .verify import check_commuting_diagram  # loaded on demand, as in cmd_verify
 
@@ -281,16 +238,18 @@ def _run_ecs_verify(p: dict, seed: int) -> dict[str, Any]:
     return {"results.json": {"cases": cases, "worst_infidelity": result.measured}}
 
 
+# every rule on a single value sits in its Param; Experiment.check holds the
+# rules that join two
 EXPERIMENTS: dict[str, Experiment] = {
     "interfere": Experiment(
         "interfere",
         {
-            "A": (int, _REQUIRED),
-            "B": (int, _REQUIRED),
-            "eps": (float, _REQUIRED),
-            "n": (int, _REQUIRED),
-            "grid": (int, 1024),
-            "profile_points": (int, 1024),
+            "A": Param(int, low=0),
+            "B": Param(int, low=0),
+            "eps": Param(float, low=0.0, high=1.0, open=True),
+            "n": Param(int, low=0),
+            "grid": Param(int, 1024, low=1),
+            "profile_points": Param(int, 1024, low=1),
         },
         _run_interfere,
         _check_interfere,
@@ -298,33 +257,32 @@ EXPERIMENTS: dict[str, Experiment] = {
     "trajectory": Experiment(
         "trajectory",
         {
-            "n": (int, _REQUIRED),
-            "eps_step": (float, _REQUIRED),
-            "steps": (int, _REQUIRED),
-            "stop_after_detections": (int, 0),
-            "profile_points": (int, 1024),
-            "fringe": (bool, False),
-            "fringe_points": (int, 64),
-            "fringe_branch": (str, "positive"),
-            "export_state": (bool, False),
+            "n": Param(int, low=0),
+            "eps_step": Param(float, low=0.0, high=1.0, open=True),
+            "steps": Param(int, low=0),
+            "stop_after_detections": Param(int, 0, low=0),
+            "profile_points": Param(int, 1024, low=1),
+            "fringe": Param(bool, False),
+            "fringe_points": Param(int, 64, low=1),
+            "fringe_branch": Param(str, "positive", choices=FRINGE_BRANCHES),
+            "export_state": Param(bool, False),
         },
         _run_trajectory,
-        _check_trajectory,
     ),
     "laser-equivalence": Experiment(
         "laser-equivalence",
-        {"nbar": (float, _REQUIRED), "modes": (int, _REQUIRED), "cutoff": (int, _REQUIRED)},
+        {"nbar": Param(float, low=0.0), "modes": Param(int, low=1), "cutoff": Param(int, low=0)},
         _run_laser_equivalence,
-        _check_laser_equivalence,
     ),
     "phase-walk": Experiment(
         "phase-walk",
         {
-            "step_variance": (float, _REQUIRED),
-            "modes": (int, _REQUIRED),
-            "photons": (int, _REQUIRED),
-            "realizations": (int, _REQUIRED),
-            "lags": (list, []),
+            "step_variance": Param(float, low=0.0),
+            "modes": Param(int, low=1),
+            # with no photons g1 is 0/0: the walk has no field to correlate
+            "photons": Param(int, low=1),
+            "realizations": Param(int, low=1),
+            "lags": Param(int, [], low=0, items=True),
         },
         _run_phase_walk,
         _check_phase_walk,
@@ -332,55 +290,105 @@ EXPERIMENTS: dict[str, Experiment] = {
     "homodyne": Experiment(
         "homodyne",
         {
-            "n": (int, _REQUIRED),
-            "theta": (float, None),
-            "offset": (float, 0.0),
-            "points": (int, 24),
+            # the offset is read off the first Fourier component of a fringe
+            # of amplitude n sin 2 theta: it takes a photon and 3 grid points,
+            # or it is read from aliasing; process_tomography_scan also
+            # refuses a theta that leaves sin 2 theta <= 1e-12
+            "n": Param(int, low=1),
+            "theta": Param(float, None, low=0.0, high=math.pi / 2),
+            "offset": Param(float, 0.0),
+            "points": Param(int, 24, low=3),
         },
         _run_homodyne,
-        _check_homodyne,
     ),
     "squeeze": Experiment(
         "squeeze",
         {
-            "pumps": (list, [2, 4, 8, 12]),
-            "scale": (float, 0.2),
-            "pair_cutoff": (int, 0),
+            # no pump compares nothing and would write a header-only table
+            "pumps": Param(int, [2, 4, 8, 12], low=1, items=True, nonempty=True),
+            "scale": Param(float, 0.2),
+            "pair_cutoff": Param(int, 0, low=0),
         },
         _run_squeeze,
-        _check_squeeze,
     ),
     "ecs-verify": Experiment(
         "ecs-verify",
         {
-            "n_max": (int, 6),
-            "thetas": (list, [math.pi / 8, math.pi / 4, math.pi / 3]),
-            "phis": (list, [0.0, math.pi / 2]),
+            "n_max": Param(int, 6, low=0),
+            # an empty sweep compares nothing and would report a worst infidelity of 0
+            "thetas": Param(
+                float, [math.pi / 8, math.pi / 4, math.pi / 3], low=0.0, high=math.pi / 2, items=True, nonempty=True
+            ),
+            "phis": Param(float, [0.0, math.pi / 2], items=True, nonempty=True),
         },
         _run_ecs_verify,
-        _check_ecs_verify,
     ),
 }
+
+# the config's own top-level values, read whether or not a flag overrides them
+SETTINGS = {"seed": Param(int, 0, low=0), "output_dir": Param(str, ".")}
 
 
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
+        raise ValueError(f"it holds the non-finite number {text}")
+    return value
+
+
+def _within(name: str, spec: Param, value: Any) -> None:
+    """Refuse `value` unless it is of `spec`'s kind and lies in its range."""
+    what = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}[spec.kind]
+    if spec.kind is float:
+        # a double holds an integer only up to about 1.8e308
+        ok = type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    else:
+        ok = type(value) is spec.kind  # so true and false are never numbers
+    if spec.choices:
+        what, ok = f"one of {list(spec.choices)}", ok and value in spec.choices
+    elif spec.kind in (int, float):
+        ok = ok and (spec.low < value < spec.high if spec.open else spec.low <= value <= spec.high)
+        if spec.high < math.inf:
+            what += f" in {'[('[spec.open]}{spec.low:g}, {spec.high:g}{'])'[spec.open]}"
+        elif spec.low > -math.inf:
+            what += f" >= {spec.low:g}"
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+
+def _read(name: str, spec: Param, value: Any) -> Any:
+    """`value` typed and bounded as `spec` says: a float takes an integer
+    (converted), an integer an integral float, and a list's items are kept
+    as given. `name` leads the one-line error."""
+    if value is None and spec.default is None:
+        return None  # null stands for a value's default only where that default is None
+    if spec.items:
+        if not isinstance(value, list) or (spec.nonempty and not value):
+            raise ConfigError(f"{name} must be a{' non-empty' * spec.nonempty} list, got {reprlib.repr(value)}")
+        for item in value:
+            _within(f"each item of {name}", spec, item)
+        return value
+    if spec.kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if spec.kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    # a JSON number is a double, exact as an integer only up to 2^53
+    if spec.kind is int and type(value) is int and abs(value) > 2**53:
+        raise ConfigError(f"{name} must be an integer of magnitude at most 2^53, got {reprlib.repr(value)}")
+    _within(name, spec, value)
     return value
 
 
 def load_config(path: Path, seed_override: int | None, out_override: str | None) -> tuple[Experiment, dict, int, Path]:
     try:
         raw = json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # not found, a directory, not readable
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
+    except ValueError as exc:  # also not UTF-8, a non-finite number, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    allowed_top = {"experiment", "parameters", "seed", "output_dir"}
-    unknown = set(raw) - allowed_top
+    unknown = set(raw) - {"experiment", "parameters", *SETTINGS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     name = raw.get("experiment")
@@ -396,34 +404,16 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     if unknown:
         raise ConfigError(f"unknown parameters for {name}: {sorted(unknown)}")
     params: dict[str, Any] = {}
-    for key, (typ, default) in exp.schema.items():
-        if key in params_in:
-            value = params_in[key]
-            if typ in (int, float) and isinstance(value, bool):
-                raise ConfigError(f"parameter {key} must be {typ.__name__}")
-            if typ is float and isinstance(value, int):
-                value = float(value)
-            if typ is int and isinstance(value, float) and value.is_integer():
-                value = int(value)
-            # a JSON number is a double, exact as an integer only up to 2^53
-            if typ is int and isinstance(value, int) and abs(value) > 2**53:
-                raise ConfigError(f"parameter {key} must be an integer of magnitude at most 2^53, got {value:.6g}")
-            # null stands for a parameter's default only where that default is None
-            if not isinstance(value, typ) and not (value is None and default is None):
-                raise ConfigError(f"parameter {key} must be {typ.__name__}")
-            params[key] = value
-        elif default is _REQUIRED:
+    for key, spec in exp.schema.items():
+        if key not in params_in and spec.default is _REQUIRED:
             raise ConfigError(f"missing required parameter {key} for {name}")
-        else:
-            params[key] = default
+        params[key] = _read(f"parameter {key}", spec, params_in.get(key, spec.default))
     exp.check(params)
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    outdir = out_override or raw.get("output_dir", ".")
-    if not isinstance(outdir, str):
-        raise ConfigError(f"output_dir must be a string, got {outdir!r}")
-    outdir = Path(outdir)
+    # the config's own seed and output_dir are checked even where a flag overrides them
+    seed, outdir = (_read(key, spec, raw.get(key, spec.default)) for key, spec in SETTINGS.items())
+    if seed_override is not None:
+        seed = _read("seed", SETTINGS["seed"], seed_override)
+    outdir = Path(out_override or outdir)
     if outdir.exists() and not outdir.is_dir():
         raise ConfigError(f"output path {outdir} exists and is not a directory")
     return exp, params, seed, outdir

@@ -243,10 +243,12 @@ def phase_walk_correlation(
     cells = max(grid.size * N * (m + 1), grid.size * len(sector), N * len(below), N * N)
     chunk = max(1, CHUNK_CELLS // cells)
     rng = default_rng(spec.seed)
+    # abs: a variance of -0.0 has the square root -0.0, which numpy refuses as a scale
+    step = abs(math.sqrt(spec.step_variance))
     for start in range(0, realizations, chunk):
         r = min(chunk, realizations - start)
         walks = np.zeros((r, N))
-        np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), (r, N - 1)), axis=1, out=walks[:, 1:])
+        np.cumsum(rng.normal(0.0, step, (r, N - 1)), axis=1, out=walks[:, 1:])
         amps = base_amp * np.exp(1j * (phis[None, :, None] + walks[:, None, :]))
         lowered = scale * sector_amplitude_stack(circle, amps, sector)[:, rows]
         corr = lowered.conj() @ lowered.transpose(0, 2, 1)

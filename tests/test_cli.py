@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import ecsim
-from ecsim.cli import load_config, main
+from ecsim.cli import EXPERIMENTS, SETTINGS, load_config, main
 
 
 # a minimal valid parameter set per experiment, for the malformed-config table
@@ -125,6 +126,35 @@ class TestConfigValidation:
         assert len(err) == 1 and "output_dir" in err[0].split()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"seed": -1}, "seed"), ({"output_dir": 5}, "output_dir"), ({"seed": -1, "output_dir": 5}, "seed")],
+    )
+    def test_overridden_values_still_checked(self, tmp_path, capsys, config, key):
+        # --seed and --out take the place of the config's seed and output_dir,
+        # which must still be valid
+        payload = {"experiment": "interfere", "parameters": VALID_PARAMETERS["interfere"], **config}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0].split()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [None, b"\xff\xfe{", b'{"experiment": "homodyne", "parameters": {"n": 1' + b"0" * 5000 + b"}}"],
+        ids=["directory", "not-utf8", "past-digit-limit"],
+    )
+    def test_unreadable_config_rejected(self, tmp_path, capsys, text):
+        # a directory, bytes that are not UTF-8, and an integer of more than
+        # the 4300 digits Python parses
+        cfg = tmp_path / "config.json"
+        cfg.mkdir() if text is None else cfg.write_bytes(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_huge_mode_count_refused_before_its_size_is_formed(self, tmp_path):
         # (cutoff + 1) ** modes at 10^15 modes has too many digits to form, so
         # the size check compares its logarithm; the run goes to a child with
@@ -204,6 +234,14 @@ class TestConfigValidation:
             ({"experiment": "homodyne", "n": 2**53 + 1}, "n"),
             ({"experiment": "interfere", "A": 3, "B": 2, "eps": 0.1, "n": 5, "profile_points": 1}, "profile_points"),
             ({"steps": 1e15, "exit": 3}, "cap"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"output_dir": None}, "output_dir"),
+            ({"seed": 2.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"seed": 2**53 + 1}, "seed"),
+            ({"experiment": "interfere", "eps": 10**400}, "eps"),
+            ({"experiment": "interfere", "A": 10**400}, "A"),
+            ({"experiment": "ecs-verify", "phis": [10**400]}, "phis"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
@@ -215,8 +253,10 @@ class TestConfigValidation:
         name = params.pop("experiment", "trajectory")
         seed = params.pop("seed", 0)
         code = params.pop("exit", 2)
+        # the config's own output_dir is checked though --out takes its place
+        top = {"output_dir": params.pop("output_dir")} if "output_dir" in params else {}
         cfg = write_config(
-            tmp_path, {"experiment": name, "parameters": {**VALID_PARAMETERS[name], **params}, "seed": seed}
+            tmp_path, {"experiment": name, "parameters": {**VALID_PARAMETERS[name], **params}, "seed": seed, **top}
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
@@ -455,6 +495,28 @@ class TestRunArtifacts:
         # (-chi/|chi| tanh|chi|)^k / cosh|chi| at chi = 5e-324: 1, -chi, then underflow
         assert res["idealized_schmidt"][:3] == [["1", "0"], ["-4.9406564584124654e-324", "0"], ["0", "0"]]
 
+    def test_subnormal_angle_runs_quietly(self, tmp_path, capsys):
+        # a coherent amplitude of modulus 5e-324 once divided by it through an
+        # infinite reciprocal: NaN amplitudes, RuntimeWarnings and exit 4
+        cfg = write_config(tmp_path, {"experiment": "ecs-verify", "parameters": {"n_max": 1, "thetas": [5e-324]}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "results.json").read_text())["worst_infidelity"] == 0.0
+
+    def test_negative_zero_step_variance_runs_as_zero(self, tmp_path):
+        # sqrt(-0.0) is -0.0, which numpy once refused as the walk's scale
+        rows = []
+        for variance in (-0.0, 0.0):
+            params = {**VALID_PARAMETERS["phase-walk"], "step_variance": variance}
+            cfg = write_config(tmp_path, {"experiment": "phase-walk", "parameters": params})
+            out = tmp_path / f"out{variance}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            rows.append([line for line in (out / "results.csv").read_text().splitlines() if not line.startswith("#")])
+        assert rows[0] == rows[1]
+
     def test_squeeze_pair_cutoff_past_pump(self, tmp_path):
         # the pump circle is sized by max(n, pair cutoff), so a pair cutoff far
         # past every pump runs and only adds Schmidt rungs below 1e-8 in weight
@@ -619,3 +681,110 @@ def test_csv_templates_match_cell_by_cell_formatting(tmp_path):
         ",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n" for row in rows
     )
     assert (tmp_path / "t.csv").read_text() == "# seed=1\na,b\n" + expected
+
+
+# the run contract's fuzzer: one-key substitutions over every schema key,
+# from a fixed pool, the pool's values as one-item lists, -0.0, and each
+# finite bound of the key's Param with its neighbours inside and outside.
+# The pool holds no valid size that takes seconds (pumps [4091] takes 14 s,
+# a homodyne run at n = 4091 3 s), so Tier-1 pays about 4 s for the fuzzer
+FUZZ_POOL = [
+    0, 1, -1, 2, 0.5, -0.5, 1e-300, 5e-324, -5e-324, 1e300, -1e300, 1e15, 2**53, 2**53 + 1, 10**400,
+    1 - 1e-16, 1 + 2**-52, math.pi / 2, "a string", "", [], [1, 2], {}, {"a": 1}, None, True, False,
+]
+# the experiments' fuzz base: the fringe scan and state export of a trajectory run too
+FUZZ_BASE = {**VALID_PARAMETERS, "trajectory": {**VALID_PARAMETERS["trajectory"], "fringe": True, "export_state": True}}
+
+
+def boundary_values(spec) -> list:
+    """Each finite bound of `spec`, one step inside and one step outside it
+    (one ulp for a float, 1 for an integer), and its choices."""
+    values = list(spec.choices)
+    for bound, inward in ((spec.low, 1), (spec.high, -1)):
+        if math.isfinite(bound):
+            if spec.kind is int:
+                values += [bound, bound + inward, bound - inward]
+            else:
+                values += [bound, math.nextafter(bound, inward * math.inf), math.nextafter(bound, -inward * math.inf)]
+    return values
+
+
+def candidates(spec) -> list:
+    """The pool, the pool's values as one-item lists, -0.0 and the boundary
+    values (as one-item lists for a list parameter)."""
+    bounds = boundary_values(spec)
+    values = [*FUZZ_POOL, *([v] for v in FUZZ_POOL), -0.0, *(([v] for v in bounds) if spec.items else bounds)]
+    # one case per JSON text: 1 and 1.0 stay apart, a bound that is also a pool value does not
+    return list({json.dumps(v): v for v in values}.values())
+
+
+def fuzz_cases(pairs: int, seed: int) -> list[tuple[str, dict]]:
+    """Every one-key substitution of every experiment's schema and settings
+    key, then `pairs` two-key substitutions drawn by a seeded generator."""
+    cases = []
+    for name, exp in EXPERIMENTS.items():
+        for key, spec in [*exp.schema.items(), *SETTINGS.items()]:
+            cases += [(name, {key: v}) for v in candidates(spec)]
+    rng = np.random.default_rng(seed)
+    names = list(EXPERIMENTS)
+    for _ in range(pairs):
+        name = names[rng.integers(len(names))]
+        schema = EXPERIMENTS[name].schema
+        keys = [list(schema)[i] for i in rng.choice(len(schema), 2, replace=False)]
+        substitution = {}
+        for key in keys:
+            # the boundary values, where they exist, meet the rules that join two keys
+            values = boundary_values(schema[key]) or candidates(schema[key])
+            substitution[key] = values[rng.integers(len(values))]
+        cases.append((name, substitution))
+    return cases
+
+
+def fuzz_run(tmp_path: Path, capsys, name: str, substitution: dict) -> str | None:
+    """Run the experiment's fuzz base with `substitution` through `main` and
+    return how the run breaks the run contract, or None."""
+    payload = {"experiment": name, "parameters": dict(FUZZ_BASE[name])}
+    for key, value in substitution.items():
+        (payload if key in SETTINGS else payload["parameters"])[key] = value
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        except Exception as exc:
+            return f"raised {exc!r}"
+    err = capsys.readouterr().err.strip().splitlines()
+    if caught:
+        return f"warned {caught[0].message!r}"
+    if code not in (0, 2, 3, 4):
+        return f"exit {code}"
+    if code != 0:
+        return None if len(err) == 1 and not out.exists() else f"exit {code} with {len(err)} lines, output {out.exists()}"
+    if err:
+        return f"exit 0 with stderr {err[0]!r}"
+    for artifact in out.iterdir():
+        text = artifact.read_text()
+        if artifact.suffix == ".json":
+            non_finite = []
+            json.loads(text, parse_constant=non_finite.append)
+        else:
+            cells = (c for line in text.splitlines() if not line.startswith("#") for c in line.split(","))
+            non_finite = [c for c in cells if c.lstrip("+-") in ("nan", "inf")]
+        if non_finite:
+            return f"{artifact.name} holds {non_finite[0]}"
+    shutil.rmtree(out)
+    return None
+
+
+def test_fuzzed_configs_keep_the_run_contract(tmp_path, capsys):
+    """Every substitution exits 0, 2, 3 or 4 without a warning; a failure
+    writes one stderr line and no output directory, and a success writes
+    nothing to stderr and no NaN or Infinity token."""
+    cases = fuzz_cases(pairs=200, seed=12)
+    broken = [
+        f"{name} {substitution!r}: {why}"
+        for name, substitution in cases
+        if (why := fuzz_run(tmp_path, capsys, name, substitution)) is not None
+    ]
+    assert not broken, f"{len(broken)} of {len(cases)} substitutions break the run contract: {broken[:10]}"

@@ -40,3 +40,24 @@ def test_documented_names_exist():
     assert ("README.md", "fock", "check_cells") in names
     missing = [f"{file}: {module}.{attrs}" for file, module, attrs in names if not resolves(module, attrs)]
     assert not missing, f"documented names that do not exist: {missing}"
+
+
+def test_experiment_table_names_schema_keys():
+    # each row of README's experiment table: | `name` | what | `key`, `key` |
+    from ecsim.cli import EXPERIMENTS
+
+    rows = re.findall(r"^\| `([\w-]+)` +\|.*\|(.*)\|$", (ROOT / "README.md").read_text(), re.MULTILINE)
+    assert sorted(name for name, _ in rows) == sorted(EXPERIMENTS)
+    unknown = [f"{name}: {key}" for name, keys in rows for key in re.findall(r"`(\w+)`", keys)
+               if key not in EXPERIMENTS[name].schema]
+    assert not unknown, f"README's experiment table names keys no schema holds: {unknown}"
+
+
+def test_example_config_loads(tmp_path):
+    from ecsim.cli import load_config
+
+    example = re.search(r"A config file looks like:\n\n```json\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    path = tmp_path / "experiment.json"
+    path.write_text(example.group(1))
+    exp, params, seed, outdir = load_config(path, None, None)
+    assert exp.name == "trajectory" and params["fringe"] is True and seed == 7 and outdir.name == "demo"

@@ -277,6 +277,16 @@ class TestCoherent:
             assert np.all(np.abs(row - ref)[normal] <= tol[normal] * np.abs(ref)[normal])
             assert np.all(np.abs(row[~normal]) <= 1e-289)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_amplitudes_keep_their_phase(self):
+        # 1 / |alpha| overflows below the smallest normal double; the rows
+        # are 1, alpha, then underflow, with no NaN and no warning
+        alphas = np.array([5e-324, 1e-310, 3e-320 * (1 + 1j), -2e-315j, 0.5, 0.0])
+        got = fock.coherent_log_amplitudes(alphas, 3)
+        assert np.array_equal(got[:4, :2], np.stack([np.ones(4), alphas[:4]], axis=1))
+        assert not np.any(got[:4, 2:])
+        assert np.array_equal(got[4:], fock.coherent_log_amplitudes(alphas[4:], 3))
+
     def test_tensor_matches_product(self):
         a = coherent_amplitudes(0.7 + 0.2j, 6)
         b = coherent_amplitudes(-0.3 + 0.9j, 5)

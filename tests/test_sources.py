@@ -285,6 +285,12 @@ class TestPhaseWalk:
         if photons == 0:
             assert not res.g1.any()
 
+    def test_negative_zero_variance_runs_as_zero(self):
+        # sqrt(-0.0) is -0.0, which numpy refuses as a normal scale
+        got = phase_walk_correlation(PhaseWalkSpec(-0.0, 4, 1, 0), 2)
+        want = phase_walk_correlation(PhaseWalkSpec(0.0, 4, 1, 0), 2)
+        assert np.array_equal(got.g1, want.g1) and np.array_equal(got.stderr, want.stderr)
+
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValidationError):
             PhaseWalkSpec(-0.1, 2, 1)
