@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import os
-import reprlib
 import shutil
 import sys
 import tempfile
@@ -41,7 +40,7 @@ from . import __version__
 from .circle import conditional_weight, delta_profile, pair_ladder, peak_locations, width_fit
 from .errors import ConfigError, NumericsError, SizingError, ValidationError
 from .fock import _fmt, check_cells, to_json_dict
-from .homodyne import HomodyneConfig, PhaseShiftProcess, process_tomography_scan
+from .homodyne import HomodyneConfig, PhaseShiftProcess, check_tomography_scan, process_tomography_scan
 from .measurement import FRINGE_BRANCHES, fringe_scan, run_interference_trajectory
 from .sources import PhaseWalkSpec, decomposition_equivalence_check, phase_walk_correlation
 from .squeezing import approximation_quality, required_pair_cutoff
@@ -205,6 +204,7 @@ def _run_phase_walk(p: dict, seed: int) -> dict[str, Any]:
 def _run_homodyne(p: dict, seed: int) -> dict[str, Any]:
     theta = p["theta"] if p["theta"] is not None else math.acos(0.95)
     config = HomodyneConfig(p["n"], PhaseShiftProcess(p["offset"]), theta)
+    check_tomography_scan(config, p["points"])  # a dark theta is refused before the grid is sized
     check_cells(p["points"], f"tomography scan of {p['points']} points")
     gammas = 2.0 * math.pi * np.arange(p["points"]) / p["points"]
     scan = process_tomography_scan(config, gammas)
@@ -292,7 +292,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         {
             # the offset is read off the first Fourier component of a fringe
             # of amplitude n sin 2 theta: it takes a photon and 3 grid points,
-            # or it is read from aliasing; process_tomography_scan also
+            # or it is read from aliasing; check_tomography_scan also
             # refuses a theta that leaves sin 2 theta <= 1e-12
             "n": Param(int, low=1),
             "theta": Param(float, None, low=0.0, high=math.pi / 2),
@@ -353,7 +353,7 @@ def _within(name: str, spec: Param, value: Any) -> None:
         elif spec.low > -math.inf:
             what += f" >= {spec.low:g}"
     if not ok:
-        raise ConfigError(f"{name} must be {what}, got {reprlib.repr(value)}")
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def _read(name: str, spec: Param, value: Any) -> Any:
@@ -364,7 +364,7 @@ def _read(name: str, spec: Param, value: Any) -> Any:
         return None  # null stands for a value's default only where that default is None
     if spec.items:
         if not isinstance(value, list) or (spec.nonempty and not value):
-            raise ConfigError(f"{name} must be a{' non-empty' * spec.nonempty} list, got {reprlib.repr(value)}")
+            raise ConfigError(f"{name} must be a{' non-empty' * spec.nonempty} list, got {value!r}")
         for item in value:
             _within(f"each item of {name}", spec, item)
         return value
@@ -374,7 +374,7 @@ def _read(name: str, spec: Param, value: Any) -> Any:
         value = int(value)
     # a JSON number is a double, exact as an integer only up to 2^53
     if spec.kind is int and type(value) is int and abs(value) > 2**53:
-        raise ConfigError(f"{name} must be an integer of magnitude at most 2^53, got {reprlib.repr(value)}")
+        raise ConfigError(f"{name} must be an integer of magnitude at most 2^53, got {value!r}")
     _within(name, spec, value)
     return value
 

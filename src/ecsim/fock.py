@@ -248,14 +248,10 @@ def coherent_log_amplitudes(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     out = np.empty((cutoff + 1, alphas.size), dtype=np.complex128)
     out[0] = 1.0
     # complex division multiplies by 1 / |alpha|, which overflows for a
-    # subnormal |alpha|: scale those alphas by 2^64 first, which is exact and
-    # leaves alpha/|alpha|; without one, the amplitudes divide as they are
-    tiny = np.finfo(np.float64).tiny
-    if safe.min(initial=1.0) < tiny:
-        big = np.where(safe < tiny, 2.0**64, 1.0)
-        unit = (alphas * big) / (safe * big)
-    else:
-        unit = alphas / safe
+    # subnormal |alpha|: those alphas are scaled by 2^64 first, which is exact
+    # and leaves alpha/|alpha|; every other alpha is divided as it is
+    big = np.where(safe < np.finfo(np.float64).tiny, 2.0**64, 1.0)
+    unit = (alphas * big) / (safe * big)
     filled = 1
     while filled <= cutoff:
         step = min(filled, cutoff + 1 - filled)

@@ -130,6 +130,20 @@ class TomographyScan:
     amplitude: float
 
 
+def check_tomography_scan(config: HomodyneConfig, points: int) -> None:
+    """Refuse a scan of `points` grid points whose offset would be read from
+    aliasing or rounding noise, before any grid or sector work."""
+    if points < 3:
+        raise ValidationError(f"tomography scan needs at least 3 grid points, got {points}")
+    if config.source_photons < 1:
+        raise ValidationError("tomography scan needs a source of at least one photon")
+    if math.sin(2.0 * config.splitter_theta) <= 1e-12:
+        raise ValidationError(
+            f"tomography scan needs sin(2 theta) > 1e-12 so that both branches are lit, "
+            f"got theta {config.splitter_theta}"
+        )
+
+
 def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> TomographyScan:
     """Sweep the phase process over gamma_grid and recover the built-in offset.
 
@@ -143,15 +157,7 @@ def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> T
     """
     gamma0 = config.process.gamma
     gammas = np.asarray(gamma_grid, dtype=float)
-    if gammas.size < 3:
-        raise ValidationError(f"tomography scan needs at least 3 grid points, got {gammas.size}")
-    if config.source_photons < 1:
-        raise ValidationError("tomography scan needs a source of at least one photon")
-    if math.sin(2.0 * config.splitter_theta) <= 1e-12:
-        raise ValidationError(
-            f"tomography scan needs sin(2 theta) > 1e-12 so that both branches are lit, "
-            f"got theta {config.splitter_theta}"
-        )
+    check_tomography_scan(config, gammas.size)
     # the split does not depend on gamma, so it is computed once
     split = _split(config)
     chunk = max(1, SCAN_CELLS // (2 * config.source_photons + 1))

@@ -242,6 +242,7 @@ class TestConfigValidation:
             ({"experiment": "interfere", "eps": 10**400}, "eps"),
             ({"experiment": "interfere", "A": 10**400}, "A"),
             ({"experiment": "ecs-verify", "phis": [10**400]}, "phis"),
+            ({"experiment": "homodyne", "theta": 0.0, "points": 2**24 + 1}, "theta"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
