@@ -34,7 +34,6 @@ from .coupler import (
     CouplerParams,
     apply_coupler,
     coupler_block,
-    equal_multimode_split,
     heisenberg_matrix,
     oracle_block,
 )
@@ -74,7 +73,6 @@ from .sources import (
     PhaseWalkSpec,
     decomposition_equivalence_check,
     laser_density,
-    multimode_output_coherent,
     phase_walk_correlation,
 )
 from .squeezing import (

@@ -10,8 +10,8 @@ value is typed and bounded by its `Param` in `EXPERIMENTS` or `SETTINGS`.
 Every run writes a manifest echoing the fully resolved config, its hash, and
 the artifact list; reruns with the same config and seed produce
 byte-identical outputs at a fixed BLAS thread count and numpy/BLAS build
-(other thread counts may change the last digits). Set ECSIM_THREADS to pin
-the BLAS thread count.
+(other thread counts may change the last digits, as they do for a homodyne
+scan at n = 1000). Set ECSIM_THREADS to pin the BLAS thread count.
 
 An experiment's runner maps (parameters, seed) to {artifact name: payload},
 a `.csv` payload being (header, rows), its rows read once, and a `.json`
@@ -23,6 +23,7 @@ them and the manifest, and lists them there.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -414,8 +415,12 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     if seed_override is not None:
         seed = _read("seed", SETTINGS["seed"], seed_override)
     outdir = Path(out_override or outdir)
-    if outdir.exists() and not outdir.is_dir():
-        raise ConfigError(f"output path {outdir} exists and is not a directory")
+    # the path, or the nearest of its ancestors that exists, must be a
+    # directory: one under a file could never be made, which the run would
+    # learn only after its work
+    base = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not base.is_dir():
+        raise ConfigError(f"output path {outdir}: {base} exists and is not a directory")
     return exp, params, seed, outdir
 
 
@@ -509,6 +514,7 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

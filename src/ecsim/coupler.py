@@ -21,9 +21,10 @@ integers -N, -N+2, ..., N. Neither T nor its eigenvectors depend on (theta,
 phi), so one factorisation serves every coupler on the sector:
 `sector_spectrum` gives those eigenvalues and the real orthogonal W, and
 keeps the sector last read. `apply_sector` and `coupler_block` callers read
-one photon-number sector several times in a row; `apply_coupler` reads every
-live sector of its mode pair once per call, so a cascade of c couplers
-factorises each of those sectors up to c times. No eigensolver runs.
+one photon-number sector several times in a row; `apply_coupler` (every
+live sector of its mode pair) and `apply_pair` (every sector) read each once
+per call, in ascending order, so a cascade of c couplers factorises each of
+those sectors up to c times. No eigensolver runs.
 Each eigenvector obeys the three-term recursion
 b_k w[k+1] = m w[k] - b_{k-1} w[k-1], b_k = sqrt((k+1)(N-k)), of the Wigner
 d(pi/2) matrix (Risbo, J. Geodesy 70, 383 (1996)), run from k = 0 to the
@@ -33,10 +34,11 @@ gives the other rows: column t of ascending m has parity (-1)^(N - t), the
 alternation of a persymmetric Jacobi matrix. A coupler acts only through the
 sector product U v = d * (W (e^{-i theta m} * (W^T (conj(d) * v)))), d the
 diagonal of D (Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)): `apply_sector`
-on sector vectors, `apply_coupler` on each live sector of a state,
-`coupler_block` on the identity. `oracle_block`, the test reference, uses
-G = D G_r D^dag with D = diag(e^{-i phi k}) and the real antisymmetric
-G_r = theta (L - L^T): it builds G_r from its two off-diagonals,
+on sector vectors, `apply_coupler` on each live sector of a dense state,
+`apply_pair` on a state listed by occupation tuples, `coupler_block` on the
+identity. `oracle_block`, the test reference, uses G = D G_r D^dag with
+D = diag(e^{-i phi k}) and the real antisymmetric G_r = theta (L - L^T): it
+builds G_r from its two off-diagonals,
 exponentiates it in real arithmetic by scaling and squaring on Higham's
 degree-13 Pade approximant (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)),
 numpy alone and no eigensolver, and returns D e^{G_r} D^dag, its own
@@ -56,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .fock import FockVector, ModeShape, check_cells, tensor, vacuum
+from .fock import FockVector, check_cells
 
 
 @dataclass(frozen=True)
@@ -320,6 +322,36 @@ def apply_coupler(
     return FockVector(state.shape, np.moveaxis(out, (0, 1), (i, j)))
 
 
+def apply_pair(
+    occupations: np.ndarray,
+    amplitudes: np.ndarray,
+    mode_pair: tuple[int, int],
+    params: CouplerParams,
+) -> np.ndarray:
+    """`apply_coupler` on a state listed by tuples, amplitudes[r] on
+    occupations[r]. With each tuple the listing must hold every tuple reached
+    by moving photons within the pair (as a listing by total photon number
+    does), so the map is exactly unitary. Tuples are ordered by pair total N,
+    the other modes, then k = occupations[:, mode_pair[0]]; each N's
+    subsectors go through one stacked sector product, N ascending."""
+    occ = np.asarray(occupations)
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    i, j = mode_pair
+    K = occ.shape[1]
+    if i == j or not (0 <= i < K and 0 <= j < K):
+        raise ValidationError(f"invalid mode pair {mode_pair}")
+    k, N = occ[:, i], occ[:, i] + occ[:, j]
+    order = np.lexsort([k, *(occ[:, m] for m in range(K) if m not in (i, j)), N])
+    starts = np.flatnonzero(np.diff(N[order], prepend=-1)).tolist()
+    out = np.empty_like(amps)
+    for lo, hi in zip(starts, starts[1:] + [order.size]):
+        rows, n = order[lo:hi], int(N[order[lo]])
+        if rows.size % (n + 1) or np.any(k[rows] != np.arange(rows.size) % (n + 1)):
+            raise ValidationError(f"the listing lacks tuples of pair total {n} on modes {mode_pair}")
+        out[rows] = _sector_product(params, n, amps[rows].reshape(-1, n + 1)).ravel()
+    return out
+
+
 def split_cascade(n_out: int) -> list[tuple[int, int, float]]:
     """Coupler schedule (mode_a, mode_b, theta) that sends the source operator
     of mode 0 to the equal combination (1/sqrt(n_out)) sum_k b_k.
@@ -334,31 +366,3 @@ def split_cascade(n_out: int) -> list[tuple[int, int, float]]:
         (k, 0, math.acos(math.sqrt((n_out - k) / (n_out - k + 1.0))))
         for k in range(1, n_out)
     ]
-
-
-def equal_multimode_split(state: FockVector, n_out: int) -> FockVector:
-    """Distribute the photons of a source mode equally over `n_out` output modes.
-
-    The input may be a single-mode state (vacuum ancillas are added) or an
-    n_out-mode state whose modes 1.. are vacuum. The contract is the composite
-    Heisenberg matrix of `split_cascade`, not the cascade topology.
-    """
-    if n_out < 1:
-        raise ValidationError("n_out must be >= 1")
-    if state.shape.mode_count == 1:
-        cutoff = state.shape.cutoffs[0]
-        full = state
-        for _ in range(n_out - 1):
-            full = tensor(full, vacuum(ModeShape((cutoff,))))
-    elif state.shape.mode_count == n_out:
-        probs = state.probabilities()
-        for mode in range(1, n_out):
-            occ = state.shape.occupations(mode).reshape(state.shape.dims)
-            if float(probs[occ > 0].sum()) > 1e-12:
-                raise ValidationError(f"ancilla mode {mode} must be vacuum")
-        full = state
-    else:
-        raise ValidationError("state must have one mode or exactly n_out modes")
-    for a, b, theta in split_cascade(n_out):
-        full = apply_coupler(full, (a, b), CouplerParams(theta, 0.0))
-    return full

@@ -41,17 +41,6 @@ def check_cells(cells: int, what: str = "array") -> None:
         raise SizingError(f"{what}: {count} cells exceed the cap of {BASIS_SIZE_CAP}")
 
 
-def check_power(base: int, exponent: int, what: str, factor: int = 1) -> None:
-    """`check_cells` for factor * base ** exponent, compared by its base-2
-    logarithm before it is formed: (cutoff + 1) ** modes at 10^15 modes has
-    too many digits to ever finish forming."""
-    if factor > 0 and base > 0:
-        bits = math.log2(factor) + exponent * math.log2(base)
-        if bits >= 64:
-            raise SizingError(f"{what}: over 2^{math.floor(bits)} cells exceed the cap of {BASIS_SIZE_CAP}")
-    check_cells(factor * base**exponent, what)
-
-
 def check_dense(axes: int, cells: int, what: str = "array") -> None:
     """`check_cells` for a dense array of `axes` axes, one per mode of a
     state; numpy arrays hold at most 64 axes, so more raise SizingError too."""
@@ -126,8 +115,17 @@ def sector_occupations(mode_count: int, total: int) -> np.ndarray:
         raise ValidationError("mode_count must be >= 1")
     if total < 0:
         raise ValidationError("photon number must be nonnegative")
-    slots, rows = total + mode_count - 1, math.comb(total + mode_count - 1, total)
-    check_cells(rows * mode_count, f"{total}-photon sector of {mode_count} modes")
+    what = f"{total}-photon sector of {mode_count} modes"
+    # slots >= 2 r, so the row count C(slots, r) is at least 2^r: past the
+    # cap's bits it is refused before math.comb forms it, which takes tens
+    # of seconds at a million modes and photons
+    slots, r = total + mode_count - 1, min(total, mode_count - 1)
+    if r > BASIS_SIZE_CAP.bit_length():
+        raise SizingError(f"{what}: over 2^{r} cells exceed the cap of {BASIS_SIZE_CAP}")
+    rows = math.comb(slots, r)
+    check_cells(rows * mode_count, what)
+    if total == 0:  # without the one tuple of mode_count - 1 Python ints, 56 bytes a mode
+        return np.zeros((1, mode_count), dtype=np.int64)
     placements = chain.from_iterable(combinations(range(slots), mode_count - 1))
     bars = np.fromiter(placements, np.int64, rows * (mode_count - 1)).reshape(rows, mode_count - 1)
     ends = np.ones((rows, 1), dtype=np.int64)

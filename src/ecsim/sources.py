@@ -1,6 +1,6 @@
-"""Phase-symmetric source models: the ideal Poissonian cavity field, its
-multimode output in the number-state and coherent-state decompositions, and a
-phase-diffusion model of finite coherence time.
+"""Phase-symmetric source models: the ideal Poissonian cavity field, the
+check of its multimode output's two decompositions one total photon number
+at a time, and a phase-diffusion model of finite coherence time.
 
 The number-state output uses the circle weight e^{-i m phi}; with the
 coherent-state expansion convention used throughout (|alpha> carries
@@ -9,6 +9,7 @@ e^{+i n phi}) this is the sign that actually reproduces |m> under synthesis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,15 +17,12 @@ import numpy as np
 from numpy.random import default_rng
 
 from .circle import ECSState, PhaseGrid, sector_amplitude_stack
-from .coupler import equal_multimode_split
+from .coupler import CouplerParams, apply_pair, split_cascade
 from .errors import ValidationError
 from .fock import (
-    FockVector,
     ModeShape,
     NumberDiagonalDensity,
     check_cells,
-    check_dense,
-    check_power,
     coherent_log_amplitudes,
     poisson_pmf,
     poisson_tail,
@@ -77,33 +75,6 @@ def laser_density(spec: LaserSpec) -> NumberDiagonalDensity:
     return NumberDiagonalDensity(ModeShape((spec.cutoff,)), weights)
 
 
-def multimode_output_coherent(nbar: float, phi: float, n_modes: int, cutoff: int) -> FockVector:
-    """Product of n_modes coherent states with amplitude sqrt(nbar/n_modes) e^{i phi}."""
-    if nbar < 0:
-        raise ValidationError("nbar must be nonnegative")
-    check_dense(n_modes, (cutoff + 1) ** n_modes, f"product of {n_modes} coherent modes at cutoff {cutoff}")
-    alpha = math.sqrt(nbar / n_modes) * np.exp(1j * phi)
-    row = coherent_log_amplitudes(np.array([alpha]), cutoff)[0]
-    amps = row
-    for _ in range(n_modes - 1):
-        amps = np.multiply.outer(amps, row)
-    return FockVector(ModeShape.uniform(n_modes, cutoff), amps)
-
-
-def _trace_norm_lowrank(vecs_l, w_l, vecs_r, w_r) -> float:
-    """Trace norm of sum_i w_l[i] |l_i><l_i| - sum_j w_r[j] |r_j><r_j|.
-
-    That is V W V^dag, with the vectors as the columns of V = Q R and
-    W = diag(w_l, -w_r); its nonzero eigenvalues are those of R W R^dag, so
-    neither Q nor the full matrices are ever formed.
-    """
-    V = np.concatenate([vecs_l, vecs_r], axis=0).T  # columns are vectors
-    R = np.linalg.qr(V, mode="r")
-    small = (R * np.concatenate([w_l, -w_r])) @ R.conj().T
-    eigs = np.linalg.eigvalsh((small + small.conj().T) / 2.0)
-    return float(np.abs(eigs).sum())
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     trace_distance: float
@@ -114,34 +85,44 @@ class EquivalenceReport:
 def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> EquivalenceReport:
     """Trace distance between the two decompositions of the split laser output.
 
-    Route one mixes coupler-cascade splits of number states with Poisson
-    weights; route two phase-averages coherent products on an exact grid. The
-    distance is reported together with the Poisson mass necessarily dropped by
-    the m <= cutoff restriction, which bounds the honest disagreement.
+    Route one mixes coupler-cascade splits s_m of |m>, m <= cutoff, with
+    Poisson weights p_m; route two phase-averages the product of coherent
+    states sqrt(nbar / n_modes), each truncated at `cutoff`. Both conserve
+    the total photon number T, so the trace norm is a sum over T. For
+    T <= cutoff the block |u><u| - |w><w|, u = sqrt(p_T) s_T and w the product
+    on the T-photon tuples, has the trace norm
+    sqrt((|u|^2 - |w|^2)^2 + 4 |u|^2 |r|^2), r = w - (<u|w> / |u|^2) u, which
+    subtracts no near-equal squares; the blocks above add the product's mass
+    off those tuples. The Poisson mass the cutoff drops is reported with the
+    distance, as the bound on their honest disagreement.
     """
     if nbar < 0:
         raise ValidationError("nbar must be nonnegative")
-    m_max = cutoff
-    # total numbers differ by at most N * cutoff: the degree of the phase average
-    M = PhaseGrid.exact(n_modes * cutoff).size
-    check_power(cutoff + 1, n_modes, "stacked number and coherent vectors", factor=cutoff + 1 + M)
-    # the cascade keeps total photon number, so one split of sum_m |m> holds
-    # the split of each |m> on its own total-number sector
-    m = np.arange(m_max + 1)
-    split = equal_multimode_split(FockVector(ModeShape((cutoff,)), np.ones(m.size, dtype=np.complex128)), n_modes)
-    number_vecs = np.where(split.shape.total_occupation() == m[:, None], split.amplitudes.ravel(), 0.0)
-    number_weights = [poisson_pmf(nbar, i) for i in range(m_max + 1)]
-    coherent_vecs = []
-    for phi in 2.0 * math.pi * np.arange(M) / M:
-        coherent_vecs.append(multimode_output_coherent(nbar, phi, n_modes, cutoff).amplitudes.ravel())
-    distance = _trace_norm_lowrank(
-        number_vecs,
-        np.array(number_weights),
-        np.array(coherent_vecs),
-        np.full(M, 1.0 / M),
-    )
-    tail = poisson_tail(nbar, m_max) + n_modes * poisson_tail(nbar / n_modes, cutoff)
-    return EquivalenceReport(distance, tail, m_max)
+    # every tuple of n_modes modes holding at most `cutoff` photons: a slack mode holds the rest
+    listing = sector_occupations(n_modes + 1, cutoff)
+    occ, total = listing[:, :-1], cutoff - listing[:, -1]
+    # the cascade keeps total photon number, so one split of sum_m |m, 0, ..., 0>
+    # holds the split of each |m> on its m-photon tuples; with no photons
+    # there is nothing to split, in any number of modes
+    split = (occ[:, 0] == total).astype(np.complex128)
+    for a, b, theta in split_cascade(n_modes) if cutoff else []:
+        split = apply_pair(occ, split, (a, b), CouplerParams(theta))
+    u = np.sqrt(poisson_pmf(nbar, np.arange(cutoff + 1)))[total] * split
+    # the coherent product at phase 0, which is real, on the same tuples
+    c = coherent_log_amplitudes(np.array([math.sqrt(nbar / n_modes)]), cutoff)[0].real
+    w = np.prod(c[occ], axis=1)
+    per_total = functools.partial(np.bincount, total, minlength=cutoff + 1)
+    uu, ww = per_total(np.abs(u) ** 2), per_total(w**2)
+    uw = per_total(u.real * w) - 1j * per_total(u.imag * w)
+    # where |u|^2 is subnormal the division would overflow; such a block's
+    # trace norm is at most |u|^2 + |w|^2, which is taken
+    normal = uu >= np.finfo(np.float64).tiny
+    coef = np.divide(uw, uu, out=np.zeros_like(uw), where=normal)
+    rr = per_total(np.abs(w - coef[total] * u) ** 2)
+    blocks = np.where(normal, np.sqrt((uu - ww) ** 2 + 4.0 * uu * rr), uu + ww)
+    above = max(0.0, float(np.sum(c**2)) ** n_modes - float(ww.sum()))
+    tail = poisson_tail(nbar, cutoff) + n_modes * poisson_tail(nbar / n_modes, cutoff)
+    return EquivalenceReport(float(blocks.sum()) + above, tail, cutoff)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Dense truncated-Fock helpers that only the tests use: cutoffs for a
 Poisson source, zero-padding, partial traces, number-diagonal reads,
 projective count collapse, the trajectory's full phase-pair table, the
-trajectory's Fock oracle keyed by outcome sequence and the squeezing pump
-sector in the dense three-mode basis."""
+trajectory's Fock oracle keyed by outcome sequence, the squeezing pump
+sector in the dense three-mode basis, and the laser check's dense reference:
+the coupler-cascade split of a state and the multimode coherent product."""
 
 from __future__ import annotations
 
@@ -11,8 +12,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ecsim.coupler import CouplerParams, apply_coupler, split_cascade
 from ecsim.errors import ValidationError
-from ecsim.fock import DensityMatrix, FockVector, ModeShape, NumberDiagonalDensity, check_cells, zeros
+from ecsim.fock import (
+    DensityMatrix,
+    FockVector,
+    ModeShape,
+    NumberDiagonalDensity,
+    check_cells,
+    check_dense,
+    coherent_log_amplitudes,
+    tensor,
+    vacuum,
+    zeros,
+)
 from ecsim.measurement import TrajectoryState, _psi_samples, exact_trajectory_leaves
 from ecsim.squeezing import pump_sector_evolution
 
@@ -137,3 +150,44 @@ def exact_three_mode_evolution(pump_n: int, zeta_t: complex, cutoff: int | None 
     k = np.arange(pair_cut + 1)
     amps[pump_n - k, k, k] = pump_sector_evolution(pump_n, zeta_t)[k]
     return FockVector(shape, amps)
+
+
+def equal_multimode_split(state: FockVector, n_out: int) -> FockVector:
+    """Distribute the photons of a source mode equally over `n_out` output modes.
+
+    The input may be a single-mode state (vacuum ancillas are added) or an
+    n_out-mode state whose modes 1.. are vacuum. The contract is the composite
+    Heisenberg matrix of `split_cascade`, not the cascade topology.
+    """
+    if n_out < 1:
+        raise ValidationError("n_out must be >= 1")
+    if state.shape.mode_count == 1:
+        cutoff = state.shape.cutoffs[0]
+        full = state
+        for _ in range(n_out - 1):
+            full = tensor(full, vacuum(ModeShape((cutoff,))))
+    elif state.shape.mode_count == n_out:
+        probs = state.probabilities()
+        for mode in range(1, n_out):
+            occ = state.shape.occupations(mode).reshape(state.shape.dims)
+            if float(probs[occ > 0].sum()) > 1e-12:
+                raise ValidationError(f"ancilla mode {mode} must be vacuum")
+        full = state
+    else:
+        raise ValidationError("state must have one mode or exactly n_out modes")
+    for a, b, theta in split_cascade(n_out):
+        full = apply_coupler(full, (a, b), CouplerParams(theta, 0.0))
+    return full
+
+
+def multimode_output_coherent(nbar: float, phi: float, n_modes: int, cutoff: int) -> FockVector:
+    """Product of n_modes coherent states with amplitude sqrt(nbar/n_modes) e^{i phi}."""
+    if nbar < 0:
+        raise ValidationError("nbar must be nonnegative")
+    check_dense(n_modes, (cutoff + 1) ** n_modes, f"product of {n_modes} coherent modes at cutoff {cutoff}")
+    alpha = math.sqrt(nbar / n_modes) * np.exp(1j * phi)
+    row = coherent_log_amplitudes(np.array([alpha]), cutoff)[0]
+    amps = row
+    for _ in range(n_modes - 1):
+        amps = np.multiply.outer(amps, row)
+    return FockVector(ModeShape.uniform(n_modes, cutoff), amps)

@@ -115,6 +115,23 @@ class TestConfigValidation:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("via", ["--out", "output_dir"])
+    @pytest.mark.parametrize("below", ["sub", "a/b"])
+    def test_output_path_under_a_file_rejected(self, tmp_path, capsys, monkeypatch, via, below):
+        # the directory could never be made: the run is refused before any
+        # work, with one line naming the path, not after it with a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("")
+        outdir = str(Path("blocker", below))
+        payload = {"experiment": "laser-equivalence", "parameters": VALID_PARAMETERS["laser-equivalence"]}
+        if via == "output_dir":
+            payload["output_dir"] = outdir
+        cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(cfg), *(["--out", outdir] if via == "--out" else [])]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and outdir in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
     @pytest.mark.parametrize("output_dir", [5, None, True, ["a"]], ids=["number", "null", "true", "list"])
     def test_non_string_output_dir_rejected(self, tmp_path, capsys, monkeypatch, output_dir):
         # the malformed-config table passes --out, which the config's output_dir yields to
@@ -156,8 +173,8 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     def test_huge_mode_count_refused_before_its_size_is_formed(self, tmp_path):
-        # (cutoff + 1) ** modes at 10^15 modes has too many digits to form, so
-        # the size check compares its logarithm; the run goes to a child with
+        # the tuples of 10^15 modes (and a slack mode) holding 3 photons are
+        # sized before they are listed; the run goes to a child with
         # a time limit and an address-space cap, so a run that forms the
         # number fails here instead of hanging or filling memory
         params = {"nbar": 1.0, "modes": 1e15, "cutoff": 3}
@@ -173,7 +190,7 @@ class TestConfigValidation:
         done = run_python(code, str(cfg), str(out), env=env, timeout=60)
         assert done.returncode == 3, done.stderr
         err = done.stderr.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("sizing error: stacked number and coherent vectors: over 2^")
+        assert len(err) == 1 and err[0].startswith("sizing error: 3-photon sector of 1000000000000001 modes: over 2^")
         assert not out.exists()
 
     def test_null_stands_for_a_null_default_only(self, tmp_path):
@@ -216,7 +233,7 @@ class TestConfigValidation:
             ({"experiment": "ecs-verify", "thetas": []}, "thetas"),
             ({"experiment": "ecs-verify", "phis": []}, "phis"),
             ({"experiment": "phase-walk", "photons": 0}, "photons"),
-            ({"experiment": "laser-equivalence", "modes": 1, "cutoff": 4000, "exit": 3}, "cap"),
+            ({"experiment": "laser-equivalence", "modes": 3, "cutoff": 1000, "exit": 3}, "cap"),
             ({"experiment": "squeeze", "pumps": [4092], "exit": 3}, "cap"),
             ({"experiment": "ecs-verify", "n_max": 100, "exit": 3}, "cap"),
             ({"experiment": "squeeze", "pair_cutoff": 2**24, "exit": 3}, "cap"),
@@ -228,7 +245,7 @@ class TestConfigValidation:
             ({"experiment": "phase-walk", "lags": None}, "lags"),
             ({"experiment": "phase-walk", "modes": None}, "modes"),
             ({"experiment": "squeeze", "pumps": []}, "pumps"),
-            ({"experiment": "laser-equivalence", "nbar": 0.5, "modes": 70, "cutoff": 0, "exit": 3}, "axes"),
+            ({"experiment": "laser-equivalence", "modes": 10**6, "cutoff": 10**6, "exit": 3}, "cap"),
             ({"experiment": "interfere", "A": 1e300}, "A"),
             ({"experiment": "interfere", "B": 10**300}, "B"),
             ({"experiment": "homodyne", "n": 2**53 + 1}, "n"),
@@ -290,6 +307,26 @@ class TestEnvironment:
         done = run_python(code, env=env)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "1"
+
+    def test_laser_equivalence_bytes_at_any_thread_count(self, tmp_path):
+        # the sector check sums each block alone in a fixed order, so its
+        # result does not depend on how BLAS splits work across threads
+        params = {"nbar": 2.0, "modes": 3, "cutoff": 8}
+        cfg = write_config(tmp_path, {"experiment": "laser-equivalence", "parameters": params})
+        code = (
+            "import sys\n"
+            "from ecsim.cli import main\n"
+            "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+        )
+        written = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+            env["ECSIM_THREADS"] = threads
+            out = tmp_path / f"threads{threads}"
+            done = run_python(code, str(cfg), str(out), env=env)
+            assert done.returncode == 0, done.stderr
+            written.append((out / "results.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_run_paths_leave_scipy_unloaded(self, tmp_path):
         # scipy serves `ecsim verify` and test oracles; start-up and every
@@ -457,6 +494,16 @@ class TestRunArtifacts:
                 "parameters": {"nbar": 1.0, "modes": 2, "cutoff": 10},
             },
         )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        res = json.loads((out / "results.json").read_text())
+        assert res["trace_distance"] <= res["tolerance"]
+
+    def test_laser_equivalence_of_70_modes_runs(self, tmp_path):
+        # the check lists tuples by total photon number, not one dense axis per
+        # mode, so 70 modes at cutoff 1 are 71 tuples
+        params = {"nbar": 0.5, "modes": 70, "cutoff": 1}
+        cfg = write_config(tmp_path, {"experiment": "laser-equivalence", "parameters": params})
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         res = json.loads((out / "results.json").read_text())

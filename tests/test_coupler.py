@@ -13,9 +13,9 @@ from ecsim.coupler import (
     BlockUnitary,
     CouplerParams,
     apply_coupler,
+    apply_pair,
     apply_sector,
     coupler_block,
-    equal_multimode_split,
     heisenberg_matrix,
     oracle_block,
     sector_spectrum,
@@ -30,11 +30,13 @@ from ecsim.fock import (
     coherent_amplitudes,
     fidelity,
     poisson_tail,
+    sector_occupations,
     tensor,
     vacuum,
 )
 from ecsim.sources import decomposition_equivalence_check
 from ecsim.verify import check_commuting_diagram, check_oracle_agreement
+from fock_helpers import equal_multimode_split
 
 
 def cascade_matrix(cascade: list[tuple[int, int, float]], n_modes: int) -> np.ndarray:
@@ -554,6 +556,49 @@ class TestApplyCouplerDenseReference:
         assert np.all(out.amplitudes[totals == 3] == 0.0)
         assert np.any(out.amplitudes[totals == 2]) and np.any(out.amplitudes[totals == 4])
         self.check(amps, cutoffs, (0, 1))
+
+
+class TestApplyPair:
+    PARAMS = CouplerParams(0.83, 2.4)
+
+    @staticmethod
+    def listed_state(modes, total, seed):
+        """Random amplitudes on every tuple of `modes` modes holding at most
+        `total` photons, and the same state as a dense array of cutoff `total`."""
+        occ = sector_occupations(modes + 1, total)[:, :-1]
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(occ)) + 1j * rng.normal(size=len(occ))
+        dense = np.zeros((total + 1,) * modes, dtype=complex)
+        dense[tuple(occ.T)] = amps
+        return occ, amps, FockVector(ModeShape.uniform(modes, total), dense)
+
+    @pytest.mark.parametrize("modes,total,pair", [(2, 6, (0, 1)), (2, 6, (1, 0)), (3, 5, (2, 0)), (4, 3, (1, 3))])
+    def test_matches_the_dense_coupler(self, modes, total, pair):
+        # every pair sector of a listing by total fits the cutoff, so the
+        # dense coupler is exactly unitary there too
+        occ, amps, state = self.listed_state(modes, total, 5)
+        dense = apply_coupler(state, pair, self.PARAMS).amplitudes
+        assert np.abs(apply_pair(occ, amps, pair, self.PARAMS) - dense[tuple(occ.T)]).max() <= 1e-13
+
+    def test_row_order_is_free(self):
+        occ, amps, _ = self.listed_state(3, 5, 6)
+        perm = np.random.default_rng(7).permutation(len(occ))
+        out = apply_pair(occ, amps, (1, 2), self.PARAMS)
+        assert np.array_equal(apply_pair(occ[perm], amps[perm], (1, 2), self.PARAMS), out[perm])
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 3), (-1, 0)])
+    def test_invalid_pair_rejected(self, pair):
+        occ, amps, _ = self.listed_state(3, 2, 8)
+        with pytest.raises(ValidationError, match="invalid mode pair"):
+            apply_pair(occ, amps, pair, self.PARAMS)
+
+    def test_listing_without_every_split_rejected(self):
+        # |2, 0> without |1, 1> and |0, 2>: the coupler would send amplitude out of it
+        occ, amps, _ = self.listed_state(2, 2, 9)
+        keep = occ.sum(axis=1) < 2
+        keep[np.flatnonzero(occ[:, 0] == 2)] = True
+        with pytest.raises(ValidationError, match="lacks tuples of pair total 2"):
+            apply_pair(occ[keep], amps[keep], (0, 1), self.PARAMS)
 
 
 class TestEqualSplit:

@@ -26,8 +26,7 @@ from ecsim.fock import (
     vacuum,
     vector_fidelity,
 )
-from ecsim.sources import multimode_output_coherent
-from fock_helpers import default_cutoff, embed, from_density, reduced_density
+from fock_helpers import default_cutoff, embed, from_density, multimode_output_coherent, reduced_density
 
 RNG = np.random.default_rng(20231015)
 # relative gap of the Poisson and coherent weights to a gammaln reference, per
