@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coupler as _coupler
 from .errors import ValidationError
-from .fock import FockVector, ModeShape, check_cells, coherent_log_amplitudes, poisson_pmf, zeros
+from .fock import FockVector, ModeShape, _unit_phase, check_cells, coherent_log_amplitudes, poisson_pmf, zeros
 
 # complex cells (16 MiB) per block of the grid tables and sector products, so
 # their temporaries stay small beside the (P, modes, cutoff + 1) tables
@@ -178,12 +178,8 @@ def pair_ladder(chis: complex | np.ndarray, cutoff: int) -> np.ndarray:
     chis = np.asarray(chis, dtype=np.complex128).ravel()
     check_cells(chis.size * (cutoff + 1), f"pair ladder of {chis.size} x {cutoff + 1}")
     r = np.abs(chis)
-    # complex division multiplies by 1 / |chi|, which overflows for a subnormal
-    # |chi|: scale those chis by 2^64 first, which is exact and leaves -chi/|chi|
-    big = np.where(r < np.finfo(np.float64).tiny, 2.0**64, 1.0)
-    unit = np.divide(-chis * big, r * big, out=np.ones_like(chis), where=r > 0)
     k = np.arange(cutoff + 1)
-    return (unit[:, None] ** k) * (np.tanh(r)[:, None] ** k) / np.cosh(r)[:, None]
+    return (_unit_phase(-chis)[:, None] ** k) * (np.tanh(r)[:, None] ** k) / np.cosh(r)[:, None]
 
 
 def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

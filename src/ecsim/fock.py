@@ -224,6 +224,16 @@ def poisson_tail(nbar: float, cutoff: int) -> float:
     return float(max(0.0, 1.0 - poisson_pmf(nbar, ns).sum()))
 
 
+def _unit_phase(z: np.ndarray) -> np.ndarray:
+    """z / |z| for a complex array, and 0 where z = 0. Complex division
+    multiplies by 1 / |z|, which overflows for a subnormal |z|: those z are
+    scaled by 2^64 first, which is exact and leaves z / |z|; every other z is
+    divided as it is."""
+    mags = np.abs(z)
+    big = np.where(mags < np.finfo(np.float64).tiny, 2.0**64, 1.0)
+    return np.divide(z * big, mags * big, out=np.zeros_like(z), where=mags != 0.0)
+
+
 def coherent_log_amplitudes(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     """Row p of the result is the Fock expansion of amplitude alphas[p].
 
@@ -245,11 +255,7 @@ def coherent_log_amplitudes(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     safe = np.where(mags == 0.0, 1.0, mags)
     out = np.empty((cutoff + 1, alphas.size), dtype=np.complex128)
     out[0] = 1.0
-    # complex division multiplies by 1 / |alpha|, which overflows for a
-    # subnormal |alpha|: those alphas are scaled by 2^64 first, which is exact
-    # and leaves alpha/|alpha|; every other alpha is divided as it is
-    big = np.where(safe < np.finfo(np.float64).tiny, 2.0**64, 1.0)
-    unit = (alphas * big) / (safe * big)
+    unit = _unit_phase(alphas)
     filled = 1
     while filled <= cutoff:
         step = min(filled, cutoff + 1 - filled)
@@ -358,17 +364,6 @@ def twirl(rho: DensityMatrix, modes: Sequence[int] | None = None) -> DensityMatr
     tot = rho.shape.total_occupation(modes)
     mask = tot[:, None] == tot[None, :]
     return DensityMatrix(rho.shape, rho.entries * mask)
-
-
-def trace_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    if a.shape != b.shape:
-        raise ValidationError("shape mismatch in trace_distance")
-    return trace_norm(a.entries - b.entries)
 
 
 @dataclass(frozen=True)

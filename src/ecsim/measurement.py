@@ -24,13 +24,12 @@ single (s + 1, 2n + 1) array (cut to the columns it can reach), with the
 detection constants c / sqrt(a + 1) and c / sqrt(b + 1) folded in so that
 every row's quadratic form is its Born probability. The total count of a
 step is Binomial(D, eps) whatever the weight, so every shell built is checked
-against its binomial weight. The sampler draws one uniform number and reads
-shells only until their cumulative probability passes it, a few shells near
-s = eps D; a draw within DRAW_MARGIN of an outcome edge enumerates the step
-in full instead. Either way it picks the outcome `Generator.choice` picks
-from the full enumeration with the same draw, so sampling is exact Born-rule
-sampling and seeded records do not depend on how far a step reads (see
-docs/trajectory_notes.md for the derivation and tests against the
+against its binomial weight. The sampler draws one uniform number u and
+reads shells in `_pair` order only until their running probability passes
+it, a few shells near s = eps D: one inverse-CDF pass, exact Born-rule
+sampling. Seeded records can differ from `Generator.choice` on the full
+enumeration only where u lies within rounding (about 1e-12) of an outcome
+edge (see docs/trajectory_notes.md for the derivation and tests against the
 brute-force Fock pipeline). Memory is capped by the deepest shell array,
 SHELL_CELL_CAP complex cells, rather than by a (2n + 1)^2 table.
 """
@@ -51,9 +50,6 @@ from .fock import FockVector, ModeShape, check_cells, poisson_pmf, zeros
 
 RNG_NAME = "numpy-pcg64"
 STEP_TAIL_TOLERANCE = 1e-10
-# distance a uniform draw must keep from the cumulative edges of its outcome
-# for the shells read so far to decide it, 1e4 times STEP_TAIL_TOLERANCE
-DRAW_MARGIN = 1e-6
 FRINGE_BRANCHES = ("full", "positive")
 # complex cells of the deepest outcome shell, (s + 1) x (2n + 1): 32 MiB
 SHELL_CELL_CAP = 2**21
@@ -230,37 +226,26 @@ def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple
     return np.concatenate(probs, axis=-1), worst
 
 
-def _choice_index(p: np.ndarray, u: float) -> int:
-    """The index `Generator.choice(p.size, p=p / p.sum())` returns when its
-    one uniform draw is `u`: numpy's own cumulative-sum steps, replayed."""
-    cdf = (p / p.sum()).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
-
-
 def _draw(v: np.ndarray, n: int, remaining: int, r2: float, eps: float, u: float) -> tuple[int, float, float]:
-    """The outcome `_choice_index` picks from the full `_step` enumeration
-    for the uniform draw `u`, reading shells only up to the drawn one.
-
-    The partial cumulative sums differ from the normalized full ones by
-    about |sum(p) - 1|, far below DRAW_MARGIN, so a `u` more than
-    DRAW_MARGIN from both edges of its outcome picks the same outcome;
-    otherwise the step is enumerated in full and `_choice_index` decides.
-    Returns (index, probability, worst deviation of the shells built).
-    """
+    """One inverse-CDF read of a step: the first outcome, in `_pair` order,
+    whose running Born probability passes the uniform draw `u`, reading
+    shells only up to it. The probabilities read can fall short of one by
+    their rounding, about 1e-12 at most; a `u` past them all picks the last
+    outcome that raised the running probability, which is nonzero. Returns
+    (index, probability, worst deviation of the shells built)."""
     worst, below, offset = 0.0, 0.0, 0
     for p, deviation in _shells(v, n, remaining, r2, eps):
         worst = max(worst, float(deviation))
         edges = below + p.cumsum()
         k = int(edges.searchsorted(u, side="right"))
         if k < p.size:
-            if min(u - (edges[k - 1] if k else below), edges[k] - u) > DRAW_MARGIN:
-                return offset + k, float(p[k]), worst
-            break
+            return offset + k, float(p[k]), worst
+        if edges[-1] > below:  # the shell raised the running probability
+            last = p, edges, offset
         below, offset = float(edges[-1]), offset + p.size
-    probs, deviation = _step(v, n, remaining, r2, eps)
-    pick = _choice_index(probs, u)
-    return pick, float(probs[pick]), max(worst, float(deviation))
+    p, edges, offset = last
+    k = int(edges.searchsorted(edges[-1]))  # the first outcome at the top edge
+    return offset + k, float(p[k]), worst
 
 
 def _collapse(v: np.ndarray, r2: float, eps: float, a: int, b: int, p) -> np.ndarray:
@@ -409,18 +394,13 @@ def run_interference_trajectory(
         records.append(StepRecord(step, (a, b), p))
         if stop_after_detections is not None and 2 * n - remaining >= stop_after_detections:
             break
-    totals = (
-        sum(r.counts[0] for r in records),
-        sum(r.counts[1] for r in records),
-    )
-    traj = TrajectoryState(n, eps_step, v, remaining, r2, totals, len(records), worst)
-    return DetectionRecord(tuple(records), seed), traj
+    record = DetectionRecord(tuple(records), seed)
+    return record, TrajectoryState(n, eps_step, v, remaining, r2, record.totals, len(records), worst)
 
 
 class TrajectoryLeaves(NamedTuple):
-    """The leaves of a walked outcome tree, one row each, depth first in the
-    sampler's outcome order; row i is the branch `trajectory_branches` yields
-    i-th."""
+    """The leaves of a walked outcome tree, one row each, in the order a
+    depth-first walk in the sampler's outcome order meets them."""
 
     outcomes: np.ndarray  # (leaves, depth, 2) int: the counts (a, b) of each step
     probabilities: np.ndarray  # (leaves,)
@@ -474,18 +454,6 @@ def trajectory_leaves(n: int, eps_step: float, depth: int, floor: float) -> Traj
         paths, remaining = np.column_stack([paths[parent], index]), remaining[parent] - table[index].sum(axis=1)
         r2 *= 1.0 - eps_step
     return TrajectoryLeaves(table[paths], prob, weights, remaining, worst, r2)
-
-
-def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
-    """The leaves of `trajectory_leaves`, one (outcomes, probability,
-    TrajectoryState) per branch, outcomes a tuple of (a, b) pairs."""
-    leaves = trajectory_leaves(n, eps_step, depth, floor)
-    totals = leaves.outcomes.sum(axis=1)
-    rows = zip(leaves.outcomes.tolist(), totals.tolist(), leaves.probabilities.tolist(), leaves.overflow_bounds.tolist())
-    for row, (path, (a, b), p, bound) in enumerate(rows):
-        yield tuple(map(tuple, path)), p, TrajectoryState(
-            n, eps_step, leaves.weights[row], 2 * n - a - b, leaves.radius2, (a, b), depth, bound
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .errors import ValidationError
 from .fock import (
     ModeShape,
     NumberDiagonalDensity,
+    _log_factorial,
     check_cells,
-    coherent_log_amplitudes,
     poisson_pmf,
     poisson_tail,
     sector_occupations,
@@ -108,11 +108,17 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
     for a, b, theta in split_cascade(n_modes) if cutoff else []:
         split = apply_pair(occ, split, (a, b), CouplerParams(theta))
     u = np.sqrt(poisson_pmf(nbar, np.arange(cutoff + 1)))[total] * split
-    # the coherent product at phase 0, which is real, on the same tuples
-    c = coherent_log_amplitudes(np.array([math.sqrt(nbar / n_modes)]), cutoff)[0].real
-    w = np.prod(c[occ], axis=1)
+    # the coherent product at phase 0, which is real, on the same tuples, as
+    # e^{-nbar/2 + sum_modes d_occ}, d_k = log(alpha^k / sqrt(k!)): its amplitudes
+    # and its in-cutoff mass e^{-nbar} (sum_k e^{2 d_k})^modes then round alike,
+    # where a product of modes factors e^{-alpha^2/2} against a power would not
+    alpha2, k = nbar / n_modes, np.arange(1, cutoff + 1)
+    d = np.zeros(cutoff + 1)
+    d[1:] = 0.5 * (k * math.log(alpha2) - _log_factorial(k)) if alpha2 > 0.0 else -np.inf
+    log_w = d[occ].sum(axis=1) - 0.5 * nbar
+    w = np.exp(log_w)
     per_total = functools.partial(np.bincount, total, minlength=cutoff + 1)
-    uu, ww = per_total(np.abs(u) ** 2), per_total(w**2)
+    uu, ww = per_total(np.abs(u) ** 2), per_total(np.exp(2.0 * log_w))
     uw = per_total(u.real * w) - 1j * per_total(u.imag * w)
     # where |u|^2 is subnormal the division would overflow; such a block's
     # trace norm is at most |u|^2 + |w|^2, which is taken
@@ -120,7 +126,13 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
     coef = np.divide(uw, uu, out=np.zeros_like(uw), where=normal)
     rr = per_total(np.abs(w - coef[total] * u) ** 2)
     blocks = np.where(normal, np.sqrt((uu - ww) ** 2 + 4.0 * uu * rr), uu + ww)
-    above = max(0.0, float(np.sum(c**2)) ** n_modes - float(ww.sum()))
+    # the largest term of sum_k e^{2 d_k} taken out, so that no exp overflows
+    # and log1p keeps the rest's digits
+    top = int(np.argmax(d))
+    rest = np.exp(2.0 * (d - d[top]))
+    rest[top] = 0.0
+    mass = math.exp(n_modes * (2.0 * d[top] + math.log1p(float(rest.sum()))) - nbar)
+    above = max(0.0, mass - float(ww.sum()))
     tail = poisson_tail(nbar, cutoff) + n_modes * poisson_tail(nbar / n_modes, cutoff)
     return EquivalenceReport(float(blocks.sum()) + above, tail, cutoff)
 

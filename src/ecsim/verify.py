@@ -129,7 +129,8 @@ def check_commuting_diagram(
     for n in range(n_max, -1, -1):
         for nprime in sorted({0, n}, reverse=True):
             N = n + nprime
-            ecs = two_mode_circle(n, nprime, cutoffs=N)
+            # grids of degree N, the sector's, and the cutoffs a coupler needs
+            ecs = dataclasses.replace(two_mode_circle(n, nprime), shape=ModeShape((N, N)))
             k = np.arange(N + 1)
             tuples = np.stack([k, N - k], axis=1)
             reference = ecs_sector_amplitudes(ecs, tuples)

@@ -1,9 +1,10 @@
 """Dense truncated-Fock helpers that only the tests use: cutoffs for a
 Poisson source, zero-padding, partial traces, number-diagonal reads,
 projective count collapse, the trajectory's full phase-pair table, the
-trajectory's Fock oracle keyed by outcome sequence, the squeezing pump
-sector in the dense three-mode basis, and the laser check's dense reference:
-the coupler-cascade split of a state and the multimode coherent product."""
+trajectory's walked branches and its Fock oracle, both keyed by outcome
+sequence, the squeezing pump sector in the dense three-mode basis, and the
+laser check's dense reference: the coupler-cascade split of a state, the
+multimode coherent product and the trace norm."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from ecsim.fock import (
     vacuum,
     zeros,
 )
-from ecsim.measurement import TrajectoryState, _psi_samples, exact_trajectory_leaves
+from ecsim.measurement import TrajectoryState, _psi_samples, exact_trajectory_leaves, trajectory_leaves
 from ecsim.squeezing import pump_sector_evolution
 
 
@@ -118,6 +119,19 @@ def weight_table(traj: TrajectoryState, grid_points: int | None = None) -> np.nd
     return h[(l[:, None] - l[None, :]) % M] * phase_b[None, :]
 
 
+def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
+    """The leaves of `measurement.trajectory_leaves`, one (outcomes,
+    probability, TrajectoryState) per branch, outcomes a tuple of (a, b)
+    pairs."""
+    leaves = trajectory_leaves(n, eps_step, depth, floor)
+    totals = leaves.outcomes.sum(axis=1)
+    rows = zip(leaves.outcomes.tolist(), totals.tolist(), leaves.probabilities.tolist(), leaves.overflow_bounds.tolist())
+    for row, (path, (a, b), p, bound) in enumerate(rows):
+        yield tuple(map(tuple, path)), p, TrajectoryState(
+            n, eps_step, leaves.weights[row], 2 * n - a - b, leaves.radius2, (a, b), depth, bound
+        )
+
+
 def exact_trajectory_branches(
     n: int, eps_step: float, branches: Iterable[Sequence[tuple[int, int]]]
 ) -> dict[tuple[tuple[int, int], ...], tuple[FockVector | None, float]]:
@@ -191,3 +205,8 @@ def multimode_output_coherent(nbar: float, phi: float, n_modes: int, cutoff: int
     for _ in range(n_modes - 1):
         amps = np.multiply.outer(amps, row)
     return FockVector(ModeShape.uniform(n_modes, cutoff), amps)
+
+
+def trace_norm(matrix: np.ndarray) -> float:
+    """Sum of singular values."""
+    return float(np.linalg.svd(matrix, compute_uv=False).sum())

@@ -25,7 +25,6 @@ from ecsim.fock import (
 from ecsim.measurement import (
     fringe_scan,
     run_interference_trajectory,
-    trajectory_branches,
 )
 from ecsim.sources import (
     LaserSpec,
@@ -37,7 +36,7 @@ from ecsim.sources import (
 from ecsim.squeezing import approximation_quality, pump_entangled_squeezed
 from ecsim.verify import check_commuting_diagram
 from fock_counts import reduced_ab_density, taylor_pair_state
-from fock_helpers import exact_trajectory_branches
+from fock_helpers import exact_trajectory_branches, trajectory_branches
 
 
 def report(number: int, text: str) -> None:

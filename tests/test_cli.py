@@ -235,7 +235,7 @@ class TestConfigValidation:
             ({"experiment": "phase-walk", "photons": 0}, "photons"),
             ({"experiment": "laser-equivalence", "modes": 3, "cutoff": 1000, "exit": 3}, "cap"),
             ({"experiment": "squeeze", "pumps": [4092], "exit": 3}, "cap"),
-            ({"experiment": "ecs-verify", "n_max": 100, "exit": 3}, "cap"),
+            ({"experiment": "ecs-verify", "n_max": 128, "exit": 3}, "cap"),
             ({"experiment": "squeeze", "pair_cutoff": 2**24, "exit": 3}, "cap"),
             ({"profile_points": 2**24 + 1, "exit": 3}, "profile"),
             ({"fringe": True, "fringe_points": 2**24 + 1, "exit": 3}, "fringe"),

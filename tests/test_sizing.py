@@ -101,7 +101,7 @@ OVER_CAP = [
     ("phase-walk tables, 1 mode", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 1, 2**24), 1)),
     ("phase-walk tables, 2 modes", lambda: phase_walk_correlation(PhaseWalkSpec(0.1, 2, 2**21), 1)),
     ("two_mode_circle", lambda: two_mode_circle(0, 0, cutoffs=1448)),
-    ("commuting-diagram sweep", lambda: check_commuting_diagram(64)),
+    ("commuting-diagram sweep", lambda: check_commuting_diagram(128)),
     ("commuting-diagram circles", lambda: check_commuting_diagram(10**9)),
     ("circle delta_profile", lambda: delta_profile(conditional_weight(1, 1, 0.1, 4, grid=16), points=2**24 + 1)),
     ("trajectory delta_profile", lambda: _trajectory(4).delta_profile(2**24 + 1)),

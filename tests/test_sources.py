@@ -13,7 +13,6 @@ from ecsim.fock import (
     lowering_matrix,
     poisson_pmf,
     to_density,
-    trace_norm,
     twirl,
 )
 from ecsim import sources
@@ -28,7 +27,7 @@ from ecsim.sources import (
 )
 from ecsim.verify import check_decomposition_equivalence
 from fock_counts import total_number_distribution
-from fock_helpers import equal_multimode_split, multimode_output_coherent
+from fock_helpers import equal_multimode_split, multimode_output_coherent, trace_norm
 
 
 def multimode_output_number(m: int, n_modes: int, grid: PhaseGrid | None = None) -> ECSState:
@@ -225,6 +224,11 @@ class TestDecompositionEquivalence:
     def test_vacuum_exact(self):
         rep = decomposition_equivalence_check(0.0, 2, 4)
         assert rep.trace_distance <= 1e-12
+
+    def test_many_modes_at_cutoff_zero_read_the_vacuum_on_both_routes(self):
+        # both routes are the vacuum here, whose distance is 0: the product's
+        # amplitudes and its in-cutoff mass must round alike over a million modes
+        assert decomposition_equivalence_check(1.0, 10**6, 0).trace_distance <= 1e-15
 
     @pytest.mark.parametrize("nbar,n_modes,cutoff", [(1.0, 2, 12), (2.0, 3, 14)])
     def test_decompositions_agree(self, nbar, n_modes, cutoff):
