@@ -1,7 +1,11 @@
-"""Seeded experiment runner.
+"""ecsim run --config FILE [--seed N] [--out DIR]
+ecsim verify [--suite fast|full] [--json]
 
-    ecsim run --config experiment.json [--seed N] [--out DIR]
-    ecsim verify --suite fast|full [--json]
+Seeded experiment runner. A flag takes its value as `--flag value` or
+`--flag=value`, and the last copy of a repeated flag wins; flags are spelled
+out in full (no abbreviations). `-h` or `--help`, anywhere, prints this
+text. A malformed command line exits 2 with one line on stderr, as a
+malformed config does.
 
 A config file is a JSON object with keys `experiment`, `parameters`, and
 optionally `seed` and `output_dir` (command-line flags win, but the config's
@@ -22,8 +26,6 @@ them and the manifest, and lists them there.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import hashlib
 import json
 import math
@@ -33,6 +35,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -64,7 +67,7 @@ class Param:
     high: float = math.inf
     open: bool = False
     items: bool = False  # a list of `kind` values
-    nonempty: bool = False
+    nonempty: bool = False  # of the list, or of a string
     choices: tuple[str, ...] = ()
 
 
@@ -327,7 +330,7 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 # the config's own top-level values, read whether or not a flag overrides them
-SETTINGS = {"seed": Param(int, 0, low=0), "output_dir": Param(str, ".")}
+SETTINGS = {"seed": Param(int, 0, low=0), "output_dir": Param(str, ".", nonempty=True)}
 
 
 def _finite(text: str) -> float:
@@ -377,14 +380,20 @@ def _read(name: str, spec: Param, value: Any) -> Any:
     if spec.kind is int and type(value) is int and abs(value) > 2**53:
         raise ConfigError(f"{name} must be an integer of magnitude at most 2^53, got {value!r}")
     _within(name, spec, value)
+    if spec.nonempty and not value:
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
     return value
 
 
-def load_config(path: Path, seed_override: int | None, out_override: str | None) -> tuple[Experiment, dict, int, Path]:
+def load_config(
+    path: str | Path, seed_override: int | None, out_override: str | None
+) -> tuple[Experiment, dict, int, Path]:
     try:
-        raw = json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)
+        # open() takes the path as given, where Path("") would read "."
+        with open(path) as f:
+            raw = json.loads(f.read(), parse_float=_finite, parse_constant=_finite)
     except OSError as exc:  # not found, a directory, not readable
-        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
+        raise ConfigError(f"config file {str(path)!r} cannot be read: {exc.strerror}")
     except ValueError as exc:  # also not UTF-8, a non-finite number, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -414,7 +423,9 @@ def load_config(path: Path, seed_override: int | None, out_override: str | None)
     seed, outdir = (_read(key, spec, raw.get(key, spec.default)) for key, spec in SETTINGS.items())
     if seed_override is not None:
         seed = _read("seed", SETTINGS["seed"], seed_override)
-    outdir = Path(out_override or outdir)
+    if out_override is not None:
+        outdir = _read("output_dir", SETTINGS["output_dir"], out_override)
+    outdir = Path(outdir)
     # the path, or the nearest of its ancestors that exists, must be a
     # directory: one under a file could never be made, which the run would
     # learn only after its work
@@ -464,7 +475,7 @@ def _write_artifacts(directory: Path, payloads: dict[str, Any], stamp: dict) -> 
 
 
 def cmd_run(args) -> int:
-    exp, params, seed, outdir = load_config(Path(args.config), args.seed, args.out)
+    exp, params, seed, outdir = load_config(args.config, args.seed, args.out)
     stamp = {"config_sha256": config_hash(exp, params, seed), "seed": seed}
     # a run that fails leaves neither a new output directory nor partial files
     staging = _staging_dir(outdir)
@@ -514,26 +525,66 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ecsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run a configured experiment")
-    run.add_argument("--config", required=True, help="path to the JSON config")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--out", default=None, help="override the output directory")
-    run.set_defaults(func=cmd_run)
-    ver = sub.add_parser("verify", help="run the cross-module invariant suite")
-    ver.add_argument("--suite", choices=("fast", "full"), default="fast")
-    ver.add_argument("--json", action="store_true", help="print one JSON document instead of the table")
-    ver.set_defaults(func=cmd_verify)
-    return parser
+# each command's flags, typed as config values are: a bool flag is a switch
+# that takes no value, and a flag without a default must be given
+_COMMANDS = {
+    "run": {"--config": Param(str), "--seed": Param(int, None), "--out": Param(str, None)},
+    "verify": {"--suite": Param(str, "fast", choices=("fast", "full")), "--json": Param(bool, False)},
+}
+
+
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace] | None:
+    """The command and its flag values (attributes named without the `--`)
+    read from `argv`, or None where any word of it asks for help. A malformed
+    command line raises a ConfigError that names the problem and the usage."""
+
+    def refuse(problem: str) -> ConfigError:
+        return ConfigError(f"{problem}; usage: {' | '.join((__doc__ or '').splitlines()[:2])}")
+
+    if "-h" in argv or "--help" in argv:
+        return None
+    if not argv:
+        raise refuse("no command given")
+    command = argv[0]
+    flags = _COMMANDS.get(command)
+    if flags is None:
+        raise refuse(f"unknown command {command!r}")
+    values = {flag: spec.default for flag, spec in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            raise refuse(f"{'unknown flag' if token.startswith('-') else 'unexpected argument'} {token!r}")
+        if spec.kind is bool:
+            if eq:
+                raise refuse(f"{flag} takes no value")
+            values[flag] = True
+            continue
+        if not eq and (value := next(tokens, None)) is None:
+            raise refuse(f"{flag} needs a value")
+        if spec.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise refuse(f"{flag} must be an integer, got {value!r}") from None
+        if spec.choices and value not in spec.choices:
+            raise refuse(f"{flag} must be one of {list(spec.choices)}, got {value!r}")
+        values[flag] = value
+    for flag, value in values.items():
+        if value is _REQUIRED:
+            raise refuse(f"{command} needs {flag}")
+    return command, SimpleNamespace(**{flag[2:]: value for flag, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(__doc__)
+            return 0
+        command, args = parsed
+        return (cmd_run if command == "run" else cmd_verify)(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

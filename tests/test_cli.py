@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ecsim
-from ecsim.cli import EXPERIMENTS, SETTINGS, load_config, main
+from ecsim.cli import EXPERIMENTS, SETTINGS, config_hash, load_config, main
 
 
 # a minimal valid parameter set per experiment, for the malformed-config table
@@ -32,6 +32,14 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Pa
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def valid_configs(tmp_path: Path) -> list[str]:
+    """One config file per experiment, of its minimal valid parameters."""
+    return [
+        str(write_config(tmp_path, {"experiment": name, "parameters": params}, f"{name}.json"))
+        for name, params in VALID_PARAMETERS.items()
+    ]
 
 
 def run_python(code: str, *args: str, env: dict | None = None, timeout: float = 120) -> subprocess.CompletedProcess:
@@ -260,27 +268,97 @@ class TestConfigValidation:
             ({"experiment": "interfere", "A": 10**400}, "A"),
             ({"experiment": "ecs-verify", "phis": [10**400]}, "phis"),
             ({"experiment": "homodyne", "theta": 0.0, "points": 2**24 + 1}, "theta"),
+            # an empty path, as the config's output_dir, --out or --config
+            ({"output_dir": ""}, "output_dir"),
+            ({"--out": ""}, "output_dir"),
+            ({"--config": ""}, "''"),
         ],
     )
-    def test_malformed_trajectory_rejected(self, tmp_path, capsys, override, key):
+    def test_malformed_trajectory_rejected(self, tmp_path, capsys, monkeypatch, override, key):
         """One table of malformed configs over all experiments (trajectory
         unless the row names another): each exits 2 (or the code the row
         names) with one stderr line that names the offending key or number,
-        and leaves no output directory."""
+        and writes nothing, in the output directory or the working one."""
+        monkeypatch.chdir(tmp_path)
         params = dict(override)
         name = params.pop("experiment", "trajectory")
         seed = params.pop("seed", 0)
         code = params.pop("exit", 2)
         # the config's own output_dir is checked though --out takes its place
         top = {"output_dir": params.pop("output_dir")} if "output_dir" in params else {}
-        cfg = write_config(
+        # a row's --config or --out value takes the place of the usual one
+        flags = {"--config": str(tmp_path / "config.json"), "--out": str(tmp_path / "out")}
+        flags.update((flag, params.pop(flag)) for flag in list(flags) if flag in params)
+        write_config(
             tmp_path, {"experiment": name, "parameters": {**VALID_PARAMETERS[name], **params}, "seed": seed, **top}
         )
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        assert main(["run", *(part for item in flags.items() for part in item)]) == code
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0].replace(",", " ").split()
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            ([], "no command given"),
+            (["bogus"], "unknown command 'bogus'"),
+            (["run"], "run needs --config"),
+            (["run", "--config"], "--config needs a value"),
+            (["run", "--config", "c.json", "--seed", "x"], "--seed must be an integer, got 'x'"),
+            (["run", "--config", "c.json", "--seed=1.5"], "--seed must be an integer, got '1.5'"),
+            (["verify", "--suite", "slow"], "--suite must be one of ['fast', 'full'], got 'slow'"),
+            (["verify", "--fast"], "unknown flag '--fast'"),
+            (["run", "--conf", "c.json"], "unknown flag '--conf'"),  # no abbreviations
+            (["run", "--config", "c.json", "extra"], "unexpected argument 'extra'"),
+            (["verify", "--json=yes"], "--json takes no value"),
+        ],
+    )
+    def test_malformed_command_line(self, tmp_path, capsys, monkeypatch, argv, problem):
+        # c.json is a valid config writing to the working directory: a
+        # command line read past its fault would run and leave output there
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {"experiment": "phase-walk", "parameters": VALID_PARAMETERS["phase-walk"]}, "c.json")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {problem}; usage: ecsim "), err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["run", "-h"], ["run", "--help"], ["verify", "-h"], ["verify", "--help"],
+         ["run", "--config", "c.json", "--help"]],
+    )
+    def test_help(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {"experiment": "phase-walk", "parameters": VALID_PARAMETERS["phase-walk"]}, "c.json")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out == ecsim.cli.__doc__ + "\n"
+        assert captured.out.splitlines()[:2] == [
+            "ecsim run --config FILE [--seed N] [--out DIR]",
+            "ecsim verify [--suite fast|full] [--json]",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_argv_defaults_to_the_process_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["ecsim", "--help"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("ecsim run --config FILE")
+
+    def test_equals_form_and_the_last_repeated_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"experiment": "phase-walk", "parameters": VALID_PARAMETERS["phase-walk"], "seed": 1})
+        out = tmp_path / "out"
+        assert main(["run", f"--config={cfg}", f"--out={out}", "--seed", "5", "--seed=9"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        exp, params, _, _ = load_config(cfg, None, None)
+        assert manifest["seed"] == 9 and manifest["config_sha256"] == config_hash(exp, params, 9)
+        capsys.readouterr()
+        assert main(["verify", "--suite", "full", "--json", "--suite=fast"]) == 0
+        assert json.loads(capsys.readouterr().out)["suite"] == "fast"
 
 
 class TestEnvironment:
@@ -343,17 +421,30 @@ class TestEnvironment:
             "    assert main(['run', '--config', path, '--out', path + '.out']) == 0, path\n"
             "print(json.dumps(scipy_modules()))\n"
         )
-        names = ["interfere", "trajectory", "phase-walk", "homodyne", "laser-equivalence", "squeeze", "ecs-verify"]
-        configs = [
-            str(write_config(tmp_path, {"experiment": name, "parameters": VALID_PARAMETERS[name]}, f"{name}.json"))
-            for name in names
-        ]
+        configs = valid_configs(tmp_path)
         done = run_python(code, *configs)
         assert done.returncode == 0, done.stderr
         after_import, after_runs = (json.loads(line) for line in done.stdout.splitlines() if line.startswith("["))
         assert after_import == [] and after_runs == []
         assert all(Path(path + ".out", "manifest.json").is_file() for path in configs)
 
+
+    def test_no_path_loads_argparse(self, tmp_path):
+        # the command line is read against cli's own table: argparse, and the
+        # gettext and locale lookups its messages make, would cost every
+        # invocation milliseconds
+        code = (
+            "import json, sys\n"
+            "from ecsim.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert main(['run', '--config', path, '--out', path + '.out']) == 0, path\n"
+            "assert main(['verify', '--suite', 'fast']) == 0\n"
+            "assert main(['--help']) == 0 and main(['run']) == 2\n"
+            "print(json.dumps(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules)))\n"
+        )
+        done = run_python(code, *valid_configs(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
 
     def test_verify_leaves_scipy_unloaded(self):
         # the coupler oracle is ecsim's own Pade exponential and the
