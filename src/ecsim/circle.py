@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import coupler as _coupler
 from .errors import ValidationError
 from .fock import FockVector, ModeShape, _unit_phase, check_cells, coherent_log_amplitudes, poisson_pmf, zeros
 
-# complex cells (16 MiB) per block of the grid tables and sector products, so
-# their temporaries stay small beside the (P, modes, cutoff + 1) tables
+# complex cells (16 MiB) per block of the grid tables, sector products and
+# weight row, so their temporaries stay small beside the arrays they fill
 BLOCK_CELLS = 2**20
 
 
@@ -335,64 +334,61 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
 
 @dataclass(frozen=True)
 class ConditionalWeight:
-    """Tabulated weight factor C(phi, phi') after detecting counts (A, B).
-
-    `table` is normalized to unit peak magnitude; `log_peak` restores the
-    absolute scale (the detection-probability prefactor is kept in log space
-    because it underflows for large counts). The magnitude depends on the
-    phases only through the half difference Delta = (phi - phi')/2.
-    """
+    """Weight factor C(phi, phi') after detecting counts (A, B). Its magnitude
+    depends on the phases only through delta = phi - phi'; `log_peak` is its
+    largest log over the `grid` differences, kept in log space because the
+    detection-probability prefactor underflows for large counts."""
 
     A: int
     B: int
     eps: float
     n: int
     grid: PhaseGrid
-    table: np.ndarray
     log_peak: float
 
 
-def conditional_weight(A: int, B: int, eps: float, n: int, grid: PhaseGrid | int = 1024) -> ConditionalWeight:
+def _log_weight_row(A: int, B: int, eps: float, n: int, deltas: np.ndarray) -> np.ndarray:
+    """log |C| at the differences `deltas`: C is e^{i (A + B) phi'} times a function of
+    delta, with alpha_a = s e^{i phi'} (1 + e^{i delta}), alpha_b = s e^{i phi'} (1 - e^{i delta})."""
+    unit = np.exp(1j * deltas)
+    scale = math.sqrt(eps * n / 2.0)
+    log_mag = np.full(deltas.shape, -eps * n - 0.5 * (lgamma(A + 1) + lgamma(B + 1)))
+    with np.errstate(divide="ignore"):
+        if A > 0:
+            log_mag += A * np.log(np.abs(scale * (1.0 + unit)))
+        if B > 0:
+            log_mag += B * np.log(np.abs(scale * (1.0 - unit)))
+    return log_mag
+
+
+def conditional_weight(A: int, B: int, eps: float, n: int, grid: int = 1024) -> ConditionalWeight:
     """Exact coherent-overlap weight for counts (A, B) from two leaking
-    cavities of n photons each, mixed 50/50, with output coupling eps."""
+    cavities of n photons each, mixed 50/50, with output coupling eps: the peak
+    of its log magnitude on the differences 2 pi k / grid, `BLOCK_CELLS` at a time."""
     if A < 0 or B < 0:
         raise ValidationError("counts must be nonnegative")
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps must lie in (0, 1), got {eps}")
-    if isinstance(grid, int):
-        grid = PhaseGrid(grid)
-    M = grid.size
-    check_cells(M**2, f"weight table on a {M}-point grid")
-    # alpha_a = s e^{i phi'} (1 + e^{i delta}), alpha_b = s e^{i phi'} (1 - e^{i delta}),
-    # delta = phi - phi': C is e^{i (A + B) phi'} times a function of delta alone
-    unit = np.exp(1j * grid.points)
-    scale = math.sqrt(eps * n / 2.0)
-    alpha_a = scale * (1.0 + unit)
-    alpha_b = scale * (1.0 - unit)
-    log_mag = np.full(M, -eps * n - 0.5 * (lgamma(A + 1) + lgamma(B + 1)))
-    phase = np.zeros(M)
-    with np.errstate(divide="ignore"):
-        if A > 0:
-            log_mag += A * np.log(np.abs(alpha_a))
-            phase += A * np.angle(alpha_a)
-        if B > 0:
-            log_mag += B * np.log(np.abs(alpha_b))
-            phase += B * np.angle(alpha_b)
-    log_peak = float(np.max(log_mag))
-    profile = np.exp(log_mag - log_peak + 1j * phase)
-    profile[np.isneginf(log_mag)] = 0.0
-    # window M - i over profile[-t mod M], t < 2M, is row i: profile[(i - j) mod M]
-    windows = sliding_window_view(profile[-np.arange(2 * M) % M], M)[M:0:-1]
-    table = windows * np.exp(2j * math.pi * ((A + B) * np.arange(M) % M) / M)
-    return ConditionalWeight(A, B, eps, n, grid, table, log_peak)
+    check_cells(grid, f"weight row on a {grid}-point grid")
+    log_peak = -math.inf
+    for start in range(0, grid, BLOCK_CELLS):
+        deltas = 2.0 * math.pi * np.arange(start, min(start + BLOCK_CELLS, grid)) / grid
+        log_peak = max(log_peak, float(_log_weight_row(A, B, eps, n, deltas).max()))
+    return ConditionalWeight(A, B, eps, n, PhaseGrid(grid), log_peak)
+
+
+def _delta_grid(points: int) -> np.ndarray:
+    """Delta_k = -pi/2 + pi (k + 1/2) / P, k < P: the grid of both routes' profiles."""
+    if points < 1:
+        raise ValidationError(f"points must be positive, got {points}")
+    check_cells(points, f"profile of {points} points")
+    return -math.pi / 2 + math.pi * (np.arange(points) + 0.5) / points
 
 
 def delta_profile(weight: ConditionalWeight, points: int = 1024) -> tuple[np.ndarray, np.ndarray]:
     """Normalized |C| as a function of the half difference Delta in (-pi/2, pi/2]."""
-    check_cells(points, f"profile of {points} points")
-    deltas = -math.pi / 2 + math.pi * (np.arange(points) + 0.5) / points
-    mag = profile_magnitude(weight.A, weight.B, deltas)
-    return deltas, mag
+    deltas = _delta_grid(points)
+    return deltas, profile_magnitude(weight.A, weight.B, deltas)
 
 
 def profile_magnitude(A: int, B: int, deltas: np.ndarray) -> np.ndarray:

@@ -133,9 +133,10 @@ def _check_interfere(p: dict) -> None:
 def _run_interfere(p: dict, seed: int) -> dict[str, Any]:
     weight = conditional_weight(p["A"], p["B"], p["eps"], p["n"], grid=p["grid"])
     deltas, mag = delta_profile(weight, points=p["profile_points"])
+    half = deltas >= 0  # the mirrored peaks tie: report the one in the half of peaks[1]
     summary: dict[str, Any] = {
         "peaks": list(peak_locations(p["A"], p["B"])),
-        "argmax_delta": float(deltas[int(np.argmax(mag))]),
+        "argmax_delta": float(deltas[half][int(np.argmax(mag[half]))]),
         "log_peak_magnitude": weight.log_peak,
     }
     if p["A"] + p["B"] >= 16:

@@ -44,6 +44,7 @@ import numpy as np
 from numpy.fft import fft, ifft
 from numpy.random import default_rng
 
+from .circle import _delta_grid
 from .coupler import CouplerParams, apply_coupler
 from .errors import NumericsError, SizingError, ValidationError
 from .fock import FockVector, ModeShape, check_cells, poisson_pmf, zeros
@@ -332,10 +333,7 @@ class TrajectoryState:
         (-1)^m e^{i pi m / P} e^{2 pi i m k / P}, one inverse FFT of length P
         after folding m modulo P.
         """
-        if points < 1:
-            raise ValidationError(f"points must be positive, got {points}")
-        check_cells(points, f"profile of {points} points")
-        deltas = -math.pi / 2 + math.pi * (np.arange(points) + 0.5) / points
+        deltas = _delta_grid(points)
         m = np.arange(self.weight.size)
         g = self.weight * (1 - 2 * (m & 1)) * np.exp(1j * math.pi * (m % (2 * points)) / points)
         g = np.concatenate([g, np.zeros(-g.size % points)]).reshape(-1, points).sum(axis=0)

@@ -1,10 +1,11 @@
 """Dense truncated-Fock helpers that only the tests use: cutoffs for a
 Poisson source, zero-padding, partial traces, number-diagonal reads,
-projective count collapse, the trajectory's full phase-pair table, the
-trajectory's walked branches and its Fock oracle, both keyed by outcome
-sequence, the squeezing pump sector in the dense three-mode basis, and the
-laser check's dense reference: the coupler-cascade split of a state, the
-multimode coherent product and the trace norm."""
+projective count collapse, the interference weight's phase-pair magnitude
+table, the trajectory's full phase-pair table, the trajectory's walked
+branches and its Fock oracle, both keyed by outcome sequence, the squeezing
+pump sector in the dense three-mode basis, and the laser check's dense
+reference: the coupler-cascade split of a state, the multimode coherent
+product and the trace norm."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ecsim import circle
 from ecsim.coupler import CouplerParams, apply_coupler, split_cascade
 from ecsim.errors import ValidationError
 from ecsim.fock import (
@@ -104,6 +106,17 @@ def project_counts(
     keep = tuple(m for m in range(K) if m not in modes)
     shape = ModeShape(tuple(state.shape.cutoffs[m] for m in keep))
     return FockVector(shape, sub / math.sqrt(prob)), prob
+
+
+def conditional_table(weight: circle.ConditionalWeight) -> np.ndarray:
+    """|C(phi, phi')| / e^{log_peak} on the weight's M-point grid: entry
+    (j, k) is the weight's row at delta = phi_j - phi_k, read through
+    `circle._log_weight_row` at call time."""
+    M = weight.grid.size
+    check_cells(M * M, f"weight table on a {M}-point grid")
+    row = circle._log_weight_row(weight.A, weight.B, weight.eps, weight.n, weight.grid.points)
+    l = np.arange(M)
+    return np.exp(row - weight.log_peak)[(l[:, None] - l[None, :]) % M]
 
 
 def weight_table(traj: TrajectoryState, grid_points: int | None = None) -> np.ndarray:

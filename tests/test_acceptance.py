@@ -6,7 +6,9 @@ import math
 import time
 
 import numpy as np
+import pytest
 
+from ecsim import circle
 from ecsim.circle import (
     conditional_weight,
     ecs_to_fock,
@@ -36,7 +38,7 @@ from ecsim.sources import (
 from ecsim.squeezing import approximation_quality, pump_entangled_squeezed
 from ecsim.verify import check_commuting_diagram
 from fock_counts import reduced_ab_density, taylor_pair_state
-from fock_helpers import exact_trajectory_branches, trajectory_branches
+from fock_helpers import conditional_table, exact_trajectory_branches, trajectory_branches
 
 
 def report(number: int, text: str) -> None:
@@ -49,7 +51,7 @@ def test_criterion_1_peak_locations():
     worst = 0.0
     for A, B in [(1, 1), (4, 1), (16, 4), (64, 64), (1, 4)]:
         w = conditional_weight(A, B, eps=0.1, n=max(4 * (A + B), 20), grid=grid)
-        mag = np.abs(w.table)
+        mag = conditional_table(w)
         j, k = np.unravel_index(int(np.argmax(mag)), mag.shape)
         phis = w.grid.points
         delta = abs(((phis[j] - phis[k] + math.pi) % (2.0 * math.pi) - math.pi) / 2.0)
@@ -61,6 +63,31 @@ def test_criterion_1_peak_locations():
     assert runtime < 1.0
     report(1, f"tabulated peaks at +/-arctan(sqrt(B/A)), worst error {worst:.2e} rad "
               f"<= grid spacing {math.pi/grid:.2e} ({runtime:.2f}s)")
+
+
+def _swapped_counts(row):
+    return lambda A, B, eps, n, deltas: row(B, A, eps, n, deltas)
+
+
+def _same_sign_fields(row):
+    # alpha_b = s (1 + e^{i delta}): |C| goes as |1 + e^{i delta}|^(A + B),
+    # the row of A + B counts in mode a up to a constant
+    return lambda A, B, eps, n, deltas: row(A + B, 0, eps, n, deltas)
+
+
+@pytest.mark.parametrize("mutation", [_swapped_counts, _same_sign_fields])
+def test_criterion_1_catches_weight_row_mutations(monkeypatch, mutation):
+    # mutation canaries: criterion 1's peak comparison, on the mutated row,
+    # misses the peak at both (4, 1) and (16, 4)
+    grid = 1024
+    monkeypatch.setattr(circle, "_log_weight_row", mutation(circle._log_weight_row))
+    for A, B in [(4, 1), (16, 4)]:
+        w = conditional_weight(A, B, eps=0.1, n=max(4 * (A + B), 20), grid=grid)
+        mag = conditional_table(w)
+        j, k = np.unravel_index(int(np.argmax(mag)), mag.shape)
+        phis = w.grid.points
+        delta = abs(((phis[j] - phis[k] + math.pi) % (2.0 * math.pi) - math.pi) / 2.0)
+        assert abs(delta - peak_locations(A, B)[1]) > math.pi / grid
 
 
 def test_criterion_2_width_scaling():

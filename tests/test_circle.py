@@ -22,7 +22,9 @@ from ecsim.circle import (
 from ecsim.coupler import CouplerParams, apply_coupler
 from ecsim.errors import ValidationError
 from ecsim.fock import ModeShape, basis_state, fidelity, poisson_pmf, sector_occupations
+from ecsim.measurement import run_interference_trajectory
 from ecsim.squeezing import pump_entangled_squeezed
+from fock_helpers import conditional_table
 
 
 def schmidt_coefficients(state):
@@ -231,7 +233,7 @@ class TestConditionalWeight:
 
     def test_magnitude_depends_only_on_delta(self):
         w = conditional_weight(3, 2, eps=0.3, n=6, grid=128)
-        mag = np.abs(w.table)
+        mag = conditional_table(w)
         rolled = np.roll(np.roll(mag, 5, axis=0), 5, axis=1)
         assert np.abs(mag - rolled).max() <= 1e-10
 
@@ -241,18 +243,32 @@ class TestConditionalWeight:
         phis = w.grid.points
         deltas = (phis[:, None] - phis[None, :]) / 2.0
         expected = profile_magnitude(A, B, deltas.ravel()).reshape(deltas.shape)
-        got = np.abs(w.table)
+        got = conditional_table(w)
         got /= got.max()
         assert np.abs(got - expected).max() <= 1e-10
 
     def test_symmetry_under_delta_flip(self):
         w = conditional_weight(5, 2, eps=0.25, n=8, grid=128)
-        mag = np.abs(w.table)
+        mag = conditional_table(w)
         assert np.abs(mag - mag.T).max() <= 1e-12
 
     def test_eps_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             conditional_weight(1, 1, eps=1.0, n=4)
+
+    @pytest.mark.parametrize("A, B, grid", [(16, 4, 1000), (3, 0, 2), (0, 5, 2), (200, 7, 4096)])
+    def test_row_blocks_keep_the_peak(self, monkeypatch, A, B, grid):
+        whole = conditional_weight(A, B, eps=0.2, n=400, grid=grid).log_peak
+        monkeypatch.setattr(circle, "BLOCK_CELLS", 7)
+        assert conditional_weight(A, B, eps=0.2, n=400, grid=grid).log_peak == whole
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_profile_without_points_rejected_by_both_routes(self, points):
+        with pytest.raises(ValidationError, match="points must be positive"):
+            delta_profile(conditional_weight(1, 1, eps=0.2, n=4), points=points)
+        traj = run_interference_trajectory(4, 0.1, 2, seed=0)[1]
+        with pytest.raises(ValidationError, match="points must be positive"):
+            traj.delta_profile(points)
 
     def test_equal_counts_peak_at_quarter_pi(self):
         w = conditional_weight(3, 3, eps=0.2, n=30, grid=512)

@@ -272,6 +272,8 @@ class TestConfigValidation:
             ({"output_dir": ""}, "output_dir"),
             ({"--out": ""}, "output_dir"),
             ({"--config": ""}, "''"),
+            # the weight row is sized by the one rule, not by its square
+            ({"experiment": "interfere", "grid": 2**24 + 1, "exit": 3}, "cap"),
         ],
     )
     def test_malformed_trajectory_rejected(self, tmp_path, capsys, monkeypatch, override, key):
@@ -484,6 +486,20 @@ class TestRunArtifacts:
         assert peak == pytest.approx(math.pi / 4, abs=math.pi / 256)
         summary = json.loads((out / "results.json").read_text())
         assert summary["width_sigma"] == pytest.approx(math.sqrt(2 / 128), rel=0.1)
+
+    @pytest.mark.parametrize(
+        "A, B, points",
+        [(1, 1, 1000), (1, 1, 4096), (2, 3, 1000), (2, 3, 4096), (1, 3, 1000), (1, 3, 4096),
+         (64, 64, 1024), (3, 0, 1024), (0, 3, 1024)],
+    )
+    def test_argmax_delta_is_the_peak_named_second(self, tmp_path, A, B, points):
+        # the mirrored peaks tie on the profile grid; rounding must not pick the sign
+        params = {"A": A, "B": B, "eps": 0.2, "n": max(4 * (A + B), 20), "profile_points": points}
+        cfg = write_config(tmp_path, {"experiment": "interfere", "parameters": params})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "results.json").read_text())
+        assert abs(summary["argmax_delta"] - summary["peaks"][1]) <= math.pi / points
 
     @pytest.mark.filterwarnings("error")
     def test_unfitted_width_written_as_null(self, tmp_path):

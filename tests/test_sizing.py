@@ -92,7 +92,7 @@ OVER_CAP = [
     ("sector table stack", lambda: sector_amplitude_stack(_circle3, np.broadcast_to(_circle3.amplitudes, (2**22, 4, 1)), np.array([[3]]))),
     ("synthesis output", lambda: ecs_to_fock(_split_circle(7, 9))),
     ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=226))),
-    ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=4097)),
+    ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=2**24 + 1)),
     ("cavity_state", lambda: _trajectory(4100).cavity_state()),
     ("weight_table", lambda: weight_table(_trajectory(4), 4097)),
     ("decomposition vectors", lambda: decomposition_equivalence_check(1.0, 3, 1000)),
