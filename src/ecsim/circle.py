@@ -373,7 +373,10 @@ def conditional_weight(A: int, B: int, eps: float, n: int, grid: int = 1024) -> 
     log_peak = -math.inf
     for start in range(0, grid, BLOCK_CELLS):
         deltas = 2.0 * math.pi * np.arange(start, min(start + BLOCK_CELLS, grid)) / grid
-        log_peak = max(log_peak, float(_log_weight_row(A, B, eps, n, deltas).max()))
+        row = _log_weight_row(A, B, eps, n, deltas)
+        if A > 0 and grid % 2 == 0 and 0 <= grid // 2 - start < row.size:
+            row[grid // 2 - start] = -math.inf  # 1 + e^{i pi} rounds to 1.2e-16i, not 0
+        log_peak = max(log_peak, float(row.max()))
     return ConditionalWeight(A, B, eps, n, PhaseGrid(grid), log_peak)
 
 
@@ -392,17 +395,17 @@ def delta_profile(weight: ConditionalWeight, points: int = 1024) -> tuple[np.nda
 
 
 def profile_magnitude(A: int, B: int, deltas: np.ndarray) -> np.ndarray:
-    """|cos Delta|^A |sin Delta|^B normalized to unit peak."""
+    """|cos Delta|^A |sin Delta|^B normalized to unit peak, or zeros where
+    every point is zero."""
     logs = np.zeros_like(np.asarray(deltas, dtype=float))
     with np.errstate(divide="ignore"):
         if A > 0:
             logs += A * np.log(np.abs(np.cos(deltas)))
         if B > 0:
             logs += B * np.log(np.abs(np.sin(deltas)))
-    logs = logs - logs.max()
-    out = np.exp(logs)
-    out[np.isneginf(logs)] = 0.0
-    return out
+    top = logs.max()
+    # exp(-inf) is 0; where every point is zero there is no peak to scale by
+    return np.exp(logs - top) if top > -math.inf else np.zeros_like(logs)
 
 
 def peak_locations(A: int, B: int) -> tuple[float, float]:

@@ -44,7 +44,7 @@ from . import __version__
 from .circle import conditional_weight, delta_profile, pair_ladder, peak_locations, width_fit
 from .errors import ConfigError, NumericsError, SizingError, ValidationError
 from .fock import _fmt, check_cells, to_json_dict
-from .homodyne import HomodyneConfig, PhaseShiftProcess, check_tomography_scan, process_tomography_scan
+from .homodyne import DEFAULT_THETA, HomodyneConfig, PhaseShiftProcess, check_tomography_scan, process_tomography_scan
 from .measurement import FRINGE_BRANCHES, fringe_scan, run_interference_trajectory
 from .sources import PhaseWalkSpec, decomposition_equivalence_check, phase_walk_correlation
 from .squeezing import approximation_quality, required_pair_cutoff
@@ -207,7 +207,7 @@ def _run_phase_walk(p: dict, seed: int) -> dict[str, Any]:
 
 
 def _run_homodyne(p: dict, seed: int) -> dict[str, Any]:
-    theta = p["theta"] if p["theta"] is not None else math.acos(0.95)
+    theta = p["theta"] if p["theta"] is not None else DEFAULT_THETA
     config = HomodyneConfig(p["n"], PhaseShiftProcess(p["offset"]), theta)
     check_tomography_scan(config, p["points"])  # a dark theta is refused before the grid is sized
     check_cells(p["points"], f"tomography scan of {p['points']} points")

@@ -270,24 +270,24 @@ def _psi_samples(weight: np.ndarray, n: int, M: int) -> np.ndarray:
     return ifft(weight, M) * M * np.exp(-2j * math.pi * ((n * l) % M) / M)
 
 
-def sector_amplitudes(
-    n: int, remaining: int, weights: np.ndarray, cutoff: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _sector_factors(remaining: int, k: np.ndarray) -> np.ndarray:
+    """sqrt(lam_k lam_{D-k}) at radius^2 = D / 2, D = remaining, for a range of
+    k symmetric about D / 2. Times w_hat(-k, -(D - k)) this is <k, D - k | psi>
+    up to one factor: the radius only scales the whole sector, and D / 2 keeps
+    the factors clear of underflow."""
+    table = poisson_pmf(remaining / 2.0, k)
+    return np.sqrt(table * table[::-1])
+
+
+def sector_amplitudes(n: int, remaining: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The conditional two-cavity state of one weight vector, or of each row
     of a stack, on its D-photon sector, D = remaining, unnormalised: the
-    photon numbers k of cavity A that both cutoffs (default n) admit, and
-    <k, D - k | psi> up to one common factor per vector at each.
-
-    <k, D - k | psi> is proportional to w_hat(-k, -(D - k)) / sqrt(k! (D - k)!).
-    The coherent radius only scales the whole sector, so the Poisson
-    factors use radius^2 = D / 2, which keeps them clear of underflow; a
-    stack shares them.
+    photon numbers k of cavity A with both k and D - k at most n, and
+    <k, D - k | psi> up to one common factor per vector at each
+    (`_sector_factors` times w_hat(-k, -(D - k))); a stack shares the factors.
     """
-    cut = n if cutoff is None else min(cutoff, n)
-    k = np.arange(max(0, remaining - cut), min(remaining, cut) + 1)
-    # k and D - k run over the same range, reversed
-    table = poisson_pmf(remaining / 2.0, k)
-    return k, np.sqrt(table * table[::-1]) * weights[..., n - k]
+    k = np.arange(max(0, remaining - n), min(remaining, n) + 1)
+    return k, _sector_factors(remaining, k) * weights[..., n - k]
 
 
 @dataclass(frozen=True)
@@ -319,10 +319,6 @@ class TrajectoryState:
         if not 0 <= self.remaining <= 2 * self.n:
             raise ValidationError(f"remaining must lie in [0, {2 * self.n}], got {self.remaining}")
 
-    @property
-    def radius(self) -> float:
-        return math.sqrt(self.radius2)
-
     def delta_profile(self, points: int = 1024) -> tuple[np.ndarray, np.ndarray]:
         """|w| against the half phase difference Delta, normalized to unit peak.
 
@@ -341,23 +337,17 @@ class TrajectoryState:
         peak = mag.max()
         return deltas, mag / peak if peak > 0 else mag
 
-    def sector_amplitudes(self, cutoff: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The conditional two-cavity state on its D-photon sector,
-        unnormalised (`sector_amplitudes` of this weight)."""
-        return sector_amplitudes(self.n, self.remaining, self.weight, cutoff)
-
-    def cavity_state(self, cutoff: int | None = None) -> FockVector:
+    def cavity_state(self) -> FockVector:
         """The conditional two-cavity Fock state: `sector_amplitudes` in a
-        dense (cutoff + 1)^2 array, normalised."""
+        dense (n + 1)^2 array, normalised."""
         n, D = self.n, self.remaining
-        cut = n if cutoff is None else min(cutoff, n)
-        amps = zeros((cut + 1, cut + 1))
-        k, sector = self.sector_amplitudes(cutoff)
+        amps = zeros((n + 1, n + 1))
+        k, sector = sector_amplitudes(n, D, self.weight)
         amps[k, D - k] = sector
         norm = np.linalg.norm(amps)
         if norm == 0.0:
             raise NumericsError("trajectory weight produced a null cavity state")
-        return FockVector(ModeShape((cut, cut)), amps / norm)
+        return FockVector(ModeShape((n, n)), amps / norm)
 
 
 def run_interference_trajectory(
@@ -470,43 +460,45 @@ def fringe_scan(
     traj: TrajectoryState, gamma_grid: np.ndarray, branch: str = "full"
 ) -> FringeScan:
     """Expected counts at one detector after a relative phase shift gamma and a
-    50/50 mix of the residual cavity modes.
+    50/50 mix of the residual cavity modes: c = (a + e^{i gamma} b) / sqrt(2),
+    cavity B taking e^{i gamma n_B} before the coupler theta = pi/4, phi = 0
+    (Heisenberg matrix first row (1, 1) / sqrt(2)). On the normalised D-photon
+    state psi_k = <k, D - k | psi> the curve is the exact sinusoid
 
-    The exact curve is sinusoidal in gamma. With `branch="full"` the scan uses
-    the whole weight; because detections leave the weight symmetric in
-    +/- Delta, the two mirrored components produce mirrored fringes whose sum
-    suppresses the visibility by |cos 2*Delta_peak|. `branch="positive"`
+        <c^dag c>(gamma) = D / 2 + Re(e^{i gamma} S),
+        S = <a^dag b> = sum_k sqrt((k + 1)(D - k)) psi_k conj(psi_{k+1}),
+
+    of visibility 2 |S| / D (0 at D = 0). With `branch="full"` psi is
+    `sector_amplitudes`; because detections leave the weight symmetric in
+    +/- Delta, the two mirrored components produce mirrored fringes whose
+    sum suppresses the visibility by |cos 2*Delta_peak|. `branch="positive"`
     restricts the weight to Delta > 0 (conditioning on which cavity leads in
     phase), giving the single-branch pattern a subsequent experiment run
     displays once the branches are macroscopically distinct. The restriction
     is a mask on the difference phi - phi', so the masked weight stays on the
     same anti-diagonal: it is sampled on M = max(256, 8n + 8) points of
-    phi - phi', masked to Delta in (0, pi/2) and transformed back.
+    phi - phi', masked to Delta in (0, pi/2) and transformed back, and its
+    coefficients take the factors of `sector_amplitudes`.
     """
     if branch not in FRINGE_BRANCHES:
         raise ValidationError(f"unknown branch {branch!r}")
     gammas = np.asarray(gamma_grid, dtype=float)
     n, D = traj.n, traj.remaining
     if branch == "full":
-        u = np.zeros(D + 1, dtype=np.complex128)  # u_j = w_hat(-j, -(D - j))
-        J = min(D, n)
-        u[: J + 1] = traj.weight[n - J : n + 1][::-1]
+        k, psi = sector_amplitudes(n, D, traj.weight)
     else:
         M = max(256, 8 * n + 8)
         h = _psi_samples(traj.weight, n, M)
         h[0] = 0.0
         h[M // 2 :] = 0.0
-        u = (fft(h) / M)[-np.arange(D + 1) % M]
-    lam = poisson_pmf(traj.radius2, np.arange(D + 1))
-    mod2 = u.real**2 + u.imag**2
-    norm = float(lam @ (mod2 * lam[::-1]))
-    kern = lam[:-1] * lam[-2::-1]  # lam_j lam_{D-1-j}
-    t_dc = float(kern @ (mod2[1:] + mod2[:-1]))
-    s1 = complex(kern @ (u[:-1] * np.conj(u[1:])))
-    if norm <= 0:
+        k = np.arange(D + 1)
+        psi = _sector_factors(D, k) * (fft(h) / M)[-k % M]  # w_hat(-k, -(D - k)) of the masked weight
+    norm = float(np.vdot(psi, psi).real)
+    if not norm > 0.0:
         raise NumericsError("weight has no norm; cannot scan")
-    intensity = (traj.radius2 / 2.0) * (t_dc + 2.0 * np.real(np.exp(1j * gammas) * s1)) / norm
-    visibility = 0.0 if t_dc == 0.0 else 2.0 * abs(s1) / t_dc
+    s = complex(np.sqrt((k[:-1] + 1.0) * (D - k[:-1])) @ (psi[:-1] * np.conj(psi[1:]))) / norm
+    intensity = D / 2.0 + np.real(np.exp(1j * gammas) * s)
+    visibility = 0.0 if D == 0 else 2.0 * abs(s) / D
     return FringeScan(gammas, intensity, float(visibility))
 
 

@@ -256,11 +256,29 @@ class TestConditionalWeight:
         with pytest.raises(ValidationError):
             conditional_weight(1, 1, eps=1.0, n=4)
 
-    @pytest.mark.parametrize("A, B, grid", [(16, 4, 1000), (3, 0, 2), (0, 5, 2), (200, 7, 4096)])
+    @pytest.mark.parametrize("A, B, grid", [
+        (16, 4, 1000), (3, 0, 2), (0, 5, 2), (200, 7, 4096), (16, 4, 1024), (10**7, 3, 1024), (1, 1, 4), (64, 64, 4097),
+    ])
     def test_row_blocks_keep_the_peak(self, monkeypatch, A, B, grid):
         whole = conditional_weight(A, B, eps=0.2, n=400, grid=grid).log_peak
+        # where some grid point is nonzero the zero set at delta = pi moves no
+        # peak: log_peak is the maximum of the whole row, bit for bit
+        row = circle._log_weight_row(A, B, 0.2, 400, PhaseGrid(grid).points)
+        assert math.isfinite(whole) and whole == float(row.max())
         monkeypatch.setattr(circle, "BLOCK_CELLS", 7)
         assert conditional_weight(A, B, eps=0.2, n=400, grid=grid).log_peak == whole
+
+    @pytest.mark.parametrize("A, B", [(1, 1), (2, 1)])
+    def test_field_zero_at_both_points_of_grid_two(self, A, B):
+        # delta = 0 zeroes alpha_b and delta = pi alpha_a, where 1 + e^{i pi}
+        # rounds to 1.2e-16i: the weight vanishes on the whole grid
+        assert conditional_weight(A, B, eps=0.2, n=4, grid=2).log_peak == -math.inf
+
+    @pytest.mark.parametrize("A, B", [(0, 3), (2, 3)])
+    def test_profile_with_no_nonzero_point_is_zero(self, A, B):
+        # the one point of a one-point profile is Delta = 0, where |sin Delta|^B = 0
+        deltas, mag = delta_profile(conditional_weight(A, B, eps=0.2, n=4), points=1)
+        assert deltas.tolist() == [0.0] and mag.tolist() == [0.0]
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_profile_without_points_rejected_by_both_routes(self, points):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from ecsim import coupler, measurement, verify
 from ecsim.circle import peak_locations, profile_magnitude, width_fit
-from ecsim.coupler import CouplerParams, apply_coupler
+from ecsim.coupler import CouplerParams, apply_coupler, heisenberg_matrix
 from ecsim.errors import NumericsError, SizingError, ValidationError
 from ecsim.fock import (
     FockVector,
@@ -17,6 +18,7 @@ from ecsim.fock import (
     basis_state,
     coherent_amplitudes,
     fidelity,
+    phase_shift,
     tensor,
     vacuum,
 )
@@ -28,7 +30,7 @@ from ecsim.measurement import (
 )
 from ecsim.verify import check_trajectory_brute_force
 from fock_counts import joint_count_distribution, total_number_distribution
-from fock_helpers import exact_trajectory_branches, project_counts, trajectory_branches, weight_table
+from fock_helpers import embed, exact_trajectory_branches, project_counts, trajectory_branches, weight_table
 
 
 class TestCountDistribution:
@@ -366,7 +368,7 @@ class TestSectorAmplitudes:
     @staticmethod
     def check(traj):
         n, D = traj.n, traj.remaining
-        k, sector = traj.sector_amplitudes()
+        k, sector = measurement.sector_amplitudes(n, D, traj.weight)
         assert k.tolist() == list(range(max(0, D - n), min(D, n) + 1))
         dense = np.zeros((n + 1, n + 1), dtype=np.complex128)
         dense[k, D - k] = sector
@@ -675,6 +677,37 @@ class TestFringeScan:
         scan = fringe_scan(traj, gammas, branch="positive")
         expect = _positive_fringe_on_grid(traj, gammas)
         assert np.abs(scan.intensity - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    # D = 0, 7 > n = 6, 1, 7 and 29 photons left
+    @pytest.mark.parametrize("n,eps,steps,seed", [(2, 0.9, 20, 3), (6, 0.1, 3, 5), (8, 0.2, 10, 21), (12, 0.05, 15, 4), (20, 0.05, 5, 7)])
+    def test_full_branch_matches_dense_fock_route(self, n, eps, steps, seed):
+        # the exported cavity state through the dense route: cavity B takes
+        # e^{i gamma n_B}, then a 50/50 coupler whose Heisenberg matrix has
+        # first row (1, 1) / sqrt(2), so that mode 0 counts (a + e^{i gamma} b) / sqrt(2)
+        _, traj = run_interference_trajectory(n, eps, steps, seed=seed)
+        D = traj.remaining
+        params = CouplerParams(math.pi / 4, 0.0)
+        assert np.abs(heisenberg_matrix(params)[0] - math.sqrt(0.5)).max() <= 1e-15
+        c = max(n, D)  # sector D fits both cutoffs, so the coupler truncates nothing
+        state = embed(traj.cavity_state(), ModeShape((c, c)))
+        gammas = np.linspace(0, 2 * math.pi, 8, endpoint=False)
+        dense = []
+        for gamma in gammas:
+            out = apply_coupler(phase_shift(state, 1, gamma), (0, 1), params)
+            dense.append(float(np.arange(c + 1) @ np.sum(np.abs(out.amplitudes) ** 2, axis=1)))
+        scan = fringe_scan(traj, gammas)
+        assert np.abs(scan.intensity - dense).max() <= 1e-12 * D
+
+    def test_fringe_reads_no_radius(self):
+        # the benchmark's deep trajectory config at seed 7, 28 photons left:
+        # the coherent radius only scales the state, and the scan reads none
+        _, traj = run_interference_trajectory(64, 0.03, 400, seed=7, stop_after_detections=100)
+        assert traj.remaining == 28
+        gammas = 2.0 * math.pi * np.arange(64) / 64
+        tiny = dataclasses.replace(traj, radius2=1e-30)
+        for branch in FRINGE_BRANCHES:
+            scan, other = fringe_scan(traj, gammas, branch=branch), fringe_scan(tiny, gammas, branch=branch)
+            assert scan.intensity.tobytes() == other.intensity.tobytes() and scan.visibility == other.visibility
 
 
 def _positive_fringe_on_grid(traj, gammas):
