@@ -36,6 +36,7 @@ class PhaseGrid:
     def __post_init__(self):
         if self.size < 1:
             raise ValidationError("grid needs at least one point")
+        check_cells(self.size, f"phase grid of {self.size} points")
 
     @property
     def points(self) -> np.ndarray:

@@ -79,6 +79,8 @@ class CouplerParams:
                 f"theta={self.theta} outside canonical range [0, pi/2]; "
                 "reduce by U(-theta, phi) = U(theta, phi+pi) and 2pi periodicity"
             )
+        if not -math.inf < self.phi < math.inf:
+            raise ValidationError(f"phi={self.phi} must be finite")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
 
 

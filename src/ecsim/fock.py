@@ -93,6 +93,7 @@ class ModeShape:
         index's row-major digit for that mode, without an array of one axis
         per mode, so shapes of any mode count are read alike."""
         mode = range(self.mode_count)[mode]
+        check_cells(self.size, f"occupations of mode {mode} of {self.mode_count} modes")
         return np.arange(self.size) // math.prod(self.dims[mode + 1 :]) % self.dims[mode]
 
     def total_occupation(self, modes: Sequence[int] | None = None) -> np.ndarray:
@@ -209,8 +210,8 @@ def poisson_pmf(nbar: float, n) -> float | np.ndarray:
     distribution (with 0^0 = 1).
     """
     n_arr = np.asarray(n)
-    if nbar < 0 or n_arr.min(initial=0) < 0:
-        raise ValidationError(f"nbar and photon numbers must be nonnegative, got nbar = {nbar}")
+    if not 0 <= nbar < math.inf or n_arr.min(initial=0) < 0:
+        raise ValidationError(f"nbar must be finite, and nbar and photon numbers nonnegative, got nbar = {nbar}")
     if nbar == 0.0:
         out = (n_arr == 0).astype(np.float64)
     else:
@@ -220,6 +221,7 @@ def poisson_pmf(nbar: float, n) -> float | np.ndarray:
 
 def poisson_tail(nbar: float, cutoff: int) -> float:
     """Upper bound on the probability mass above `cutoff` for a Poisson(nbar)."""
+    check_cells(cutoff + 1, f"Poisson tail to cutoff {cutoff}")
     ns = np.arange(cutoff + 1)
     return float(max(0.0, 1.0 - poisson_pmf(nbar, ns).sum()))
 
@@ -251,6 +253,7 @@ def coherent_log_amplitudes(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     amplifies the rounding of u k-fold on any route, the reference's included.
     """
     alphas = np.asarray(alphas, dtype=np.complex128).ravel()
+    check_cells((cutoff + 1) * alphas.size, f"coherent amplitudes of {alphas.size} points to cutoff {cutoff}")
     mags = np.abs(alphas)
     safe = np.where(mags == 0.0, 1.0, mags)
     out = np.empty((cutoff + 1, alphas.size), dtype=np.complex128)

@@ -43,6 +43,10 @@ class PhaseShiftProcess:
 
     gamma: float
 
+    def __post_init__(self):
+        if not -math.inf < self.gamma < math.inf:
+            raise ValidationError(f"gamma={self.gamma} must be finite")
+
 
 @dataclass(frozen=True)
 class HomodyneConfig:

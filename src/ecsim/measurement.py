@@ -22,8 +22,9 @@ which is diagonal in frequency: Q = sum_j lam_j lam_{D-j} |weight[n - j]|^2.
 One shell recursion, `_shells`, builds each outcome shell a + b = s as a
 single (s + 1, 2n + 1) array (cut to the columns it can reach), with the
 detection constants c / sqrt(a + 1) and c / sqrt(b + 1) folded in so that
-every row's quadratic form is its Born probability. The total count of a
-step is Binomial(D, eps) whatever the weight, so every shell built is checked
+every row's quadratic form is its Born probability; the row of the outcome
+drawn, over sqrt(P), is the next weight. The total count of a step is
+Binomial(D, eps) whatever the weight, so every shell built is checked
 against its binomial weight. The sampler draws one uniform number u and
 reads shells in `_pair` order only until their running probability passes
 it, a few shells near s = eps D: one inverse-CDF pass, exact Born-rule
@@ -167,8 +168,9 @@ def _shells(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> Ite
     whatever the weight, so each shell must sum to its binomial weight: a
     shell that misses it by more than STEP_TAIL_TOLERANCE in any row raises
     NumericsError. Yields (probabilities of shell s, |sum - binomial weight|
-    per vector) up to the shell `_deepest_shell` bounds; callers stop reading
-    when they have what they need.
+    per vector, the shell's rows u) up to the shell `_deepest_shell` bounds;
+    callers stop reading when they have what they need. Each shell is a new
+    array, which later shells leave as it is.
     """
     last = _deepest_shell(remaining, eps)
     # v vanishes above f1 = detected - n, and the shells reach `last` higher
@@ -189,7 +191,7 @@ def _shells(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> Ite
                 f"outcome shell a + b = {s} of {remaining} photons sums to {np.ravel(total)[np.argmax(deviation)]:.12g}, "
                 f"{worst:.2e} off its binomial weight (tolerance {STEP_TAIL_TOLERANCE})"
             )
-        yield p, deviation
+        yield p, deviation, shell
         if s >= last:
             return
         s += 1
@@ -200,10 +202,11 @@ def _shells(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> Ite
         shell = nxt
 
 
-def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every outcome of one step, for one weight vector or each row of a
     stack: (probabilities in `_pair` order, worst deviation of a shell it
-    read from its binomial weight), with the leading axes of `v`.
+    read from its binomial weight, each outcome's row u of `_shells` in one
+    (..., outcomes, width) array), with the leading axes of `v`.
 
     Each vector reads `_shells` until its enumerated outcomes carry all but
     1e-12 of the probability, or to the last shell; the leftover tail then
@@ -213,9 +216,10 @@ def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple
     a row's outcomes past its own last shell are 0.
     """
     lead = v.shape[:-1]
-    probs, worst, covered, live = [], np.zeros(lead), np.zeros(lead), np.ones(lead, dtype=bool)
-    for p, deviation in _shells(v, n, remaining, r2, eps):
+    probs, rows, worst, covered, live = [], [], np.zeros(lead), np.zeros(lead), np.ones(lead, dtype=bool)
+    for p, deviation, shell in _shells(v, n, remaining, r2, eps):
         probs.append(np.where(live[..., None], p, 0.0))
+        rows.append(shell)
         worst = np.where(live, np.maximum(worst, deviation), worst)
         covered = np.where(live, covered + p.sum(axis=-1), covered)
         live &= 1.0 - covered >= 1e-12
@@ -224,43 +228,40 @@ def _step(v: np.ndarray, n: int, remaining: int, r2: float, eps: float) -> tuple
     tail = float(np.max(np.maximum(0.0, 1.0 - covered)))
     if tail >= STEP_TAIL_TOLERANCE:
         raise NumericsError(f"unenumerated outcome probability {tail:.2e} exceeds {STEP_TAIL_TOLERANCE}")
-    return np.concatenate(probs, axis=-1), worst
+    probs, width = np.concatenate(probs, axis=-1), rows[0].shape[-1]
+    check_cells(probs.size * width, f"{probs.size} outcome rows of {width} columns")  # before they are joined
+    return probs, worst, np.concatenate(rows, axis=-2)
 
 
-def _draw(v: np.ndarray, n: int, remaining: int, r2: float, eps: float, u: float) -> tuple[int, float, float]:
+def _draw(v: np.ndarray, n: int, remaining: int, r2: float, eps: float, u: float) -> tuple[int, float, float, np.ndarray]:
     """One inverse-CDF read of a step: the first outcome, in `_pair` order,
     whose running Born probability passes the uniform draw `u`, reading
     shells only up to it. The probabilities read can fall short of one by
     their rounding, about 1e-12 at most; a `u` past them all picks the last
     outcome that raised the running probability, which is nonzero. Returns
-    (index, probability, worst deviation of the shells built)."""
+    (index, probability, worst deviation of the shells built, its row u)."""
     worst, below, offset = 0.0, 0.0, 0
-    for p, deviation in _shells(v, n, remaining, r2, eps):
+    for p, deviation, shell in _shells(v, n, remaining, r2, eps):
         worst = max(worst, float(deviation))
         edges = below + p.cumsum()
         k = int(edges.searchsorted(u, side="right"))
         if k < p.size:
-            return offset + k, float(p[k]), worst
+            return offset + k, float(p[k]), worst, shell[k]
         if edges[-1] > below:  # the shell raised the running probability
-            last = p, edges, offset
+            last = p, edges, offset, shell
         below, offset = float(edges[-1]), offset + p.size
-    p, edges, offset = last
+    p, edges, offset, shell = last
     k = int(edges.searchsorted(edges[-1]))  # the first outcome at the top edge
-    return offset + k, float(p[k]), worst
+    return offset + k, float(p[k]), worst, shell[k]
 
 
-def _collapse(v: np.ndarray, r2: float, eps: float, a: int, b: int, p) -> np.ndarray:
-    """u_{a,b} of `_shells` rebuilt by the same recursion and divided by sqrt(P),
-    so that Q = 1 at the next step's radius and remaining total. `v` may be a
-    stack of vectors, each with its own P."""
-    c = math.sqrt(eps * r2 / 2.0)
-    u = math.exp(-eps * r2) * v
-    for k in range(1, a + 1):
-        u = (-c / math.sqrt(k)) * _times(u, 1.0)
-    for k in range(1, b + 1):
-        u = (c / math.sqrt(k)) * _times(u, -1.0)
-    # one vector takes its P as a number, a stack one P per row
-    return u / (np.sqrt(p)[:, None] if isinstance(p, np.ndarray) else math.sqrt(p))
+def _collapse(rows: np.ndarray, n: int, p) -> np.ndarray:
+    """The weight after a step: the outcome's row u of `_shells` divided by
+    sqrt(P) and padded with zeros to 2n + 1 columns, so that Q = 1 at the next
+    step's radius and remaining total. `rows` may be a stack, one P per row."""
+    out = np.zeros(rows.shape[:-1] + (2 * n + 1,), dtype=np.complex128)
+    out[..., : rows.shape[-1]] = rows / np.sqrt(p)[..., None]
+    return out
 
 
 def _psi_samples(weight: np.ndarray, n: int, M: int) -> np.ndarray:
@@ -373,10 +374,10 @@ def run_interference_trajectory(
     records: list[StepRecord] = []
     worst = 0.0
     for step in range(steps):
-        pick, p, deviation = _draw(v, n, remaining, r2, eps_step, rng.random())
+        pick, p, deviation, row = _draw(v, n, remaining, r2, eps_step, rng.random())
         worst = max(worst, deviation)
         a, b = _pair(pick)
-        v = _collapse(v, r2, eps_step, a, b, p)
+        v = _collapse(row, n, p)
         remaining -= a + b
         r2 *= 1.0 - eps_step
         records.append(StepRecord(step, (a, b), p))
@@ -405,11 +406,10 @@ def trajectory_leaves(n: int, eps_step: float, depth: int, floor: float) -> Traj
 
     The tree is walked one level at a time. The live branches of a level are
     grouped by their remaining photon number D, which with the level fixes
-    every parameter of a step, and each group takes one stacked `_step`; the
-    kept children of each outcome (a, b) come from one stacked `_collapse`.
-    Each row gets the numbers it gets alone, and the children are ordered by
-    parent, then outcome, so the leaves come out as a depth-first walk gives
-    them.
+    every parameter of a step, and each group takes one stacked `_step`,
+    whose rows give the group's kept children in one `_collapse`. Each row
+    gets the numbers it gets alone, and the children are ordered by parent,
+    then outcome, so the leaves come out as a depth-first walk gives them.
     """
     if not floor > 0.0:
         raise ValidationError(f"floor must be positive, got {floor}")
@@ -421,24 +421,21 @@ def trajectory_leaves(n: int, eps_step: float, depth: int, floor: float) -> Traj
     remaining = np.full(1, 2 * n)
     r2 = float(n)
     for _ in range(depth):
-        parent, index, p, child_worst = [], [], [], []
+        parent, index, p, child_worst, children = [], [], [], [], []
         for D in sorted(set(remaining.tolist())):
             rows = np.flatnonzero(remaining == D)
-            probs, deviation = _step(weights[rows], n, D, r2, eps_step)
+            probs, deviation, u = _step(weights[rows], n, D, r2, eps_step)
             kept, i = np.nonzero(prob[rows, None] * probs >= floor)
             parent.append(rows[kept])
             index.append(i)
             p.append(probs[kept, i])
             child_worst.append(np.maximum(worst[rows], deviation)[kept])
+            children.append(_collapse(u[kept, i], n, probs[kept, i]))
         if not parent:
             break
         order = np.lexsort((np.concatenate(index), np.concatenate(parent)))
-        parent, index, p, worst = (np.concatenate(x)[order] for x in (parent, index, p, child_worst))
-        children = np.empty((index.size, weights.shape[1]), dtype=np.complex128)
-        for i in sorted(set(index.tolist())):
-            sel = np.flatnonzero(index == i)
-            children[sel] = _collapse(weights[parent[sel]], r2, eps_step, *table[i].tolist(), p[sel])
-        weights, prob = children, prob[parent] * p
+        parent, index, p, worst, weights = (np.concatenate(x)[order] for x in (parent, index, p, child_worst, children))
+        prob = prob[parent] * p
         paths, remaining = np.column_stack([paths[parent], index]), remaining[parent] - table[index].sum(axis=1)
         r2 *= 1.0 - eps_step
     return TrajectoryLeaves(table[paths], prob, weights, remaining, worst, r2)

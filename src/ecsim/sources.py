@@ -39,8 +39,8 @@ class LaserSpec:
     cutoff: int
 
     def __post_init__(self):
-        if self.nbar < 0:
-            raise ValidationError("nbar must be nonnegative")
+        if not 0 <= self.nbar < math.inf:
+            raise ValidationError(f"nbar must be finite and nonnegative, got {self.nbar}")
         if self.cutoff < 0:
             raise ValidationError("cutoff must be nonnegative")
 
@@ -60,8 +60,8 @@ class PhaseWalkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_variance < 0:
-            raise ValidationError("step_variance must be nonnegative")
+        if not 0 <= self.step_variance < math.inf:
+            raise ValidationError(f"step_variance must be finite and nonnegative, got {self.step_variance}")
         if self.mode_count < 1:
             raise ValidationError("mode_count must be >= 1")
         if self.photon_number < 0:
@@ -71,6 +71,7 @@ class PhaseWalkSpec:
 def laser_density(spec: LaserSpec) -> NumberDiagonalDensity:
     """Poissonian mixture of number states; equals the phase average of the
     coherent-state projector with the same mean photon number."""
+    check_cells(spec.cutoff + 1, f"laser weights to cutoff {spec.cutoff}")
     weights = poisson_pmf(spec.nbar, np.arange(spec.cutoff + 1))
     return NumberDiagonalDensity(ModeShape((spec.cutoff,)), weights)
 
@@ -96,8 +97,8 @@ def decomposition_equivalence_check(nbar: float, n_modes: int, cutoff: int) -> E
     off those tuples. The Poisson mass the cutoff drops is reported with the
     distance, as the bound on their honest disagreement.
     """
-    if nbar < 0:
-        raise ValidationError("nbar must be nonnegative")
+    if not 0 <= nbar < math.inf:
+        raise ValidationError(f"nbar must be finite and nonnegative, got {nbar}")
     # every tuple of n_modes modes holding at most `cutoff` photons: a slack mode holds the rest
     listing = sector_occupations(n_modes + 1, cutoff)
     occ, total = listing[:, :-1], cutoff - listing[:, -1]
@@ -220,6 +221,8 @@ def phase_walk_correlation(
     g1 = zeros((N, N))
     samples = zeros((N * N if pairs is None else len(pairs), realizations))
     ks, ls = np.divmod(np.arange(N * N), N) if pairs is None else np.array(pairs, dtype=int).reshape(-1, 2).T
+    if not ((0 <= ks) & (ks < N) & (0 <= ls) & (ls < N)).all():
+        raise ValidationError(f"pairs must index modes 0..{N - 1}")
     phis = grid.points
     weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m)) if m > 0 else np.ones(grid.size)
     base_amp = math.sqrt(m / N) if N > 0 else 0.0

@@ -2,7 +2,8 @@
 Poisson source, zero-padding, partial traces, number-diagonal reads,
 projective count collapse, the interference weight's phase-pair magnitude
 table, the trajectory's full phase-pair table, the trajectory's walked
-branches and its Fock oracle, both keyed by outcome sequence, the squeezing
+branches and its Fock oracle, both keyed by outcome sequence, the detection
+recursion that collapses the trajectory weight on one outcome, the squeezing
 pump sector in the dense three-mode basis, and the laser check's dense
 reference: the coupler-cascade split of a state, the multimode coherent
 product and the trace norm."""
@@ -143,6 +144,26 @@ def trajectory_branches(n: int, eps_step: float, depth: int, floor: float):
         yield tuple(map(tuple, path)), p, TrajectoryState(
             n, eps_step, leaves.weights[row], 2 * n - a - b, leaves.radius2, (a, b), depth, bound
         )
+
+
+def collapsed_weight(weight: np.ndarray, r2: float, eps_step: float, a: int, b: int, p: float) -> np.ndarray:
+    """The trajectory weight after a step that counts (a, b) with probability
+    p, by the detection recursion applied one photon at a time over all
+    2n + 1 columns: u_{a+1,0} = -c/sqrt(a+1) (x + 1) u_{a,0}, then
+    u_{a,b+1} = c/sqrt(b+1) (x - 1) u_{a,b}, from u_{0,0} = e^{-eps r^2} weight
+    with c = sqrt(eps r^2 / 2), and u_{a,b} / sqrt(p). x raises the frequency
+    f1 by one, a shift of the vector by one entry."""
+
+    def times(u: np.ndarray, sign: float) -> np.ndarray:  # (x + sign) u
+        return np.concatenate(([0.0], u[:-1])) + sign * u
+
+    c = math.sqrt(eps_step * r2 / 2.0)
+    u = math.exp(-eps_step * r2) * weight
+    for k in range(1, a + 1):
+        u = (-c / math.sqrt(k)) * times(u, 1.0)
+    for k in range(1, b + 1):
+        u = (c / math.sqrt(k)) * times(u, -1.0)
+    return u / math.sqrt(p)
 
 
 def exact_trajectory_branches(

@@ -30,7 +30,14 @@ from ecsim.measurement import (
 )
 from ecsim.verify import check_trajectory_brute_force
 from fock_counts import joint_count_distribution, total_number_distribution
-from fock_helpers import embed, exact_trajectory_branches, project_counts, trajectory_branches, weight_table
+from fock_helpers import (
+    collapsed_weight,
+    embed,
+    exact_trajectory_branches,
+    project_counts,
+    trajectory_branches,
+    weight_table,
+)
 
 
 class TestCountDistribution:
@@ -241,10 +248,10 @@ def _choice_run(n, eps, steps, seed, stop_after_detections=None):
     rng = np.random.default_rng(seed)
     remaining, r2, records = 2 * n, float(n), []
     for _ in range(steps):
-        probs, _ = measurement._step(v, n, remaining, r2, eps)
+        probs, _, rows = measurement._step(v, n, remaining, r2, eps)
         pick = int(rng.choice(len(probs), p=probs / probs.sum()))
         a, b = measurement._pair(pick)
-        v = measurement._collapse(v, r2, eps, a, b, probs[pick])
+        v = measurement._collapse(rows[pick], n, probs[pick])
         remaining -= a + b
         r2 *= 1.0 - eps
         records.append(((a, b), float(probs[pick])))
@@ -298,11 +305,11 @@ class TestStepSampler:
         u = np.nextafter(1.0, 0.0)
         for n, eps in [(20, 0.05), (64, 0.03), (8, 0.4), (0, 0.3)]:
             v, r2 = measurement._start(n, eps), float(n)
-            probs, _ = measurement._step(v, n, 2 * n, r2, eps)
+            probs, _, _ = measurement._step(v, n, 2 * n, r2, eps)
             assert probs.sum() < u
-            pick, p, worst = measurement._draw(v, n, 2 * n, r2, eps, u)
+            pick, p, worst, row = measurement._draw(v, n, 2 * n, r2, eps, u)
             assert p == probs[pick] > 0.0 and worst < 1e-10
-            assert np.isfinite(measurement._collapse(v, r2, eps, *measurement._pair(pick), p)).all()
+            assert np.isfinite(measurement._collapse(row, n, p)).all()
 
     def test_scaled_probabilities_raise(self, monkeypatch):
         # probabilities 1e-7 too large still leave no unenumerated tail; the
@@ -391,7 +398,7 @@ class TestSectorAmplitudes:
 
 class TestWalkerMatchesSampler:
     """The level walker stacks branches that the sampler steps one at a
-    time, through the same `_shells` and `_collapse`: a seeded run whose
+    time, both collapsing onto the rows `_shells` builds: a seeded run whose
     outcomes the walker keeps must end on that leaf's numbers, bit for bit."""
 
     def test_seeded_runs_land_on_their_leaves(self):
@@ -420,14 +427,68 @@ class TestWalkerMatchesSampler:
             list(trajectory_branches(2, 0.4, 1, floor=0.0))
 
 
+class TestCollapseReference:
+    """Every weight the sampler and the walker step to equals, by value, the
+    detection recursion of `fock_helpers.collapsed_weight` applied to the
+    weight before the step with the counts and probability drawn. Padding
+    writes +0.0 where the recursion can leave -0.0, so bytes may differ."""
+
+    @staticmethod
+    def sampled_steps(monkeypatch, n, eps, steps, seed, stop=None):
+        """(weight, radius^2) before each step of a seeded run, the run's
+        steps and its final weight."""
+        seen, good = [], measurement._draw
+
+        def draw(v, n, remaining, r2, eps, u):
+            seen.append((v, r2))
+            return good(v, n, remaining, r2, eps, u)
+
+        monkeypatch.setattr(measurement, "_draw", draw)
+        record, traj = run_interference_trajectory(n, eps, steps, seed, stop_after_detections=stop)
+        return seen, record.steps, traj.weight
+
+    @pytest.mark.parametrize(
+        "n,eps,steps,seeds,stop",
+        [(20, 0.05, 200, range(10), None), (64, 0.03, 400, (0, 1, 7, 2024), 100), (2000, 0.01, 5, (0,), None)],
+    )
+    def test_sampler_steps_match_the_recursion(self, monkeypatch, n, eps, steps, seeds, stop):
+        for seed in seeds:
+            seen, records, final = self.sampled_steps(monkeypatch, n, eps, steps, seed, stop)
+            after = [v for v, _ in seen[1:]] + [final]
+            assert len(after) == len(records) > 0
+            for (v, r2), step, nxt in zip(seen, records, after):
+                assert np.array_equal(nxt, collapsed_weight(v, r2, eps, *step.counts, step.probability))
+
+    def test_walker_leaves_match_the_recursion(self):
+        eps, depth, checked = 0.4, 3, 0
+        for n in (1, 2, 3, 4):
+            leaves = measurement.trajectory_leaves(n, eps, depth, floor=1e-6)
+            weights = {(): measurement._start(n, eps)}  # by outcome prefix
+            for path, weight in zip(leaves.outcomes.tolist(), leaves.weights):
+                r2 = float(n)
+                for level, (a, b) in enumerate(path):
+                    prefix = tuple(map(tuple, path[: level + 1]))
+                    if prefix not in weights:
+                        v = weights[prefix[:-1]]
+                        remaining = 2 * n - sum(map(sum, prefix[:-1]))
+                        probs = measurement._step(v, n, remaining, r2, eps)[0]
+                        p = float(probs[(a + b) * (a + b + 1) // 2 + b])  # (a, b) in `_pair` order
+                        weights[prefix] = collapsed_weight(v, r2, eps, a, b, p)
+                    r2 *= 1.0 - eps
+                assert np.array_equal(weight, weights[tuple(map(tuple, path))])
+                checked += 1
+        assert checked == 3172  # the leaves `check_trajectory_brute_force(4, 3)` compares
+
+
 class TestBruteForceMutations:
     """The brute-force check must fail when either route it compares is
     corrupted: the phase-route kernel or the coupler under the Fock oracle."""
 
     def test_swapped_collapse_counts_detected(self, monkeypatch):
-        good = measurement._collapse
+        # each outcome (a, b) keeps its probability but collapses onto the row of (b, a)
+        good = measurement._shells
         monkeypatch.setattr(
-            measurement, "_collapse", lambda v, r2, eps, a, b, p: good(v, r2, eps, b, a, p)
+            measurement, "_shells", lambda *args: ((p, d, shell[..., ::-1, :]) for p, d, shell in good(*args))
         )
         assert not check_trajectory_brute_force(2, 2).passed
 

@@ -31,7 +31,9 @@ from ecsim.fock import (
     NumberDiagonalDensity,
     basis_state,
     check_cells,
+    coherent_amplitudes,
     lowering_matrix,
+    poisson_tail,
     sector_occupations,
     tensor,
     to_density,
@@ -40,8 +42,10 @@ from ecsim.fock import (
 from ecsim.homodyne import HomodyneConfig, PhaseShiftProcess, homodyne_difference_stats
 from ecsim.measurement import run_interference_trajectory
 from ecsim.sources import (
+    LaserSpec,
     PhaseWalkSpec,
     decomposition_equivalence_check,
+    laser_density,
     phase_walk_correlation,
 )
 from ecsim.squeezing import (
@@ -106,6 +110,11 @@ OVER_CAP = [
     ("circle delta_profile", lambda: delta_profile(conditional_weight(1, 1, 0.1, 4, grid=16), points=2**24 + 1)),
     ("trajectory delta_profile", lambda: _trajectory(4).delta_profile(2**24 + 1)),
     ("homodyne source", lambda: homodyne_difference_stats(HomodyneConfig(2**24, PhaseShiftProcess(0.0)))),
+    ("phase grid", lambda: number_state_on_circle(2**28)),
+    ("coherent amplitudes", lambda: coherent_amplitudes(1.0, 2**28)),
+    ("laser_density", lambda: laser_density(LaserSpec(1.0, 2**28))),
+    ("poisson_tail", lambda: poisson_tail(1.0, 2**28)),
+    ("occupations", lambda: ModeShape.uniform(30, 3).occupations(0)),
 ]
 
 

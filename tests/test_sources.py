@@ -25,6 +25,7 @@ from ecsim.sources import (
     laser_density,
     phase_walk_correlation,
 )
+from ecsim.homodyne import PhaseShiftProcess
 from ecsim.verify import check_decomposition_equivalence
 from fock_counts import total_number_distribution
 from fock_helpers import equal_multimode_split, multimode_output_coherent, trace_norm
@@ -340,6 +341,12 @@ class TestPhaseWalk:
         with pytest.raises(ValidationError):
             PhaseWalkSpec(-0.1, 2, 1)
 
+    @pytest.mark.parametrize("pairs", [[(0, 3)], [(3, 0)], [(0, -1)], [(-3, 1)], [(1, 1), (0, 5)]])
+    def test_pairs_outside_the_modes_refused(self, pairs):
+        # -1 would read mode 2 by numpy's negative indexing, 3 past the end
+        with pytest.raises(ValidationError, match="pairs"):
+            phase_walk_correlation(PhaseWalkSpec(0.1, 3, 1), 2, pairs=pairs)
+
     @pytest.mark.parametrize("modes,photons,seed,realizations,budget", WALK_CASES)
     def test_every_chunk_matches_walk_closed_form(self, monkeypatch, modes, photons, seed, realizations, budget):
         g1_error, stderr_error = walk_deviation(monkeypatch, modes, photons, seed, realizations, budget)
@@ -371,3 +378,21 @@ class TestPhaseWalk:
         assert (re, im, mag, se) == (res.g1[2, 0].real, res.g1[2, 0].imag, abs(res.g1[2, 0]), res.stderr[2, 0])
         full = phase_walk_correlation(PhaseWalkSpec(0.2, 3, 2, seed=3), 2)
         assert [(k, l) for k, l, *_ in full.to_csv_rows()] == [(k, l) for k in range(3) for l in range(3)]
+
+
+# (site, call with one nonfinite parameter x): each must raise ValidationError
+NONFINITE = [
+    ("CouplerParams phi", lambda x: CouplerParams(0.5, x)),
+    ("LaserSpec nbar", lambda x: LaserSpec(x, 3)),
+    ("PhaseWalkSpec step_variance", lambda x: PhaseWalkSpec(x, 2, 1)),
+    ("poisson_pmf nbar", lambda x: poisson_pmf(x, 2)),
+    ("decomposition nbar", lambda x: decomposition_equivalence_check(x, 2, 3)),
+    ("PhaseShiftProcess gamma", lambda x: PhaseShiftProcess(x)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site, call", NONFINITE, ids=[site for site, _ in NONFINITE])
+def test_nonfinite_parameters_refused(site, call, value):
+    with pytest.raises(ValidationError, match="finite"):
+        call(value)
