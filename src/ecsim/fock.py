@@ -49,6 +49,13 @@ def check_dense(axes: int, cells: int, what: str = "array") -> None:
     check_cells(cells, what)
 
 
+def check_integer(value, what: str) -> None:
+    """Raise ValidationError unless `value` is a Python or numpy integer; a
+    float is refused even when it is whole."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def zeros(dims: tuple[int, ...]) -> np.ndarray:
     """Complex zeros of shape `dims`, once `check_dense` has admitted them."""
     check_dense(len(dims), math.prod(dims), f"array {tuple(dims)}")
@@ -210,6 +217,8 @@ def poisson_pmf(nbar: float, n) -> float | np.ndarray:
     distribution (with 0^0 = 1).
     """
     n_arr = np.asarray(n)
+    if n_arr.dtype.kind not in "iu":  # signed or unsigned integers
+        raise ValidationError(f"photon numbers must be integers, got dtype {n_arr.dtype}")
     if not 0 <= nbar < math.inf or n_arr.min(initial=0) < 0:
         raise ValidationError(f"nbar must be finite, and nbar and photon numbers nonnegative, got nbar = {nbar}")
     if nbar == 0.0:
@@ -253,6 +262,8 @@ def coherent_log_amplitudes(alphas: np.ndarray, cutoff: int) -> np.ndarray:
     amplifies the rounding of u k-fold on any route, the reference's included.
     """
     alphas = np.asarray(alphas, dtype=np.complex128).ravel()
+    if not np.isfinite(alphas).all():
+        raise ValidationError("coherent amplitudes must be finite")
     check_cells((cutoff + 1) * alphas.size, f"coherent amplitudes of {alphas.size} points to cutoff {cutoff}")
     mags = np.abs(alphas)
     safe = np.where(mags == 0.0, 1.0, mags)
@@ -409,12 +420,8 @@ def _fmt(x: float) -> str:
 
 
 def _interleave(values: np.ndarray) -> list[str]:
-    flat = np.asarray(values, dtype=np.complex128).ravel()
-    out = []
-    for z in flat:
-        out.append(_fmt(z.real))
-        out.append(_fmt(z.imag))
-    return out
+    """re, im, re, im, ... of `values`, each as `_fmt` writes it."""
+    return ["%.17g" % x for x in np.asarray(values, dtype=np.complex128).ravel().view(np.float64).tolist()]
 
 
 def to_json_dict(obj) -> dict:

@@ -264,11 +264,19 @@ def _collapse(rows: np.ndarray, n: int, p) -> np.ndarray:
     return out
 
 
-def _psi_samples(weight: np.ndarray, n: int, M: int) -> np.ndarray:
-    """h(psi_l) = sum_f1 weight[f1 + n] e^{i f1 psi_l} at psi_l = 2 pi l / M;
-    w(phi, phi') = e^{-i D phi'} h(phi - phi'). Needs M >= 2n + 1."""
-    l = np.arange(M)
-    return ifft(weight, M) * M * np.exp(-2j * math.pi * ((n * l) % M) / M)
+def _positive_coefficients(weight: np.ndarray, n: int, remaining: int) -> np.ndarray:
+    """u_k = w_hat(-k, -(D - k)) of the weight times the indicator of Delta in
+    (0, pi/2), k = 0..D, D = remaining: sum_f1 weight[f1 + n] c(f1 + k), where
+    c(0) = 1/2, c(d) = i / (pi d) at odd d and 0 at other even d are the
+    indicator's Fourier coefficients in phi - phi'. One FFT product at the
+    first power of two >= 2n + D + 1, a length at which no term wraps round."""
+    d = np.arange(-n, n + remaining + 1)
+    odd = d % 2 == 1
+    c = np.zeros(d.size, dtype=np.complex128)
+    c[n] = 0.5  # d = 0
+    c[odd] = 1j / (math.pi * d[odd])
+    size = 1 << (d.size - 1).bit_length()
+    return ifft(fft(c, size) * ifft(weight, size))[: remaining + 1] * size
 
 
 def _sector_factors(remaining: int, k: np.ndarray) -> np.ndarray:
@@ -472,10 +480,10 @@ def fringe_scan(
     restricts the weight to Delta > 0 (conditioning on which cavity leads in
     phase), giving the single-branch pattern a subsequent experiment run
     displays once the branches are macroscopically distinct. The restriction
-    is a mask on the difference phi - phi', so the masked weight stays on the
-    same anti-diagonal: it is sampled on M = max(256, 8n + 8) points of
-    phi - phi', masked to Delta in (0, pi/2) and transformed back, and its
-    coefficients take the factors of `sector_amplitudes`.
+    is the indicator of Delta in (0, pi/2), a function of phi - phi' alone,
+    so the masked weight stays on the same anti-diagonal; its coefficients
+    come exactly from the indicator's closed-form Fourier coefficients
+    (`_positive_coefficients`) and take the factors of `sector_amplitudes`.
     """
     if branch not in FRINGE_BRANCHES:
         raise ValidationError(f"unknown branch {branch!r}")
@@ -484,12 +492,8 @@ def fringe_scan(
     if branch == "full":
         k, psi = sector_amplitudes(n, D, traj.weight)
     else:
-        M = max(256, 8 * n + 8)
-        h = _psi_samples(traj.weight, n, M)
-        h[0] = 0.0
-        h[M // 2 :] = 0.0
         k = np.arange(D + 1)
-        psi = _sector_factors(D, k) * (fft(h) / M)[-k % M]  # w_hat(-k, -(D - k)) of the masked weight
+        psi = _sector_factors(D, k) * _positive_coefficients(traj.weight, n, D)
     norm = float(np.vdot(psi, psi).real)
     if not norm > 0.0:
         raise NumericsError("weight has no norm; cannot scan")

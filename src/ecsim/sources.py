@@ -24,6 +24,7 @@ from .fock import (
     NumberDiagonalDensity,
     _log_factorial,
     check_cells,
+    check_integer,
     poisson_pmf,
     poisson_tail,
     sector_occupations,
@@ -41,6 +42,7 @@ class LaserSpec:
     def __post_init__(self):
         if not 0 <= self.nbar < math.inf:
             raise ValidationError(f"nbar must be finite and nonnegative, got {self.nbar}")
+        check_integer(self.cutoff, "cutoff")
         if self.cutoff < 0:
             raise ValidationError("cutoff must be nonnegative")
 
@@ -62,6 +64,8 @@ class PhaseWalkSpec:
     def __post_init__(self):
         if not 0 <= self.step_variance < math.inf:
             raise ValidationError(f"step_variance must be finite and nonnegative, got {self.step_variance}")
+        check_integer(self.mode_count, "mode_count")
+        check_integer(self.photon_number, "photon_number")
         if self.mode_count < 1:
             raise ValidationError("mode_count must be >= 1")
         if self.photon_number < 0:
@@ -211,6 +215,7 @@ def phase_walk_correlation(
     restricts which (k, l) entries are computed and reported. No photons
     (m = 0) gives g1 = 0.
     """
+    check_integer(realizations, "realizations")
     if realizations < 1:
         raise ValidationError("need at least one realization")
     N, m = spec.mode_count, spec.photon_number

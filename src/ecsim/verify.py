@@ -76,7 +76,6 @@ def check_twirl_invariance() -> CheckResult:
     for seed, delta in ((4, 0.7), (5, 2.1)):
         rho = _random_density(ModeShape((3, 2)), seed)
         # conjugate by a global phase shift of both modes
-        dims = rho.shape.dims
         tot = rho.shape.total_occupation()
         u = np.exp(1j * delta * tot)
         shifted = DensityMatrix(rho.shape, (u[:, None] * rho.entries) * u.conj()[None, :])

@@ -30,7 +30,7 @@ from ecsim.fock import (
     vacuum,
     zeros,
 )
-from ecsim.measurement import TrajectoryState, _psi_samples, exact_trajectory_leaves, trajectory_leaves
+from ecsim.measurement import TrajectoryState, exact_trajectory_leaves, trajectory_leaves
 from ecsim.squeezing import pump_sector_evolution
 
 
@@ -127,8 +127,9 @@ def weight_table(traj: TrajectoryState, grid_points: int | None = None) -> np.nd
     if M < 2 * n + 1:
         raise ValidationError(f"grid must resolve frequencies up to {n}; need M >= {2*n+1}")
     check_cells(M * M, f"weight table on a {M}-point grid")
-    h = _psi_samples(traj.weight, n, M)
     l = np.arange(M)
+    # h(psi_l) = sum_f1 weight[f1 + n] e^{i f1 psi_l} at psi_l = 2 pi l / M; w = e^{-i D phi'} h(phi - phi')
+    h = np.fft.ifft(traj.weight, M) * M * np.exp(-2j * math.pi * ((n * l) % M) / M)
     phase_b = np.exp(-2j * math.pi * ((traj.remaining * l) % M) / M)  # e^{-i D phi'}
     return h[(l[:, None] - l[None, :]) % M] * phase_b[None, :]
 

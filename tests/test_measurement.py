@@ -719,8 +719,7 @@ class TestFringeScan:
 
     def test_every_photon_detected(self):
         # the run counts all four photons: the cavities are left in |0, 0>
-        # and the detector sees exactly nothing on either branch (the grid
-        # reference of the next test is pure rounding noise here)
+        # and the detector sees exactly nothing on either branch
         record, traj = run_interference_trajectory(2, 0.9, 20, seed=3)
         assert record.totals == (4, 0) and traj.remaining == 0
         gammas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
@@ -731,12 +730,17 @@ class TestFringeScan:
         assert state.norm2 == pytest.approx(1.0, abs=1e-15)
         assert abs(state.amplitudes[0, 0]) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("n,eps,steps,seed", [(8, 0.2, 10, 21), (12, 0.05, 15, 4), (12, 0.1, 12, 4), (6, 0.3, 0, 2)])
-    def test_positive_branch_matches_grid_reference(self, n, eps, steps, seed):
-        _, traj = run_interference_trajectory(n, eps, steps, seed=seed)
+    # the configs of the earlier sampled-mask test, an early and a coarse run,
+    # D = 0, and the benchmark's deep trajectory config
+    @pytest.mark.parametrize("n,eps,steps,seed,stop", [
+        (8, 0.2, 10, 21, None), (12, 0.05, 15, 4, None), (12, 0.1, 12, 4, None), (6, 0.3, 0, 2, None),
+        (20, 0.05, 40, 2, None), (4, 0.3, 3, 0, None), (2, 0.9, 20, 3, None), (64, 0.03, 400, 0, 100),
+    ])
+    def test_positive_branch_matches_quadrature(self, n, eps, steps, seed, stop):
+        _, traj = run_interference_trajectory(n, eps, steps, seed=seed, stop_after_detections=stop)
         gammas = np.linspace(0, 2 * math.pi, 16, endpoint=False)
         scan = fringe_scan(traj, gammas, branch="positive")
-        expect = _positive_fringe_on_grid(traj, gammas)
+        expect = _positive_fringe_by_quadrature(traj, gammas)
         assert np.abs(scan.intensity - expect).max() <= 1e-12 * np.abs(expect).max()
 
     # D = 0, 7 > n = 6, 1, 7 and 29 photons left
@@ -771,31 +775,19 @@ class TestFringeScan:
             assert scan.intensity.tobytes() == other.intensity.tobytes() and scan.visibility == other.visibility
 
 
-def _positive_fringe_on_grid(traj, gammas):
-    """Positive-branch fringe from the M x M phase-pair grid: synthesize
-    w(phi, phi') by direct summation, zero it outside Delta in (0, pi/2),
-    take its 2-D Fourier coefficients and form the kernel sums of
-    docs/trajectory_notes.md over the full coefficient table."""
-    n, D = traj.n, traj.remaining
-    M = max(256, 8 * n + 8)
-    phis = 2.0 * math.pi * np.arange(M) / M
-    f1 = np.arange(-n, n + 1)
-    f2 = -D - f1
-    table = np.einsum("f,if,jf->ij", traj.weight, np.exp(1j * np.outer(phis, f1)),
-                      np.exp(1j * np.outer(phis, f2)))
-    lag = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    table = np.where((lag > 0) & (lag < M // 2), table, 0.0)
-    coeffs = np.fft.fft2(table) / (M * M)
-    F = M // 2 - 1
-    j = np.arange(F + 1)
-    W = coeffs[np.ix_(-j % M, -j % M)]  # W[j, j'] = w_hat(-j, -j')
-    rho2 = traj.radius2
-    lam = np.exp(-rho2 + j * math.log(rho2) - np.array([math.lgamma(k + 1.0) for k in j]))
-    Wa = np.zeros_like(W)  # w_hat(-1-j, -j')
-    Wa[:F] = W[1:]
-    Wb = np.zeros_like(W)  # w_hat(-j, -1-j')
-    Wb[:, :F] = W[:, 1:]
-    norm = lam @ np.abs(W) ** 2 @ lam
-    t_dc = lam @ np.abs(Wa) ** 2 @ lam + lam @ np.abs(Wb) ** 2 @ lam
-    s1 = lam @ (Wb * np.conj(Wa)) @ lam
-    return (rho2 / 2.0) * (t_dc + 2.0 * np.real(np.exp(1j * gammas) * s1)) / norm
+def _positive_fringe_by_quadrature(traj, gammas):
+    """Positive-branch fringe from the continuous mask: the coefficients
+    u_j = (1 / 2 pi) int_0^pi h(psi) e^{i j psi} dpsi of the weight kept on
+    Delta = psi / 2 in (0, pi/2), h(psi) = sum_f1 weight[f1 + n] e^{i f1 psi},
+    by Gauss-Legendre quadrature, then the kernel sums of
+    docs/trajectory_notes.md in lambda_j at the run's radius."""
+    n, D, rho2 = traj.n, traj.remaining, traj.radius2
+    x, w = np.polynomial.legendre.leggauss(3 * (2 * n + D) + 200)
+    psis, w = math.pi * (x + 1.0) / 2.0, math.pi * w / 2.0
+    h = np.exp(1j * np.outer(psis, np.arange(-n, n + 1))) @ traj.weight
+    j = np.arange(D + 1)
+    u = (w * h) @ np.exp(1j * np.outer(psis, j)) / (2.0 * math.pi)
+    lam = np.exp(j * math.log(rho2) - rho2 - np.array([math.lgamma(k + 1.0) for k in j]))
+    norm = np.sum(lam * lam[::-1] * np.abs(u) ** 2)
+    s = rho2 * np.sum(lam[:-1] * lam[-2::-1] * u[:-1] * np.conj(u[1:])) / norm
+    return D / 2.0 + np.real(np.exp(1j * gammas) * s)

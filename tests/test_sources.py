@@ -388,6 +388,8 @@ NONFINITE = [
     ("poisson_pmf nbar", lambda x: poisson_pmf(x, 2)),
     ("decomposition nbar", lambda x: decomposition_equivalence_check(x, 2, 3)),
     ("PhaseShiftProcess gamma", lambda x: PhaseShiftProcess(x)),
+    ("coherent_amplitudes alpha", lambda x: coherent_amplitudes(x, 3)),
+    ("coherent_amplitudes imaginary part", lambda x: coherent_amplitudes(complex(0.0, x), 3)),
 ]
 
 
@@ -395,4 +397,23 @@ NONFINITE = [
 @pytest.mark.parametrize("site, call", NONFINITE, ids=[site for site, _ in NONFINITE])
 def test_nonfinite_parameters_refused(site, call, value):
     with pytest.raises(ValidationError, match="finite"):
+        call(value)
+
+
+# (site, call with one count x): each must raise ValidationError for a count
+# that is not an integer, before it reaches a table lookup or an allocation
+NONINTEGER = [
+    ("LaserSpec cutoff", lambda x: LaserSpec(1.0, x)),
+    ("PhaseWalkSpec mode_count", lambda x: PhaseWalkSpec(0.1, x, 1)),
+    ("PhaseWalkSpec photon_number", lambda x: PhaseWalkSpec(0.1, 3, x)),
+    ("phase_walk_correlation realizations", lambda x: phase_walk_correlation(PhaseWalkSpec(0.1, 3, 1), x)),
+    ("poisson_pmf n", lambda x: poisson_pmf(1.0, x)),
+    ("poisson_pmf n array", lambda x: poisson_pmf(1.0, [0, x])),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, math.nan, math.inf], ids=["2.5", "3.0", "nan", "inf"])
+@pytest.mark.parametrize("site, call", NONINTEGER, ids=[site for site, _ in NONINTEGER])
+def test_noninteger_counts_refused(site, call, value):
+    with pytest.raises(ValidationError, match="integer"):
         call(value)
