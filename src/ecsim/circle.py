@@ -182,14 +182,14 @@ def pair_ladder(chis: complex | np.ndarray, cutoff: int) -> np.ndarray:
     return (_unit_phase(-chis)[:, None] ** k) * (np.tanh(r)[:, None] ** k) / np.cosh(r)[:, None]
 
 
-def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grid weights (measure included) and the Fock expansions of every
-    coherent amplitude, shape (R, P, coherent modes, largest occupation + 1),
-    for reading the tuples `occ`. The phase degree at a tuple is its coherent
-    occupations plus, per pair factor, the smaller of its modes' occupations;
-    grids too small for the largest are refused. `stack` holds R amplitude
-    tables like `ecs.amplitudes` that share its grids and weight. Each mode
-    slices its own cutoff's columns, which no other cutoff changes."""
+def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The Fock expansions of every coherent amplitude, shape
+    (R, P, coherent modes, largest occupation + 1), for reading the tuples
+    `occ`. The phase degree at a tuple is its coherent occupations plus, per
+    pair factor, the smaller of its modes' occupations; grids too small for
+    the largest are refused. `stack` holds R amplitude tables like
+    `ecs.amplitudes` that share its grids. Each mode slices its own cutoff's
+    columns, which no other cutoff changes."""
     columns = occ[:, list(ecs.coherent_modes)]
     pairs = [np.minimum(occ[:, i], occ[:, j]) for i, j in (pf.modes for pf in ecs.pair_factors)]
     degree = int((columns.sum(axis=1) + sum(pairs)).max(initial=0))
@@ -201,7 +201,6 @@ def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> tup
                 f"need M >= {required}"
             )
     P = int(np.prod(ecs.grid_shape))
-    weight_flat = ecs.weight.ravel() * (1.0 / P)
     modes = len(ecs.coherent_modes)
     cut = int(columns.max(initial=0))
     R = stack.shape[0]
@@ -211,7 +210,7 @@ def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> tup
     step = max(1, BLOCK_CELLS // (cut + 1))
     for start in range(0, len(alphas), step):
         tables[start : start + step] = coherent_log_amplitudes(alphas[start : start + step], cut)
-    return weight_flat, tables.reshape(R, P, modes, cut + 1)
+    return tables.reshape(R, P, modes, cut + 1)
 
 
 def ecs_to_fock(ecs: ECSState) -> FockVector:
@@ -220,8 +219,9 @@ def ecs_to_fock(ecs: ECSState) -> FockVector:
     largest total occupation or larger ones; smaller grids are refused.
     """
     shape = ecs.shape
-    weight_flat, (coherent,) = _quadrature_inputs(ecs, np.array([shape.cutoffs]), ecs.amplitudes[None])
-    P = weight_flat.size
+    (coherent,) = _quadrature_inputs(ecs, np.array([shape.cutoffs]), ecs.amplitudes[None])
+    P = coherent.shape[0]
+    weight_flat = ecs.weight.ravel() * (1.0 / P)
 
     # one operand per factor: (mode tuple, table of shape (P, dims...))
     operands: list[tuple[tuple[int, ...], np.ndarray]] = [
@@ -275,19 +275,24 @@ def ecs_sector_amplitudes(ecs: ECSState, occupations: np.ndarray) -> np.ndarray:
     rows of `fock.sector_occupations`. The quadrature is the same as in
     `ecs_to_fock`, so a state confined to one total photon number (a circle
     weight e^{-i m phi}) is fully given by its C(m + N - 1, m) sector
-    amplitudes instead of (m + 1)^N. This is the one-table case of
-    `sector_amplitude_stack`.
+    amplitudes instead of (m + 1)^N. This is the one-table, one-weight case
+    of `sector_amplitude_stack`.
     """
-    return sector_amplitude_stack(ecs, ecs.amplitudes[None], occupations)[0]
+    return sector_amplitude_stack(ecs, ecs.amplitudes[None], ecs.weight[None, None], occupations)[0, 0]
 
 
-def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: np.ndarray) -> np.ndarray:
-    """`ecs_sector_amplitudes` for a stack of R amplitude tables at once.
+def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, weights: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """`ecs_sector_amplitudes` for a stack of R amplitude tables, W weights each.
 
     `amplitudes` has shape (R, grid..., coherent modes): R tables like
-    `ecs.amplitudes` that share its grids, weight, pair factors and shape. Of
+    `ecs.amplitudes` that share its grids, pair factors and shape, and
+    `weights` has shape (R, W, grid...): W weight functions per table. Of
     `ecs` only those, its modes and the shape of its amplitude table are read,
-    not the amplitudes themselves. Returns the (R, tuples) sector amplitudes.
+    not its amplitudes or weight. Returns the (R, W, tuples) sector
+    amplitudes. The grid rule sizes the grids by the tuples alone: that is
+    exact where each weight holds phase frequencies -(M - 1) to 0 only on its
+    M-point grid, as e^{-i m phi} does for m < M, and e^{-i m phi} times one
+    amplitude e^{i phi} for 0 < m <= M.
     Each tuple's per-mode factors are multiplied one mode at a time into an
     (R, P, tuples) block, so no (R, P, tuples, modes) array is formed. A pair
     factor contributes `pair_ladder`[k] where both of its modes hold k, and 0
@@ -302,10 +307,15 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
     stack = np.asarray(amplitudes, dtype=np.complex128)
     if stack.shape[1:] != ecs.amplitudes.shape:
         raise ValidationError(f"amplitude stack needs shape (R, *{ecs.amplitudes.shape}), got {stack.shape}")
-    weight_flat, tables = _quadrature_inputs(ecs, occ, stack)
+    weights = np.asarray(weights, dtype=np.complex128)
+    if weights.ndim != stack.ndim or weights.shape[:1] + weights.shape[2:] != stack.shape[:-1]:
+        raise ValidationError(f"weights need shape ({stack.shape[0]}, W, *{ecs.grid_shape}), got {weights.shape}")
+    tables = _quadrature_inputs(ecs, occ, stack)
     R, P, modes = tables.shape[:3]
+    W = weights.shape[1]
     columns = occ[:, list(ecs.coherent_modes)]  # (tuples, modes) in table order
-    check_cells(R * len(columns), f"sector amplitudes ({R} tables, {len(columns)} tuples)")
+    check_cells(R * W * max(len(columns), P), f"sector amplitudes ({R} x {W} weights, {len(columns)} tuples, {P} points)")
+    weight_flat = weights.reshape(R, W, P) * (1.0 / P)
     # per pair factor: its ladder up to the highest rung a tuple reads, with a
     # zero column after it, and each tuple's column in that table
     ladders = []
@@ -316,7 +326,7 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
         ladder[:, :-1] = pair_ladder(pf.chi, top)
         ladders.append((ladder, np.where(occ[:, i] == occ[:, j], occ[:, i], top + 1)))
     step = max(1, BLOCK_CELLS // (2 * R * P))  # tuples per block
-    out = np.empty((R, len(columns)), dtype=np.complex128)
+    out = np.empty((R, W, len(columns)), dtype=np.complex128)
     for start in range(0, len(columns), step):
         block = columns[start : start + step]
         acc = tables[:, :, 0, block[:, 0]]
@@ -324,7 +334,7 @@ def sector_amplitude_stack(ecs: ECSState, amplitudes: np.ndarray, occupations: n
             acc *= tables[:, :, pos, block[:, pos]]
         for ladder, rungs in ladders:
             acc *= ladder[:, rungs[start : start + step]]
-        out[:, start : start + step] = weight_flat @ acc
+        out[:, :, start : start + step] = weight_flat @ acc
     return out
 
 

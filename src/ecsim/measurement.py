@@ -484,6 +484,8 @@ def fringe_scan(
     so the masked weight stays on the same anti-diagonal; its coefficients
     come exactly from the indicator's closed-form Fourier coefficients
     (`_positive_coefficients`) and take the factors of `sector_amplitudes`.
+    A visibility rounded past 1 by at most 1e-12 reads 1; one further past
+    raises NumericsError.
     """
     if branch not in FRINGE_BRANCHES:
         raise ValidationError(f"unknown branch {branch!r}")
@@ -500,7 +502,9 @@ def fringe_scan(
     s = complex(np.sqrt((k[:-1] + 1.0) * (D - k[:-1])) @ (psi[:-1] * np.conj(psi[1:]))) / norm
     intensity = D / 2.0 + np.real(np.exp(1j * gammas) * s)
     visibility = 0.0 if D == 0 else 2.0 * abs(s) / D
-    return FringeScan(gammas, intensity, float(visibility))
+    if visibility > 1.0 + 1e-12:  # |S| <= (<n_a> + <n_b>) / 2 = D / 2: only rounding passes 1
+        raise NumericsError(f"fringe visibility {visibility:.17g} exceeds 1 beyond rounding")
+    return FringeScan(gammas, intensity, min(visibility, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -166,51 +166,22 @@ class PhaseWalkResult:
 CHUNK_CELLS = 2**13
 
 
-def _lowering_maps(lower: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """b_k from the m-photon sector of N modes to the (m - 1)-photon sector
-    listed by `lower` (in `sector_occupations` order) as a gather:
-    (b_k psi)[j] = scale[k, j] psi[rows[k, j]], where rows[k, j] is the row of
-    lower[j] + e_k in `sector_occupations(N, m)`. Both have shape
-    (N, len(lower)); each b_k has one nonzero per row, so the dense
-    (N, len(lower), len(upper)) matrices would be almost all zeros.
-
-    `sector_occupations` lists tuples lexicographically, so a tuple's row is
-    its rank in the combinatorial number system: the tuples that agree with n
-    before mode i and hold fewer photons there number
-    C(s_i + K_i, K_i) - C(s_{i+1} + K_i, K_i), with s_i = n_i + ... + n_{N-1}
-    and K_i = N - 1 - i, and the rank is their sum over i."""
-    N = lower.shape[1]
-    # binom[s, K] = C(s + K, K) for s <= m: each row is the running sum of the one before
-    binom = np.ones((m + 1, N), dtype=np.int64)
-    for s in range(1, m + 1):
-        np.cumsum(binom[s - 1], out=binom[s])
-    K = np.arange(N - 1, -1, -1)
-    tail = np.cumsum(lower[:, ::-1], axis=1)[:, ::-1]  # s_i
-    after = tail - lower  # s_{i+1}
-    # lower[j] + e_k adds one to s_i for i <= k: mode i's term is `keep` for
-    # i > k, `own` for i = k and `shifted` for i < k
-    keep = binom[tail, K] - binom[after, K]
-    own = binom[tail + 1, K] - binom[after, K]
-    shifted = binom[tail + 1, K] - binom[after + 1, K]
-    before = np.cumsum(shifted, axis=1) - shifted
-    beyond = np.cumsum(keep[:, ::-1], axis=1)[:, ::-1] - keep
-    return (before + own + beyond).T, np.sqrt(lower.T + 1.0)
-
-
 def phase_walk_correlation(
     spec: PhaseWalkSpec, realizations: int, pairs: list[tuple[int, int]] | None = None
 ) -> PhaseWalkResult:
     """First-order coherence <b_k^dag b_l> / sqrt(<n_k><n_l>) of the walk,
     averaged over realizations of the phase path.
 
-    Each realization synthesizes the multimode state exactly in its m-photon
-    sector, the C(m + N - 1, m) amplitudes the circle weight e^{-i m phi}
-    leaves nonzero, and takes matrix elements on it; nothing is inferred from
-    the weight algebra. The realizations are taken in chunks of about
-    `CHUNK_CELLS` cells: a chunk's walks come from one draw of the seeded
-    generator (the same stream as one draw per realization), its sector
-    amplitudes from one `circle.sector_amplitude_stack` quadrature and its
-    N x N correlations from one stacked product. |g1| decays like
+    Each realization takes matrix elements of its exact m-photon state
+    through the lowered vectors b_l psi, on the C(m + N - 2, m - 1) tuples of
+    the (m - 1)-photon sector: b_l |alpha> = alpha_l |alpha>, so b_l psi is
+    the circle quadrature with the weight e^{-i m phi} times alpha_l(phi);
+    nothing is inferred from the weight algebra. The realizations are taken
+    in chunks of about `CHUNK_CELLS` cells: a chunk's walks come from one
+    draw of the seeded generator (the same stream as one draw per
+    realization), its lowered vectors from one
+    `circle.sector_amplitude_stack` quadrature and its N x N correlations
+    from one stacked product. |g1| decays like
     exp(-step_variance |k - l| / 2) in the realization average. `pairs`
     restricts which (k, l) entries are computed and reported. No photons
     (m = 0) gives g1 = 0.
@@ -219,9 +190,9 @@ def phase_walk_correlation(
     if realizations < 1:
         raise ValidationError("need at least one realization")
     N, m = spec.mode_count, spec.photon_number
-    # every sector tuple has total occupation m, so the rule's grid is exact there
+    # the rule's grid for m photons, exact for the lowered weights' frequency -(m - 1)
     grid = PhaseGrid.exact(m)
-    # sized before the sectors and pair indices: the circle tables, then g1 and samples
+    # sized before the sector and pair indices: the circle tables, then g1 and samples
     check_cells(grid.size * N * (m + 1), f"circle tables of {N} modes at {m} photons")
     g1 = zeros((N, N))
     samples = zeros((N * N if pairs is None else len(pairs), realizations))
@@ -229,19 +200,16 @@ def phase_walk_correlation(
     if not ((0 <= ks) & (ks < N) & (0 <= ls) & (ls < N)).all():
         raise ValidationError(f"pairs must index modes 0..{N - 1}")
     phis = grid.points
-    weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m)) if m > 0 else np.ones(grid.size)
-    base_amp = math.sqrt(m / N) if N > 0 else 0.0
-    sector = sector_occupations(N, m)
+    weight = np.exp(-1j * m * phis) / math.sqrt(poisson_pmf(float(m), m))
     below = sector_occupations(N, m - 1) if m > 0 else np.zeros((0, N), dtype=np.int64)
-    rows, scale = _lowering_maps(below, m)
-    # grid, weight and shape for the stacked quadrature; each chunk brings its
-    # own amplitudes, so this state's are zeros that are never read
-    circle = ECSState((grid,), weight, tuple(range(N)), np.zeros((grid.size, N)), ModeShape.uniform(N, m))
+    # grids and shape for the stacked quadrature; each chunk brings its own
+    # amplitudes and weights, so this state's are zeros that are never read
+    circle = ECSState((grid,), np.zeros(grid.size), tuple(range(N)), np.zeros((grid.size, N)), ModeShape.uniform(N, m))
     # cells one realization holds at once: circle tables, the quadrature's
     # (points, tuples) products, lowered vectors and correlations. A lone
     # realization is within the checks above, and circle.BLOCK_CELLS blocks
     # the products
-    cells = max(grid.size * N * (m + 1), grid.size * len(sector), N * len(below), N * N)
+    cells = max(grid.size * N * (m + 1), grid.size * len(below), N * len(below), N * N)
     chunk = max(1, CHUNK_CELLS // cells)
     rng = default_rng(spec.seed)
     # abs: a variance of -0.0 has the square root -0.0, which numpy refuses as a scale
@@ -250,8 +218,8 @@ def phase_walk_correlation(
         r = min(chunk, realizations - start)
         walks = np.zeros((r, N))
         np.cumsum(rng.normal(0.0, step, (r, N - 1)), axis=1, out=walks[:, 1:])
-        amps = base_amp * np.exp(1j * (phis[None, :, None] + walks[:, None, :]))
-        lowered = scale * sector_amplitude_stack(circle, amps, sector)[:, rows]
+        alphas = math.sqrt(m / N) * np.exp(1j * (walks[:, :, None] + phis))  # (r, N, points)
+        lowered = sector_amplitude_stack(circle, alphas.transpose(0, 2, 1), weight * alphas, below)
         corr = lowered.conj() @ lowered.transpose(0, 2, 1)
         occupancy = np.diagonal(corr, axis1=1, axis2=2).real
         denom = np.sqrt(occupancy[:, ks] * occupancy[:, ls])

@@ -24,6 +24,7 @@ from .fock import (
     coherent_amplitudes,
     fidelity,
     phase_shift,
+    poisson_pmf,
     to_density,
     twirl,
     vector_fidelity,
@@ -145,8 +146,6 @@ def check_quadrature_exactness() -> CheckResult:
     small = ecs_to_fock(base)
     grid = _circle.PhaseGrid(64)
     phis = grid.points
-    from .fock import poisson_pmf
-
     big = dataclasses.replace(
         base,
         grids=(grid,),

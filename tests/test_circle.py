@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -58,8 +59,6 @@ class TestCircleSynthesis:
         small = ecs_to_fock(base)
         big_grid = PhaseGrid(64)
         phis = big_grid.points
-        import dataclasses
-
         big = dataclasses.replace(
             base,
             grids=(big_grid,),
@@ -78,16 +77,12 @@ class TestCircleSynthesis:
 
     def test_undersized_grid_rejected(self):
         st = number_state_on_circle(3, cutoff=3)
-        import dataclasses
-
         bad = dataclasses.replace(st, shape=ModeShape((12,)))
         with pytest.raises(ValidationError, match="need M >="):
             ecs_to_fock(bad)
 
     def test_zero_weight_gives_zero_vector(self):
         st = number_state_on_circle(2)
-        import dataclasses
-
         zeroed = dataclasses.replace(st, weight=np.zeros_like(st.weight))
         assert ecs_to_fock(zeroed).norm2 == 0.0
 
@@ -193,19 +188,41 @@ class TestSectorSynthesis:
 
     @pytest.mark.parametrize("block_cells", [circle.BLOCK_CELLS, 64])
     def test_stack_matches_each_table(self, monkeypatch, block_cells):
-        # five walked tables on one grid and weight; with 64-cell blocks a
-        # block holds less than one tuple across the stack
+        # five walked tables on one grid, each read under its own weight and
+        # under the first table's; with 64-cell blocks a block holds less
+        # than one tuple across the stack
         states = [walked_sector_state(4, 3, seed) for seed in range(5)]
         occ = sector_occupations(4, 3)
         monkeypatch.setattr(circle, "BLOCK_CELLS", block_cells)
-        stacked = sector_amplitude_stack(states[0], np.array([s.amplitudes for s in states]), occ)
-        for row, ecs in zip(stacked, states):
-            assert np.abs(row - ecs_sector_amplitudes(ecs, occ)).max() <= 1e-15
+        other = 0.5j * states[0].weight
+        weights = np.array([[s.weight, other] for s in states])
+        stacked = sector_amplitude_stack(states[0], np.array([s.amplitudes for s in states]), weights, occ)
+        assert stacked.shape == (5, 2, len(occ))
+        for rows, ecs in zip(stacked, states):
+            assert np.abs(rows[0] - ecs_sector_amplitudes(ecs, occ)).max() <= 1e-15
+            assert np.abs(rows[1] - ecs_sector_amplitudes(dataclasses.replace(ecs, weight=other), occ)).max() <= 1e-15
+
+    @pytest.mark.parametrize("modes,photons,seed", [(1, 3, 0), (3, 2, 4), (4, 3, 5), (11, 2, 1)])
+    def test_weight_times_amplitude_lowers(self, modes, photons, seed):
+        # b_l |alpha> = alpha_l |alpha>: the weight times alpha_l(phi), read on
+        # the (m - 1)-photon tuples s, gives sqrt(s_l + 1) psi_{s + e_l} of the
+        # dense synthesis
+        ecs = walked_sector_state(modes, photons, seed)
+        dense = ecs_to_fock(ecs).amplitudes
+        below = sector_occupations(modes, photons - 1)
+        lowered = sector_amplitude_stack(ecs, ecs.amplitudes[None], (ecs.weight * ecs.amplitudes.T)[None], below)[0]
+        for l, row in enumerate(lowered):
+            raised = below + np.eye(modes, dtype=int)[l]
+            assert np.abs(row - np.sqrt(below[:, l] + 1.0) * dense[tuple(raised.T)]).max() <= 1e-14
 
     def test_stack_shape_rejected(self):
         ecs = walked_sector_state(3, 2, 1)
-        with pytest.raises(ValidationError):
-            sector_amplitude_stack(ecs, ecs.amplitudes, sector_occupations(3, 2))
+        occ = sector_occupations(3, 2)
+        with pytest.raises(ValidationError, match="amplitude stack"):
+            sector_amplitude_stack(ecs, ecs.amplitudes, ecs.weight[None, None], occ)
+        for weights in (ecs.weight[None], ecs.weight[None, None, :-1], np.stack([ecs.weight[None]] * 2)):
+            with pytest.raises(ValidationError, match="weights"):
+                sector_amplitude_stack(ecs, ecs.amplitudes[None], weights, occ)
 
     @pytest.mark.parametrize("block_cells", [circle.BLOCK_CELLS, 64])
     def test_pair_factors_read_at_their_ladder(self, monkeypatch, block_cells):

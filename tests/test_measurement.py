@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import math
 import sys
@@ -707,6 +708,19 @@ class TestFringeScan:
         recon = (c[0] + c[1] * np.exp(2j * math.pi * np.arange(128) / 128)
                  + c[-1] * np.exp(-2j * math.pi * np.arange(128) / 128)) / 128
         assert np.abs(scan.intensity - recon.real).max() <= 1e-8 * np.abs(scan.intensity).max()
+
+    def test_visibility_rounded_past_one_reads_one(self):
+        # D = 1: 2 |S| / D rounds to 1.0000000000000002 on the positive branch
+        _, traj = run_interference_trajectory(8, 0.2, 10, seed=21)
+        assert traj.remaining == 1
+        assert fringe_scan(traj, np.zeros(1), branch="positive").visibility == 1.0
+
+    def test_visibility_past_one_beyond_rounding_refused(self, monkeypatch):
+        # S scaled past D / 2 by 1e-9, which no rounding explains
+        _, traj = run_interference_trajectory(8, 0.2, 10, seed=21)
+        monkeypatch.setattr(measurement, "complex", lambda value: (1.0 + 1e-9) * builtins.complex(value), raising=False)
+        with pytest.raises(NumericsError, match="exceeds 1"):
+            fringe_scan(traj, np.zeros(1), branch="positive")
 
     def test_phase_locked_visibility_after_many_counts(self):
         # scan while the cavities still hold light: stop once 50 photons

@@ -68,6 +68,14 @@ def _split_circle(m: int, modes: int) -> ECSState:
 
 
 _circle3 = number_state_on_circle(3)  # 4 grid points, cutoff 3
+_split4 = _split_circle(3, 4)  # 13 grid points, 20 three-photon tuples
+
+
+def _circle3_stack(tables: int, weights: int) -> np.ndarray:
+    """`_circle3` read at |3) under `weights` weights for each of `tables`
+    tables, all broadcast views of its own."""
+    amps = np.broadcast_to(_circle3.amplitudes, (tables, 4, 1))
+    return sector_amplitude_stack(_circle3, amps, np.broadcast_to(_circle3.weight, (tables, weights, 4)), np.array([[3]]))
 
 
 def _trajectory(n: int):
@@ -93,7 +101,14 @@ OVER_CAP = [
     ("squeeze pump circle", lambda: approximation_quality([4092], 0.2)),
     ("circle tables", lambda: ecs_to_fock(number_state_on_circle(4096))),
     ("sector circle tables", lambda: ecs_sector_amplitudes(number_state_on_circle(4096), np.array([[4096]]))),
-    ("sector table stack", lambda: sector_amplitude_stack(_circle3, np.broadcast_to(_circle3.amplitudes, (2**22, 4, 1)), np.array([[3]]))),
+    ("sector table stack", lambda: _circle3_stack(2**22, 1)),
+    # 2^10 tables x 20 tuples and 2^20 weights x 13 points are within the
+    # cap; 2^10 weights per table take the (R, W, tuples) output past it
+    ("sector stack output", lambda: sector_amplitude_stack(
+        _split4, np.broadcast_to(_split4.amplitudes, (2**10, 13, 4)),
+        np.broadcast_to(_split4.weight, (2**10, 2**10, 13)), sector_occupations(4, 3))),
+    # 2^23 weights at 1 tuple: the output is within the cap, the scaled 4-point weights are not
+    ("sector stack weights", lambda: _circle3_stack(2**11, 2**12)),
     ("synthesis output", lambda: ecs_to_fock(_split_circle(7, 9))),
     ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=226))),
     ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=2**24 + 1)),
