@@ -13,9 +13,9 @@ own values are checked all the same). Unknown keys are rejected, and each
 value is typed and bounded by its `Param` in `EXPERIMENTS` or `SETTINGS`.
 Every run writes a manifest echoing the fully resolved config, its hash, and
 the artifact list; reruns with the same config and seed produce
-byte-identical outputs at a fixed BLAS thread count and numpy/BLAS build
-(other thread counts may change the last digits, as they do for a homodyne
-scan at n = 1000). Set ECSIM_THREADS to pin the BLAS thread count.
+byte-identical outputs at a fixed numpy/BLAS build (on OpenBLAS 0.3.31 one
+config of every experiment wrote the same bytes under 1 and 2 BLAS threads).
+Set ECSIM_THREADS to pin the BLAS thread count.
 
 An experiment's runner maps (parameters, seed) to {artifact name: payload},
 a `.csv` payload being (header, rows), its rows read once, and a `.json`

@@ -8,14 +8,21 @@ working point at the fringe extremum) and both outputs are counted. The
 statistics of the count difference characterize V, not the source: the phase
 reference lives entirely in the phase *difference* between the two branches.
 
-Every stage conserves the source's n photons, so the circuit is computed in
-the n-photon sector, one amplitude per |k, n - k> with k photons in the
-local-oscillator mode. Both couplers act on that (n + 1)-vector through
-`coupler.apply_sector`, which reads the sector's one J_y factorisation and
-never forms a coupler block; a scan splits once and remixes its points in
-chunks of at most `SCAN_CELLS` distribution cells, each chunk as one stack.
-Only phase processes keep the state in that sector, and only they are
-supported.
+A scan runs the circle route. The source |n, 0> is the twirl of |alpha, 0>
+over the phase circle, and the couplers and the process act pointwise on the
+coherent amplitudes, through `coupler.heisenberg_matrix` as
+`circle.ecs_apply_coupler` applies it. At each circle point the output is the
+product coherent state alpha (u, v), so each photon reaches detector A
+independently with p = |u|^2 / (|u|^2 + |v|^2), whatever the point: the
+count difference A - B has mean n (2p - 1) and variance 4 n p (1 - p). A scan
+point costs one 2 x 2 map, and no array is sized by n.
+
+`homodyne_difference_stats` is the sector route, the reference that shares
+no code with the scan beyond `CouplerParams`. Every stage conserves the n
+photons, so it works on one amplitude per |k, n - k>, k photons in the
+local-oscillator mode: both couplers act on that (n + 1)-vector through
+`coupler.apply_sector`, which reads the sector's J_y factorisation. Only
+phase processes keep the state in that sector, and only they are supported.
 """
 
 from __future__ import annotations
@@ -25,16 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupler import CouplerParams, apply_sector
+from .coupler import CouplerParams, apply_sector, heisenberg_matrix
 from .errors import ValidationError
-from .fock import check_cells, lowering_matrix
+from .fock import check_cells, check_integer, lowering_matrix
 
 SPLITTER_PHASE = -math.pi / 2
 DEFAULT_THETA = math.acos(0.95)  # local oscillator keeps ~90% of the photons
-# cells of one chunk of scan points' (points, 2n + 1) distributions, so that
-# a scan's memory does not grow with its point count; the chunk's other arrays
-# are about as large
-SCAN_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,7 @@ class HomodyneConfig:
     splitter_theta: float = DEFAULT_THETA
 
     def __post_init__(self):
+        check_integer(self.source_photons, "source_photons")
         if self.source_photons < 0:
             raise ValidationError("source photon number must be nonnegative")
         if not 0.0 <= self.splitter_theta <= math.pi / 2:
@@ -84,45 +88,40 @@ class DifferenceStats:
 
 
 def homodyne_difference_stats(config: HomodyneConfig) -> DifferenceStats:
-    """Exact pushforward distribution of A - B for the full circuit.
+    """Exact pushforward distribution of A - B for the full circuit, on the
+    source's photon-number sector.
 
     The source |n, 0> is sector index k = n; the split, the phase on the
     signal's n - k photons and the 50/50 remix act on the (n + 1)-vector, and
     outcome k is the difference A - B = 2k - n. `values` runs over -n .. n,
-    so the bins of the other parity than n hold zero. This is the one-point
-    case of a scan.
+    so the bins of the other parity than n hold zero.
     """
-    n = config.source_photons
-    probs, means, variances = _remix(_split(config), np.array([config.process.gamma]))
-    return DifferenceStats(np.arange(-n, n + 1), probs[0], float(means[0]), float(variances[0]))
-
-
-def _split(config: HomodyneConfig) -> np.ndarray:
-    """The source |n, 0> after the unbalanced split, as an (n + 1)-vector."""
     n = config.source_photons
     check_cells(n + 1, "homodyne source vector")
     source = np.zeros(n + 1, dtype=np.complex128)
     source[n] = 1.0
-    return apply_sector(CouplerParams(config.splitter_theta, SPLITTER_PHASE), source)
-
-
-def _remix(split: np.ndarray, gammas: np.ndarray):
-    """The (points, 2n + 1) difference distributions, means and variances of
-    the circuit with each phase process gamma in `gammas` on the signal of
-    `split`. All points are remixed in one stacked `coupler.apply_sector`,
-    and each gets the numbers it gets alone."""
-    n = split.size - 1
-    check_cells(gammas.size * (2 * n + 1), "homodyne difference distributions")
+    split = apply_sector(CouplerParams(config.splitter_theta, SPLITTER_PHASE), source)
     k = np.arange(n + 1)
-    signals = split * np.exp(1j * gammas[:, None] * (n - k))
-    mixed = apply_sector(CouplerParams(math.pi / 4, SPLITTER_PHASE), signals)
-    weights = np.abs(mixed) ** 2
+    signal = split * np.exp(1j * config.process.gamma * (n - k))
+    weights = np.abs(apply_sector(CouplerParams(math.pi / 4, SPLITTER_PHASE), signal)) ** 2
     values = np.arange(-n, n + 1)
-    probs = np.zeros((gammas.size, values.size))
-    probs[:, 2 * k] = weights / weights.sum(axis=1, keepdims=True)
-    means = (values * probs).sum(axis=1)
-    variances = (values**2 * probs).sum(axis=1) - means**2
-    return probs, means, variances
+    probs = np.zeros(values.size)
+    probs[2 * k] = weights / weights.sum()
+    mean = (values * probs).sum()
+    return DifferenceStats(values, probs, float(mean), float((values**2 * probs).sum() - mean**2))
+
+
+def _detector_a_probability(theta: float, gammas: np.ndarray) -> np.ndarray:
+    """p = |u|^2 / (|u|^2 + |v|^2) at each process phase gamma: the source
+    amplitude (1, 0) split by `heisenberg_matrix` at (theta, -pi/2), the
+    signal mode's amplitude times e^{i gamma}, and the 50/50 remix to (u, v),
+    elementwise on the (points,) arrays."""
+    split = heisenberg_matrix(CouplerParams(theta, SPLITTER_PHASE))
+    remix = heisenberg_matrix(CouplerParams(math.pi / 4, SPLITTER_PHASE))
+    oscillator, signal = split[0, 0], split[1, 0] * np.exp(1j * gammas)
+    a = np.abs(remix[0, 0] * oscillator + remix[0, 1] * signal) ** 2
+    b = np.abs(remix[1, 0] * oscillator + remix[1, 1] * signal) ** 2
+    return a / (a + b)
 
 
 @dataclass(frozen=True)
@@ -159,17 +158,12 @@ def process_tomography_scan(config: HomodyneConfig, gamma_grid: np.ndarray) -> T
     without photons or sin 2 theta <= 1e-12 raises ValidationError: the offset
     would be read from aliasing or rounding noise.
     """
-    gamma0 = config.process.gamma
+    n = config.source_photons
     gammas = np.asarray(gamma_grid, dtype=float)
     check_tomography_scan(config, gammas.size)
-    # the split does not depend on gamma, so it is computed once
-    split = _split(config)
-    chunk = max(1, SCAN_CELLS // (2 * config.source_photons + 1))
-    means = np.empty(gammas.size)
-    variances = np.empty(gammas.size)
-    for start in range(0, gammas.size, chunk):
-        part = slice(start, start + chunk)
-        _, means[part], variances[part] = _remix(split, gamma0 + gammas[part])
+    p = _detector_a_probability(config.splitter_theta, config.process.gamma + gammas)
+    means = n * (2.0 * p - 1.0)
+    variances = 4.0 * n * p * (1.0 - p)
     harmonic = np.mean(means * np.exp(-1j * gammas)) * 2.0
     recovered = float(np.angle(-harmonic))
     return TomographyScan(gammas, means, variances, recovered, float(abs(harmonic)))

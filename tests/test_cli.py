@@ -232,7 +232,8 @@ class TestConfigValidation:
             ({"experiment": "interfere", "grid": 2, "A": 1, "B": 1}, "grid"),
             ({"experiment": "squeeze", "pumps": [2], "scale": 20, "exit": 3}, "cutoff"),
             ({"experiment": "squeeze", "pumps": [2], "scale": 8, "exit": 3}, "cap"),
-            ({"experiment": "homodyne", "n": 5000, "exit": 3}, "cap"),
+            # the walk's N x N g1 matrix passes 2^24 cells at 4097 modes
+            ({"experiment": "phase-walk", "modes": 4097, "exit": 3}, "cap"),
             ({"experiment": "homodyne", "points": 1}, "points"),
             ({"experiment": "homodyne", "points": 2}, "points"),
             ({"experiment": "homodyne", "n": 0}, "n"),
@@ -248,7 +249,8 @@ class TestConfigValidation:
             ({"profile_points": 2**24 + 1, "exit": 3}, "profile"),
             ({"fringe": True, "fringe_points": 2**24 + 1, "exit": 3}, "fringe"),
             ({"experiment": "interfere", "profile_points": 2**24 + 1, "exit": 3}, "profile"),
-            ({"experiment": "homodyne", "n": 2**24, "exit": 3}, "cap"),
+            # the walk's phase grid is sized by its photon number, before any table
+            ({"experiment": "phase-walk", "photons": 2**24, "exit": 3}, "cap"),
             ({"experiment": "homodyne", "points": 2**24 + 1, "exit": 3}, "tomography"),
             ({"experiment": "phase-walk", "lags": None}, "lags"),
             ({"experiment": "phase-walk", "modes": None}, "modes"),
@@ -389,24 +391,30 @@ class TestEnvironment:
         assert done.stdout.strip() == "1"
 
     def test_laser_equivalence_bytes_at_any_thread_count(self, tmp_path):
-        # the sector check sums each block alone in a fixed order, so its
-        # result does not depend on how BLAS splits work across threads
-        params = {"nbar": 2.0, "modes": 3, "cutoff": 8}
-        cfg = write_config(tmp_path, {"experiment": "laser-equivalence", "parameters": params})
+        # the sector check sums each block alone in a fixed order, and the
+        # homodyne scan calls no BLAS routine (at n = 1000 its former sector
+        # route wrote other digits under 1 and 2 threads), so neither result
+        # depends on how BLAS splits work across threads
+        cases = {
+            "laser-equivalence": {"nbar": 2.0, "modes": 3, "cutoff": 8},
+            "homodyne": {"n": 1000, "offset": 0.3},
+        }
         code = (
             "import sys\n"
             "from ecsim.cli import main\n"
             "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
         )
-        written = []
-        for threads in ("1", "2"):
-            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
-            env["ECSIM_THREADS"] = threads
-            out = tmp_path / f"threads{threads}"
-            done = run_python(code, str(cfg), str(out), env=env)
-            assert done.returncode == 0, done.stderr
-            written.append((out / "results.json").read_bytes())
-        assert written[0] == written[1]
+        for name, params in cases.items():
+            cfg = write_config(tmp_path, {"experiment": name, "parameters": params}, f"{name}.json")
+            written = []
+            for threads in ("1", "2"):
+                env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+                env["ECSIM_THREADS"] = threads
+                out = tmp_path / f"{name}{threads}"
+                done = run_python(code, str(cfg), str(out), env=env)
+                assert done.returncode == 0, done.stderr
+                written.append({path.name: path.read_bytes() for path in out.iterdir()})
+            assert written[0] == written[1], name
 
     def test_run_paths_leave_scipy_unloaded(self, tmp_path):
         # scipy serves `ecsim verify` and test oracles; start-up and every
@@ -626,6 +634,24 @@ class TestRunArtifacts:
         res = json.loads((out / "results.json").read_text())
         assert abs(res["recovered_offset"] - 0.3) <= 0.02
 
+    @pytest.mark.parametrize("n", [10**6, 2**53])
+    def test_homodyne_source_is_bounded_by_the_schema_alone(self, tmp_path, n):
+        # no array of the scan is sized by n: the largest integer the schema
+        # takes runs, and each point holds the closed form of independent
+        # photons, p = (1 - sin 2 theta cos(gamma + offset)) / 2 (measured
+        # gaps: 3.4e-16 n in the mean and 4.7e-16 n in the variance, so the
+        # bounds leave 20-fold headroom)
+        theta, offset = 0.35, 0.3
+        params = {"n": n, "theta": theta, "offset": offset, "points": 24}
+        cfg = write_config(tmp_path, {"experiment": "homodyne", "parameters": params})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = [line for line in (out / "results.csv").read_text().splitlines() if not line.startswith("#")]
+        gammas, means, variances = np.array([[float(x) for x in line.split(",")] for line in lines[1:]]).T
+        p = (1.0 - math.sin(2.0 * theta) * np.cos(gammas + offset)) / 2.0
+        assert np.abs(means - n * (2.0 * p - 1.0)).max() <= 1e-14 * n
+        assert np.abs(variances - 4.0 * n * p * (1.0 - p)).max() <= 1e-14 * n
+
     def test_squeeze_run(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -841,8 +867,9 @@ def test_csv_templates_match_cell_by_cell_formatting(tmp_path):
 # the run contract's fuzzer: one-key substitutions over every schema key,
 # from a fixed pool, the pool's values as one-item lists, -0.0, and each
 # finite bound of the key's Param with its neighbours inside and outside.
-# The pool holds no valid size that takes seconds (pumps [4091] takes 14 s,
-# a homodyne run at n = 4091 3 s), so Tier-1 pays about 4 s for the fuzzer
+# The pool holds no valid size that takes seconds (pumps [4091] takes 14 s;
+# a homodyne run takes milliseconds at any n, 2^53 included), so Tier-1 pays
+# about 4 s for the fuzzer
 FUZZ_POOL = [
     0, 1, -1, 2, 0.5, -0.5, 1e-300, 5e-324, -5e-324, 1e300, -1e300, 1e15, 2**53, 2**53 + 1, 10**400,
     1 - 1e-16, 1 + 2**-52, math.pi / 2, "a string", "", [], [1, 2], {}, {"a": 1}, None, True, False,

@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import binom
 
 import ecsim.coupler as coupler_mod
-import ecsim.fock as fock_mod
 import ecsim.homodyne as homodyne_mod
 from ecsim.circle import ecs_apply_coupler, ecs_to_fock, two_mode_circle
 from ecsim.coupler import CouplerParams, apply_coupler
@@ -200,24 +199,12 @@ class TestDifferenceStats:
 class TestTomographyScan:
     GRID = np.linspace(0, 2 * math.pi, 24, endpoint=False)
 
-    def test_scan_does_one_eigensolve(self, monkeypatch):
-        # the split and the one remix chunk read sector 37; only the first
-        # factorises it
+    def test_scan_reads_no_sector(self, monkeypatch):
+        # the scan maps each point's coherent amplitudes by 2 x 2 matrices:
+        # no sector is factorised or read
         factorised, reads = counted_spectra(monkeypatch)
         process_tomography_scan(HomodyneConfig(37, PhaseShiftProcess(0.2)), self.GRID)
-        assert factorised == [37] and reads == [37, 37]
-
-    def test_largest_sector_is_kept_for_its_next_read(self, monkeypatch):
-        # after reads of sectors 0 .. 6, a scan at n = 7 in 6 chunks of 4
-        # points factorises its own sector once, and the sector stays for
-        # the next reader
-        monkeypatch.setattr(homodyne_mod, "SCAN_CELLS", 60)
-        factorised, reads = counted_spectra(monkeypatch)
-        for N in range(7):
-            coupler_mod.sector_spectrum(N)
-        process_tomography_scan(HomodyneConfig(7, PhaseShiftProcess(0.2)), self.GRID)
-        coupler_mod.sector_spectrum(7)
-        assert factorised == list(range(8)) and reads[7:] == [7] * 8
+        assert factorised == [] and reads == []
 
     def test_scan_materialises_no_block(self, monkeypatch):
         def refuse(*args):
@@ -232,28 +219,43 @@ class TestTomographyScan:
         grid = np.linspace(0, 2 * math.pi, 16, endpoint=False)
         scan = process_tomography_scan(config, grid)
         assert _wrapped_distance(scan.recovered_offset, offset) <= 0.02
-        # each scan point equals the stats of its config computed alone
-        alone = [homodyne_difference_stats(HomodyneConfig(5, PhaseShiftProcess(offset + g))).mean for g in grid]
-        assert np.array_equal(scan.means, alone)
 
-    def test_scan_is_sized_a_chunk_at_a_time(self, monkeypatch):
-        # 100 points of 2n + 1 = 21 cells are 2100 cells, over a 1000-cell
-        # cap; in chunks of 200 cells each check passes, and every point,
-        # whichever chunk it lands in, gets the numbers of its lone call
-        monkeypatch.setattr(fock_mod, "BASIS_SIZE_CAP", 1000)
-        monkeypatch.setattr(homodyne_mod, "SCAN_CELLS", 200)
-        grid = 2 * math.pi * np.arange(100) / 100
-        scan = process_tomography_scan(HomodyneConfig(10, PhaseShiftProcess(0.4), 0.3), grid)
-        alone = [homodyne_difference_stats(HomodyneConfig(10, PhaseShiftProcess(0.4 + g), 0.3)) for g in grid]
-        assert np.array_equal(scan.means, [s.mean for s in alone])
-        assert np.array_equal(scan.variances, [s.variance for s in alone])
+    def test_scan_matches_sector_route(self):
+        # measured worst gaps: 1.1e-15 n in the mean (n = 200) and 5.6e-16 n^2
+        # in the variance (n = 1; 3.7e-16 n^2 at n = 1000), so both bounds
+        # leave 9-fold headroom
+        mean_gap, variance_gap = _cross_route_gaps((1, 5, 40, 200, 1000, 2000))
+        assert mean_gap <= 1e-14 and variance_gap <= 5e-15
+
+    @pytest.mark.parametrize("mutation", ["flipped mixing sign", "coupling angle 0.9 theta", "dropped process phase"])
+    def test_cross_route_check_catches(self, monkeypatch, mutation):
+        # mutation canaries on the scan's route alone: the mean gaps read
+        # 1.0 n, 0.19 n and 2.0 n. A conjugated, transposed or phi-negated
+        # Heisenberg matrix is no canary: the response is even in gamma, so
+        # the gaps stay at their unmutated 5.6e-16 n, and the commuting
+        # diagram pins that convention instead
+        good_matrix, good_probability = homodyne_mod.heisenberg_matrix, homodyne_mod._detector_a_probability
+
+        def flipped(params):
+            m = np.array(good_matrix(params))
+            m[0, 1] = -m[0, 1]
+            return m
+
+        if mutation == "flipped mixing sign":
+            monkeypatch.setattr(homodyne_mod, "heisenberg_matrix", flipped)
+        elif mutation == "coupling angle 0.9 theta":
+            scaled = lambda params: good_matrix(CouplerParams(0.9 * params.theta, params.phi))
+            monkeypatch.setattr(homodyne_mod, "heisenberg_matrix", scaled)
+        else:
+            dropped = lambda theta, gammas: good_probability(theta, 0.0 * gammas)
+            monkeypatch.setattr(homodyne_mod, "_detector_a_probability", dropped)
+        mean_gap, variance_gap = _cross_route_gaps((1, 5, 40))
+        assert mean_gap > 1e-2 or variance_gap > 1e-2
 
     def test_scan_memory_does_not_grow_with_points(self):
-        # 4000 points at n = 100 hold 804 000 distribution cells (6.1 MiB of
-        # floats) as one stack; in chunks the scan stays far below that
+        # the scan holds a few (points,) arrays and nothing sized by n
         grid = 2 * math.pi * np.arange(4000) / 4000
         config = HomodyneConfig(100, PhaseShiftProcess(0.4))
-        homodyne_mod._split(config)  # the sector's eigensolve, cached
         tracemalloc.start()
         try:
             process_tomography_scan(config, grid)
@@ -309,6 +311,22 @@ def counted_spectra(monkeypatch):
     monkeypatch.setattr(coupler_mod, "_factorise", counted_factorise)
     monkeypatch.setattr(coupler_mod, "sector_spectrum", counted_read)
     return factorised, reads
+
+
+def _cross_route_gaps(ns) -> tuple[float, float]:
+    """Largest gaps between a 24-point scan and `homodyne_difference_stats`
+    at each of its points, over the source numbers `ns` and three splitter
+    angles: the mean's gap over n and the variance's gap over n^2."""
+    grid = 2 * math.pi * np.arange(24) / 24
+    mean_gap = variance_gap = 0.0
+    for n in ns:
+        for theta in (0.3, math.acos(0.95), math.pi / 4):
+            scan = process_tomography_scan(HomodyneConfig(n, PhaseShiftProcess(0.3), theta), grid)
+            alone = [homodyne_difference_stats(HomodyneConfig(n, PhaseShiftProcess(0.3 + g), theta)) for g in grid]
+            # np.maximum keeps a NaN, which the bounds then refuse
+            mean_gap = np.maximum(mean_gap, np.abs(scan.means - [s.mean for s in alone]).max() / n)
+            variance_gap = np.maximum(variance_gap, np.abs(scan.variances - [s.variance for s in alone]).max() / n**2)
+    return float(mean_gap), float(variance_gap)
 
 
 def _binomial_deviation() -> float:

@@ -25,7 +25,7 @@ from ecsim.sources import (
     laser_density,
     phase_walk_correlation,
 )
-from ecsim.homodyne import PhaseShiftProcess
+from ecsim.homodyne import HomodyneConfig, PhaseShiftProcess
 from ecsim.verify import check_decomposition_equivalence
 from fock_counts import total_number_distribution
 from fock_helpers import equal_multimode_split, multimode_output_coherent, trace_norm
@@ -399,6 +399,7 @@ NONINTEGER = [
     ("phase_walk_correlation realizations", lambda x: phase_walk_correlation(PhaseWalkSpec(0.1, 3, 1), x)),
     ("poisson_pmf n", lambda x: poisson_pmf(1.0, x)),
     ("poisson_pmf n array", lambda x: poisson_pmf(1.0, [0, x])),
+    ("HomodyneConfig source_photons", lambda x: HomodyneConfig(x, PhaseShiftProcess(0.0))),
 ]
 
 
