@@ -20,7 +20,9 @@ import numpy as np
 
 from . import coupler as _coupler
 from .errors import ValidationError
-from .fock import FockVector, ModeShape, _unit_phase, check_cells, coherent_log_amplitudes, poisson_pmf, zeros
+from .fock import (
+    FockVector, ModeShape, _unit_phase, check_cells, check_integer, coherent_log_amplitudes, poisson_pmf, zeros
+)
 
 # complex cells (16 MiB) per block of the grid tables, sector products and
 # weight row, so their temporaries stay small beside the arrays they fill
@@ -110,14 +112,16 @@ def number_state_on_circle(n: int, m_radius: int | None = None, cutoff: int | No
     represents the same state, which tests use to confirm representation
     independence. n = 0 with radius 0 degenerates to the vacuum point.
     """
+    m = n if m_radius is None else m_radius
+    cut = n if cutoff is None else cutoff
+    for value, what in ((n, "photon number"), (m, "circle radius index"), (cut, "cutoff")):
+        check_integer(value, what)
     if n < 0:
         raise ValidationError("photon number must be nonnegative")
-    m = n if m_radius is None else int(m_radius)
     if m == 0 and n > 0:
         raise ValidationError(f"radius 0 circle has no {n}-photon content")
     if m < 0:
         raise ValidationError("circle radius index must be nonnegative")
-    cut = n if cutoff is None else int(cutoff)
     if cut < n:
         raise ValidationError("cutoff below the represented photon number")
     grid = PhaseGrid.exact(cut)
@@ -134,13 +138,15 @@ def two_mode_circle(n: int, n_prime: int, cutoffs: int | tuple[int, int] | None 
     coupler acts. Choose cutoffs of n + n_prime per mode when a coupler will
     follow, since the joint sector spreads over both modes.
     """
-    if n < 0 or n_prime < 0:
-        raise ValidationError("photon numbers must be nonnegative")
     if cutoffs is None:
         cutoffs = (n, n_prime)
-    if isinstance(cutoffs, int):
+    elif np.ndim(cutoffs) == 0:
         cutoffs = (cutoffs, cutoffs)
     c1, c2 = cutoffs
+    for value, what in ((n, "photon number"), (n_prime, "photon number"), (c1, "cutoff"), (c2, "cutoff")):
+        check_integer(value, what)
+    if n < 0 or n_prime < 0:
+        raise ValidationError("photon numbers must be nonnegative")
     if c1 < n or c2 < n_prime:
         raise ValidationError("cutoffs below the represented photon numbers")
     g1 = g2 = PhaseGrid.exact(c1 + c2)  # total occupations up to c1 + c2
@@ -188,8 +194,9 @@ def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> np.
     `occ`. The phase degree at a tuple is its coherent occupations plus, per
     pair factor, the smaller of its modes' occupations; grids too small for
     the largest are refused. `stack` holds R amplitude tables like
-    `ecs.amplitudes` that share its grids. Each mode slices its own cutoff's
-    columns, which no other cutoff changes."""
+    `ecs.amplitudes` that share its grids. The expansions run to the largest
+    coherent occupation in `occ`; no entry depends on that length, so a tuple
+    reads the same value whichever tuples it is read with."""
     columns = occ[:, list(ecs.coherent_modes)]
     pairs = [np.minimum(occ[:, i], occ[:, j]) for i, j in (pf.modes for pf in ecs.pair_factors)]
     degree = int((columns.sum(axis=1) + sum(pairs)).max(initial=0))
@@ -214,66 +221,28 @@ def _quadrature_inputs(ecs: ECSState, occ: np.ndarray, stack: np.ndarray) -> np.
 
 
 def ecs_to_fock(ecs: ECSState) -> FockVector:
-    """Synthesize the truncated Fock vector `ecs.shape` by discrete quadrature,
-    exact (to rounding) on the grids `PhaseGrid.exact` gives for the shape's
-    largest total occupation or larger ones; smaller grids are refused.
+    """Synthesize the truncated Fock vector `ecs.shape` by discrete quadrature:
+    `ecs_sector_amplitudes` at every tuple, row-major, `BLOCK_CELLS // modes`
+    tuples at a time. Exact (to rounding) on the grids `PhaseGrid.exact` gives
+    for the shape's largest total occupation or larger ones; the last block
+    holds that tuple, so smaller grids are refused there.
     """
-    shape = ecs.shape
-    (coherent,) = _quadrature_inputs(ecs, np.array([shape.cutoffs]), ecs.amplitudes[None])
-    P = coherent.shape[0]
-    weight_flat = ecs.weight.ravel() * (1.0 / P)
-
-    # one operand per factor: (mode tuple, table of shape (P, dims...))
-    operands: list[tuple[tuple[int, ...], np.ndarray]] = [
-        ((mode,), coherent[:, pos, : shape.dims[mode]]) for pos, mode in enumerate(ecs.coherent_modes)
-    ]
-    for pf in ecs.pair_factors:
-        # squeezed-vacuum amplitudes per grid point, the ladder on the diagonal k = l
-        i, j = pf.modes
-        block = zeros((P, shape.dims[i], shape.dims[j]))
-        k = np.arange(min(shape.dims[i], shape.dims[j]))
-        block[:, k, k] = pair_ladder(pf.chi, k[-1])
-        operands.append(((i, j), block))
-    operands.sort(key=lambda item: item[0][0])
-    mode_order: list[int] = [m for modes, _ in operands for m in modes]
-
-    # fold into two halves so no (P, full-basis) intermediate is materialized
-    tables = [arr.reshape(P, -1) for _, arr in operands]
-    sizes = [t.shape[1] for t in tables]
-    split = 1
-    best = None
-    for s in range(1, len(tables) + 1):
-        left = int(np.prod(sizes[:s]))
-        right = int(np.prod(sizes[s:])) if s < len(tables) else 1
-        cost = max(left, right)
-        if best is None or cost < best:
-            best, split = cost, s
-    check_cells(max(shape.size, P * best), f"synthesis of {shape.dims} on {P} points")  # output, widest fold
-    def fold(parts: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
-        acc = seed
-        for t in parts:
-            acc = (acc[:, :, None] * t[:, None, :]).reshape(P, -1)
-        return acc
-
-    left = fold(tables[:split], weight_flat[:, None])
-    if split < len(tables):
-        right = fold(tables[split:], np.ones((P, 1), dtype=np.complex128))
-        flat = (left.T @ right).reshape(-1)
-    else:
-        flat = left.sum(axis=0)
-    dims_in_order = tuple(shape.dims[m] for m in mode_order)
-    tensorized = flat.reshape(dims_in_order)
-    # axis i currently holds mode mode_order[i]; send it to position mode_order[i]
-    tensorized = np.moveaxis(tensorized, range(len(mode_order)), mode_order)
-    return FockVector(shape, tensorized)
+    dims = ecs.shape.dims
+    amps = zeros(dims)
+    flat = amps.reshape(-1)
+    step = BLOCK_CELLS // len(dims)
+    for start in range(0, flat.size, step):
+        block = np.arange(start, min(start + step, flat.size))
+        flat[start : start + step] = ecs_sector_amplitudes(ecs, np.stack(np.unravel_index(block, dims), axis=1))
+    return FockVector(ecs.shape, amps)
 
 
 def ecs_sector_amplitudes(ecs: ECSState, occupations: np.ndarray) -> np.ndarray:
-    """The amplitudes of `ecs_to_fock(ecs)` at the given occupation tuples only.
+    """The circle quadrature's Fock amplitudes at the given occupation tuples only.
 
     `occupations` has one row per tuple and one column per mode, such as the
-    rows of `fock.sector_occupations`. The quadrature is the same as in
-    `ecs_to_fock`, so a state confined to one total photon number (a circle
+    rows of `fock.sector_occupations`. `ecs_to_fock` is this read at every
+    tuple of the shape; a state confined to one total photon number (a circle
     weight e^{-i m phi}) is fully given by its C(m + N - 1, m) sector
     amplitudes instead of (m + 1)^N. This is the one-table, one-weight case
     of `sector_amplitude_stack`.

@@ -6,7 +6,8 @@ branches and its Fock oracle, both keyed by outcome sequence, the detection
 recursion that collapses the trajectory weight on one outcome, the squeezing
 pump sector in the dense three-mode basis, and the laser check's dense
 reference: the coupler-cascade split of a state, the multimode coherent
-product and the trace norm."""
+product and the trace norm; and the circle quadrature's plain grid sum, the
+reference the circle synthesis is checked against."""
 
 from __future__ import annotations
 
@@ -107,6 +108,33 @@ def project_counts(
     keep = tuple(m for m in range(K) if m not in modes)
     shape = ModeShape(tuple(state.shape.cutoffs[m] for m in keep))
     return FockVector(shape, sub / math.sqrt(prob)), prob
+
+
+def grid_sum_amplitudes(ecs: circle.ECSState, occupations: np.ndarray) -> np.ndarray:
+    """The circle state's Fock amplitudes at the tuples `occupations` (one row
+    per tuple, one column per mode) as the plain grid sum
+    (1/P) sum_p w_p prod_modes e^{-|a|^2/2} a^k / sqrt(k!) prod_pairs L_p,
+    where a pair factor's L_p is (-chi/|chi| tanh|chi|)^k / cosh|chi| if both
+    of its modes hold k, else 0. Only the state's fields are read: no
+    coherent, Poisson or pair table of the package takes part. log k! comes
+    from `math.lgamma` once per occupation up to the largest read."""
+    occ = np.asarray(occupations)
+    half_log_fact = np.array([0.5 * math.lgamma(k + 1) for k in range(int(occ.max(initial=0)) + 1)])
+    P = ecs.weight.size
+    terms = np.repeat(ecs.weight.reshape(P, 1) / P, len(occ), axis=1)
+    alphas = ecs.amplitudes.reshape(P, -1)
+    for pos, mode in enumerate(ecs.coherent_modes):
+        a = alphas[:, pos : pos + 1]
+        k = occ[:, mode]
+        terms *= a**k * np.exp(-0.5 * np.abs(a) ** 2 - half_log_fact[k])
+    for pf in ecs.pair_factors:
+        i, j = pf.modes
+        chi = np.asarray(pf.chi).reshape(P, 1)
+        r = np.abs(chi)
+        unit = chi / np.where(r > 0.0, r, 1.0)  # any finite value at r = 0, where tanh r = 0
+        rung = (-unit * np.tanh(r)) ** occ[:, i] / np.cosh(r)
+        terms *= np.where(occ[:, i] == occ[:, j], rung, 0.0)
+    return terms.sum(axis=0)
 
 
 def conditional_table(weight: circle.ConditionalWeight) -> np.ndarray:

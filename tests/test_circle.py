@@ -21,11 +21,11 @@ from ecsim.circle import (
     width_fit,
 )
 from ecsim.coupler import CouplerParams, apply_coupler
-from ecsim.errors import ValidationError
+from ecsim.errors import SizingError, ValidationError
 from ecsim.fock import ModeShape, basis_state, fidelity, poisson_pmf, sector_occupations
 from ecsim.measurement import run_interference_trajectory
 from ecsim.squeezing import pump_entangled_squeezed
-from fock_helpers import conditional_table
+from fock_helpers import conditional_table, grid_sum_amplitudes
 
 
 def schmidt_coefficients(state):
@@ -85,6 +85,12 @@ class TestCircleSynthesis:
         st = number_state_on_circle(2)
         zeroed = dataclasses.replace(st, weight=np.zeros_like(st.weight))
         assert ecs_to_fock(zeroed).norm2 == 0.0
+
+    def test_more_modes_than_dense_axes_refused(self):
+        # 65 vacuum modes hold one amplitude, but a dense array has at most 64 axes
+        ecs = ECSState((PhaseGrid(1),), np.ones(1), tuple(range(65)), np.zeros((1, 65)), ModeShape.uniform(65, 0))
+        with pytest.raises(SizingError, match="64"):
+            ecs_to_fock(ecs)
 
 
 class TestTwoModeCircle:
@@ -168,10 +174,13 @@ class TestSectorSynthesis:
     @pytest.mark.parametrize("modes,photons", [(1, 0), (1, 3), (3, 2), (4, 3), (11, 2)])
     @pytest.mark.parametrize("seed", [3, 17])
     def test_matches_dense_synthesis(self, modes, photons, seed):
+        # the sector read against the plain grid sum, and the dense synthesis
+        # against the sector read, with nothing left off the sector
         ecs = walked_sector_state(modes, photons, seed)
-        dense = np.array(ecs_to_fock(ecs).amplitudes)
         occ = sector_occupations(modes, photons)
         sector = ecs_sector_amplitudes(ecs, occ)
+        assert np.abs(sector - grid_sum_amplitudes(ecs, occ)).max() <= 1e-14
+        dense = np.array(ecs_to_fock(ecs).amplitudes)
         assert np.abs(sector - dense[tuple(occ.T)]).max() <= 1e-14
         dense[tuple(occ.T)] = 0.0
         assert np.sum(np.abs(dense) ** 2) <= 1e-24
@@ -206,14 +215,13 @@ class TestSectorSynthesis:
     def test_weight_times_amplitude_lowers(self, modes, photons, seed):
         # b_l |alpha> = alpha_l |alpha>: the weight times alpha_l(phi), read on
         # the (m - 1)-photon tuples s, gives sqrt(s_l + 1) psi_{s + e_l} of the
-        # dense synthesis
+        # plain grid sum
         ecs = walked_sector_state(modes, photons, seed)
-        dense = ecs_to_fock(ecs).amplitudes
         below = sector_occupations(modes, photons - 1)
         lowered = sector_amplitude_stack(ecs, ecs.amplitudes[None], (ecs.weight * ecs.amplitudes.T)[None], below)[0]
         for l, row in enumerate(lowered):
             raised = below + np.eye(modes, dtype=int)[l]
-            assert np.abs(row - np.sqrt(below[:, l] + 1.0) * dense[tuple(raised.T)]).max() <= 1e-14
+            assert np.abs(row - np.sqrt(below[:, l] + 1.0) * grid_sum_amplitudes(ecs, raised)).max() <= 1e-14
 
     def test_stack_shape_rejected(self):
         ecs = walked_sector_state(3, 2, 1)
@@ -227,12 +235,14 @@ class TestSectorSynthesis:
     @pytest.mark.parametrize("block_cells", [circle.BLOCK_CELLS, 64])
     def test_pair_factors_read_at_their_ladder(self, monkeypatch, block_cells):
         # every tuple of the dense basis, k != l included, where the pair
-        # factor contributes 0
+        # factor contributes 0; with 64-cell blocks the dense synthesis walks
+        # the basis 21 tuples at a time
         ecs = pump_entangled_squeezed(3, 0.3 * np.exp(0.4j), pair_cutoff=4)
-        dense = ecs_to_fock(ecs).amplitudes
-        occ = np.indices(dense.shape).reshape(3, -1).T
+        occ = np.indices(ecs.shape.dims).reshape(3, -1).T
+        reference = grid_sum_amplitudes(ecs, occ)
         monkeypatch.setattr(circle, "BLOCK_CELLS", block_cells)
-        assert np.abs(ecs_sector_amplitudes(ecs, occ) - dense.ravel()).max() <= 1e-15
+        assert np.abs(ecs_sector_amplitudes(ecs, occ) - reference).max() <= 1e-15
+        assert np.abs(ecs_to_fock(ecs).amplitudes.ravel() - reference).max() <= 1e-15
 
     @pytest.mark.parametrize("occ", [[[3, 0, 0]], [[-1, 2, 0]], [[1, 1]]])
     def test_occupations_outside_shape_rejected(self, occ):

@@ -50,7 +50,6 @@ from ecsim.sources import (
 )
 from ecsim.squeezing import (
     approximation_quality,
-    pump_entangled_squeezed,
     pump_sector_evolution,
     two_mode_squeezed_vac,
 )
@@ -110,7 +109,6 @@ OVER_CAP = [
     # 2^23 weights at 1 tuple: the output is within the cap, the scaled 4-point weights are not
     ("sector stack weights", lambda: _circle3_stack(2**11, 2**12)),
     ("synthesis output", lambda: ecs_to_fock(_split_circle(7, 9))),
-    ("pair block", lambda: ecs_to_fock(pump_entangled_squeezed(100, 0.01, pair_cutoff=226))),
     ("conditional weight", lambda: conditional_weight(1, 1, 0.1, 4, grid=2**24 + 1)),
     ("cavity_state", lambda: _trajectory(4100).cavity_state()),
     ("weight_table", lambda: weight_table(_trajectory(4), 4097)),

@@ -16,7 +16,7 @@ from ecsim.fock import (
     twirl,
 )
 from ecsim import sources
-from ecsim.circle import ECSState, PhaseGrid, ecs_to_fock
+from ecsim.circle import ECSState, PhaseGrid, ecs_to_fock, number_state_on_circle, two_mode_circle
 from ecsim.fock import sector_occupations
 from ecsim.sources import (
     LaserSpec,
@@ -28,7 +28,7 @@ from ecsim.sources import (
 from ecsim.homodyne import HomodyneConfig, PhaseShiftProcess
 from ecsim.verify import check_decomposition_equivalence
 from fock_counts import total_number_distribution
-from fock_helpers import equal_multimode_split, multimode_output_coherent, trace_norm
+from fock_helpers import equal_multimode_split, grid_sum_amplitudes, multimode_output_coherent, trace_norm
 
 
 def multimode_output_number(m: int, n_modes: int, grid: PhaseGrid | None = None) -> ECSState:
@@ -46,7 +46,7 @@ def multimode_output_number(m: int, n_modes: int, grid: PhaseGrid | None = None)
 
 def dense_phase_walk(spec, realizations, pairs):
     """Reference walk on the full (m+1)^N tensor: the same seeded phase path,
-    dense synthesis and b_k applied along each mode axis."""
+    the plain grid sum at every tuple and b_k applied along each mode axis."""
     N, m = spec.mode_count, spec.photon_number
     rng = np.random.default_rng(spec.seed)
     grid = PhaseGrid(2 * N * m + 3)
@@ -56,7 +56,9 @@ def dense_phase_walk(spec, realizations, pairs):
     for r in range(realizations):
         walk = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, math.sqrt(spec.step_variance), N - 1))])
         amps = math.sqrt(m / N) * np.exp(1j * (phis[:, None] + walk[None, :]))
-        psi = ecs_to_fock(ECSState((grid,), weight, tuple(range(N)), amps, ModeShape.uniform(N, m))).amplitudes
+        shape = ModeShape.uniform(N, m)
+        occ = np.indices(shape.dims).reshape(N, -1).T
+        psi = grid_sum_amplitudes(ECSState((grid,), weight, tuple(range(N)), amps, shape), occ).reshape(shape.dims)
         low = [np.moveaxis(np.tensordot(lowering_matrix(m), psi, axes=([1], [k])), 0, k) for k in range(N)]
         for i, (k, l) in enumerate(pairs):
             denom = math.sqrt(np.vdot(low[k], low[k]).real * np.vdot(low[l], low[l]).real)
@@ -400,6 +402,13 @@ NONINTEGER = [
     ("poisson_pmf n", lambda x: poisson_pmf(1.0, x)),
     ("poisson_pmf n array", lambda x: poisson_pmf(1.0, [0, x])),
     ("HomodyneConfig source_photons", lambda x: HomodyneConfig(x, PhaseShiftProcess(0.0))),
+    ("number_state_on_circle n", lambda x: number_state_on_circle(x)),
+    ("number_state_on_circle m_radius", lambda x: number_state_on_circle(2, m_radius=x)),
+    ("number_state_on_circle cutoff", lambda x: number_state_on_circle(2, cutoff=x)),
+    ("two_mode_circle n", lambda x: two_mode_circle(x, 1)),
+    ("two_mode_circle n_prime", lambda x: two_mode_circle(1, x)),
+    ("two_mode_circle cutoffs", lambda x: two_mode_circle(1, 1, cutoffs=x)),
+    ("two_mode_circle cutoff pair", lambda x: two_mode_circle(1, 1, cutoffs=(4, x))),
 ]
 
 
